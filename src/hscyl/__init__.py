@@ -2,6 +2,8 @@
 extremal profiles, singular-weight quadrature oracles, a constrained
 Rayleigh-quotient minimiser, and decay-rate checks."""
 
+__version__ = "0.1.0"
+
 from .asymptotics import (
     DecayFit,
     DecayVerdict,
@@ -77,5 +79,3 @@ from .quadrature import (
     singular_newtonian_integral,
 )
 from .specfn import GeometricConstants, ball_volume, beta, geometric_constants, log_gamma, sphere_measure
-
-__version__ = "0.1.0"

@@ -23,15 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, closed_forms, cylgrid, minimizer, quadrature
+from . import __version__, asymptotics, closed_forms, cylgrid, minimizer, quadrature
 from . import exponents as expo
 from .errors import ConvergenceError, DomainError, HscylError, UsageError
 from .specfn import sphere_measure
 from .svgplot import render_line_plot
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
-
-_VERSION = "0.1.0"
 
 
 def _fmt(value) -> str:
@@ -213,7 +211,7 @@ def _write_manifest(config: RunConfig) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "tool": "hscyl",
-        "version": _VERSION,
+        "version": __version__,
         "subcommand": config.subcommand,
         "parameters": {k: (None if v is None else v)
                        for k, v in sorted(config.parameters.items())},

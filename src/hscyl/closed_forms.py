@@ -32,6 +32,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterDomainError,
     SingularityError,
+    require_int,
 )
 from .quadrature import DEFAULT_TOL, integrate_cylindrical
 from .specfn import ball_volume, beta, sphere_measure
@@ -56,12 +57,6 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
-def _require_int(value, name):
-    if isinstance(value, bool) or value != int(value):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Beta-function integral identities
 # ---------------------------------------------------------------------------
@@ -75,8 +70,8 @@ def beta_integral_full(n: int, k: int, m: float, s: float) -> float:
 
     Requires 0 <= s < k < n and m > (n-s)/2 for convergence.
     """
-    n = _require_int(n, "n")
-    k = _require_int(k, "k")
+    n = require_int(n, "n")
+    k = require_int(k, "k")
     if not (0.0 <= s < k < n):
         raise ParameterDomainError(f"need 0 <= s < k < n, got s={s}, k={k}, n={n}")
     if not m > 0.5 * (n - k):
@@ -103,7 +98,7 @@ def beta_integral_radial(k: int, a: float, s: float) -> float:
 
     valid for k > s >= 0 and a > (k-s)/2.
     """
-    k = _require_int(k, "k")
+    k = require_int(k, "k")
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
     if not a > 0.5 * (k - s):
@@ -202,8 +197,8 @@ def sharp_constant_K(n: int, k: int, tol: float = DEFAULT_TOL) -> SharpConstant:
     The literal published formula is evaluated alongside and its relative
     discrepancy recorded.
     """
-    n = _require_int(n, "n")
-    k = _require_int(k, "k")
+    n = require_int(n, "n")
+    k = require_int(k, "k")
     if n < 3:
         raise ParameterDomainError(f"need n >= 3, got n={n}")
     if not (2 <= k <= n):
@@ -246,8 +241,8 @@ class ExtremalParams:
     y0: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        n = _require_int(self.n, "n")
-        k = _require_int(self.k, "k")
+        n = require_int(self.n, "n")
+        k = require_int(self.k, "k")
         if n < 3 or not (2 <= k <= n):
             raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
         if not self.lam > 0.0:
@@ -333,8 +328,8 @@ class ShiftedQuadraticParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        a = _require_int(self.a, "a")
-        b = _require_int(self.b, "b")
+        a = require_int(self.a, "a")
+        b = require_int(self.b, "b")
         if a < 1 or b < 1:
             raise ParameterDomainError(f"a, b must be positive integers, got {a}, {b}")
         if not self.lam > 0.0:
@@ -386,7 +381,7 @@ def shifted_power_solution(params: ShiftedQuadraticParams, x, y) -> float:
 
 def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:
     """Source coefficients alpha_i (n-2) lam^2 a_i for a multi-factor split."""
-    dims = tuple(_require_int(d, "subspace dimension") for d in dims)
+    dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if any(d < 1 for d in dims):
         raise ParameterDomainError(f"subspace dimensions must be >= 1, got {dims}")
     if len(offsets) != len(dims):
@@ -404,7 +399,7 @@ def multi_subspace_solution(dims, lam: float, offsets, radii) -> float:
     Delta v = -v^(n/(n-2)) sum_i coef_i / rho_i with the coefficients from
     :func:`multi_subspace_coefficients`.
     """
-    dims = tuple(_require_int(d, "subspace dimension") for d in dims)
+    dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if not lam > 0.0:
         raise ParameterDomainError(f"lam must be positive, got {lam}")
     if not (len(offsets) == len(radii) == len(dims)):
@@ -425,7 +420,7 @@ def multi_subspace_solution(dims, lam: float, offsets, radii) -> float:
 def fundamental_solution(n: int, z_norm: float) -> float:
     """Positive fundamental solution of the Laplacian,
     (n(n-2) omega_n)^(-1) |z|^(2-n), omega_n the unit-ball volume."""
-    n = _require_int(n, "n")
+    n = require_int(n, "n")
     if n <= 2:
         raise ParameterDomainError(f"need n > 2, got n={n}")
     if z_norm == 0.0:
@@ -441,7 +436,7 @@ def kelvin_transform(u, n: int):
     An involution, and an isometry of the Dirichlet energy for functions
     supported away from the puncture; evaluation at z = 0 is refused.
     """
-    n = _require_int(n, "n")
+    n = require_int(n, "n")
     if n <= 2:
         raise ParameterDomainError(f"need n > 2, got n={n}")
 

@@ -5,7 +5,10 @@ positive nodes; the axes themselves are never grid nodes.  Ghost values at
 the axes come from even reflection (the cylindrically symmetric fields we
 difference are even there), outer boundaries use one-sided second-order
 stencils, and all stencil weights are generated for the actual node
-positions, so graded grids cost no accuracy.
+positions, so graded grids cost no accuracy.  Interior rows use the
+closed-form nonuniform 3-point weights, computed for every node at once;
+only the edge rows (axis ghost or one-sided head, one-sided tail) come
+from the generic Vandermonde solve in ``_fd_weights``.
 
 The reduced Laplacian is
 
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridError, ParameterDomainError
+from .errors import GridError, ParameterDomainError, require_int
 from .exponents import hs_conjugate
 from .specfn import sphere_measure
 
@@ -42,12 +45,6 @@ __all__ = [
     "axis_derivative_operators",
     "cell_volumes",
 ]
-
-
-def _require_int(value, name):
-    if isinstance(value, bool) or value != int(value):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,8 @@ class CylGrid:
     axis_ghost: bool = True
 
     def __post_init__(self):
-        n = _require_int(self.n, "n")
-        k = _require_int(self.k, "k")
+        n = require_int(self.n, "n")
+        k = require_int(self.k, "k")
         if n < 3 or not (2 <= k <= n):
             raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
         rho = np.array(self.rho_nodes, dtype=float)
@@ -135,10 +132,10 @@ def build_grid(n: int, k: int, rho_max: float, r_max: float,
                n_rho: int, n_r: int, grading: float = 2.0) -> CylGrid:
     """Graded tensor grid with nodes rho_i = rho_max (i/n_rho)^grading,
     i = 1..n_rho (never 0), and likewise in r.  Values start at zero."""
-    n = _require_int(n, "n")
-    k = _require_int(k, "k")
-    n_rho = _require_int(n_rho, "n_rho")
-    n_r = _require_int(n_r, "n_r")
+    n = require_int(n, "n")
+    k = require_int(k, "k")
+    n_rho = require_int(n_rho, "n_rho")
+    n_r = require_int(n_r, "n_r")
     if n_rho < 8 or (k < n and n_r < 8):
         raise ParameterDomainError("need at least 8 nodes per active dimension")
     if not grading >= 1.0:
@@ -160,10 +157,10 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
     a grid that does not touch the axis).  Used for residual checks of
     explicit solutions on a fixed box.
     """
-    n = _require_int(n, "n")
-    k = _require_int(k, "k")
-    n_rho = _require_int(n_rho, "n_rho")
-    n_r = _require_int(n_r, "n_r")
+    n = require_int(n, "n")
+    k = require_int(k, "k")
+    n_rho = require_int(n_rho, "n_rho")
+    n_r = require_int(n_r, "n_r")
     if not (0.0 < rho_lo < rho_hi) or (k < n and not (0.0 < r_lo < r_hi)):
         raise ParameterDomainError("window bounds must satisfy 0 < lo < hi")
     if n_rho < 8 or (k < n and n_r < 8):
@@ -194,62 +191,79 @@ def axis_derivative_operators(nodes: np.ndarray,
     """(D1, D2) for one radial direction: centred 3-point stencils inside,
     one-sided 4-point at the outer edge, and at the inner edge either an
     even-reflection ghost (axis-adjacent grids) or another one-sided
-    stencil (window grids)."""
+    stencil (window grids).
+
+    The interior rows are the closed-form 3-point weights for the spacings
+    h1 = x_i - x_(i-1), h2 = x_(i+1) - x_i (Fornberg, Math. Comp. 51, 1988),
+    computed for all nodes at once; only the edge rows use _fd_weights.
+    """
     x = np.asarray(nodes, dtype=float)
     m = x.size
     if m < 3:
         raise GridError("need at least 3 nodes per active dimension")
-    d1 = sp.lil_matrix((m, m))
-    d2 = sp.lil_matrix((m, m))
-    if axis_ghost:
-        # ghost at -x0 carries the value at x0
-        stencil = np.array([-x[0], x[0], x[1]])
-        w1 = _fd_weights(x[0], stencil, 1)
-        w2 = _fd_weights(x[0], stencil, 2)
-        d1[0, 0], d1[0, 1] = w1[0] + w1[1], w1[2]
-        d2[0, 0], d2[0, 1] = w2[0] + w2[1], w2[2]
-    else:
-        head = x[:4] if m >= 4 else x
-        d1[0, :len(head)] = _fd_weights(x[0], head, 1)
-        d2[0, :len(head)] = _fd_weights(x[0], head, 2)
-    for i in range(1, m - 1):
-        stencil = x[i - 1:i + 2]
-        d1[i, i - 1:i + 2] = _fd_weights(x[i], stencil, 1)
-        d2[i, i - 1:i + 2] = _fd_weights(x[i], stencil, 2)
-    tail = x[m - 4:] if m >= 4 else x
-    lo = m - len(tail)
-    d1[m - 1, lo:] = _fd_weights(x[m - 1], tail, 1)
-    d2[m - 1, lo:] = _fd_weights(x[m - 1], tail, 2)
-    return d1.tocsr(), d2.tocsr()
+    h = np.diff(x)
+    h1, h2 = h[:-1], h[1:]
+    h12, hh = h1 + h2, h1 * h2
+    interior = {
+        1: (-h2 / (h1 * h12), (h2 - h1) / hh, h1 / (h2 * h12)),
+        2: (2.0 / (h1 * h12), -2.0 / hh, 2.0 / (h2 * h12)),
+    }
+    ops = []
+    for order, (lower, centre, upper) in interior.items():
+        # band k holds entry (i, i + k) at index min(i, i + k)
+        bands = {k: np.zeros(m - abs(k)) for k in range(-3, 4)}
+        bands[-1][:-1] = lower
+        bands[0][1:-1] = centre
+        bands[1][1:] = upper
+        if axis_ghost:
+            # ghost at -x0 carries the value at x0
+            w = _fd_weights(x[0], np.array([-x[0], x[0], x[1]]), order)
+            head = (w[0] + w[1], w[2])
+        else:
+            head = _fd_weights(x[0], x[:4], order)
+        for k, w in enumerate(head):
+            bands[k][0] = w
+        tail = _fd_weights(x[-1], x[-4:], order)
+        for k, w in enumerate(tail, start=1 - len(tail)):
+            bands[k][-1] = w
+        ops.append(sp.diags(list(bands.values()), list(bands), format="csr"))
+    return ops[0], ops[1]
 
 
-def _apply_reduced_laplacian(grid: CylGrid) -> np.ndarray:
-    u = grid.values
-    d1r, d2r = axis_derivative_operators(grid.rho_nodes, grid.axis_ghost)
-    drift_rho = grid.a / grid.rho_nodes
+def _axis_operators(grid: CylGrid):
+    """(D1, D2) of the rho axis, and of the r axis (None when k = n)."""
+    rho_ops = axis_derivative_operators(grid.rho_nodes, grid.axis_ghost)
     if grid.k == grid.n:
+        return rho_ops, None
+    return rho_ops, axis_derivative_operators(grid.r_nodes, grid.axis_ghost)
+
+
+def _apply_reduced_laplacian(grid: CylGrid, ops) -> np.ndarray:
+    (d1r, d2r), r_ops = ops
+    u = grid.values
+    drift_rho = grid.a / grid.rho_nodes
+    if r_ops is None:
         return d2r @ u + drift_rho * (d1r @ u)
     out = d2r @ u + drift_rho[:, None] * (d1r @ u)
-    d1t, d2t = axis_derivative_operators(grid.r_nodes, grid.axis_ghost)
+    d1t, d2t = r_ops
     out += (d2t @ u.T).T
     if grid.b:
         out += (grid.b / grid.r_nodes)[None, :] * (d1t @ u.T).T
     return out
 
 
+def _gradient(grid: CylGrid, ops) -> tuple[np.ndarray, np.ndarray]:
+    (d1r, _), r_ops = ops
+    if r_ops is None:
+        return d1r @ grid.values, np.zeros_like(grid.values)
+    return d1r @ grid.values, (r_ops[0] @ grid.values.T).T
+
+
 def cyl_laplacian(grid: CylGrid) -> CylGrid:
     """Apply L = d_rho_rho + (a/rho) d_rho + d_rr + (b/r) d_r to the grid."""
     if grid.rho_nodes.size < 3 or (grid.k < grid.n and grid.r_nodes.size < 3):
         raise GridError("need at least 3 nodes per active dimension")
-    return grid.with_values(_apply_reduced_laplacian(grid))
-
-
-def _gradient(grid: CylGrid) -> tuple[np.ndarray, np.ndarray]:
-    d1r, _ = axis_derivative_operators(grid.rho_nodes, grid.axis_ghost)
-    if grid.k == grid.n:
-        return d1r @ grid.values, np.zeros_like(grid.values)
-    d1t, _ = axis_derivative_operators(grid.r_nodes, grid.axis_ghost)
-    return d1r @ grid.values, (d1t @ grid.values.T).T
+    return grid.with_values(_apply_reduced_laplacian(grid, _axis_operators(grid)))
 
 
 def _trapezoid_weights(nodes: np.ndarray, vanishes_at_axis: bool,
@@ -289,7 +303,7 @@ def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
     """
     if not p_exp >= 1.0:
         raise ParameterDomainError(f"need p_exp >= 1, got {p_exp}")
-    ux, ur = _gradient(grid)
+    ux, ur = _gradient(grid, _axis_operators(grid))
     mag = (ux**2 + ur**2) ** (0.5 * p_exp)
     wr = _trapezoid_weights(grid.rho_nodes, vanishes_at_axis=grid.a > 0,
                             axis_cell=grid.axis_ghost)
@@ -314,7 +328,7 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
     if np.any(grid.values <= 0.0):
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
-    lap = _apply_reduced_laplacian(grid)
+    lap = _apply_reduced_laplacian(grid, _axis_operators(grid))
     weight = grid.rho_nodes ** (-s)
     if grid.k < grid.n:
         weight = weight[:, None]
@@ -338,8 +352,9 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
             f"params (a={params.a}, b={params.b})"
         )
     n = params.n
-    lap = _apply_reduced_laplacian(phi_grid)
-    ux, ur = _gradient(phi_grid)
+    ops = _axis_operators(phi_grid)
+    lap = _apply_reduced_laplacian(phi_grid, ops)
+    ux, ur = _gradient(phi_grid, ops)
     res = lap - 0.5 * n * (ux**2 + ur**2) / phi_grid.values
     drive_rho = 2.0 * params.a * params.lam**2 * params.alpha / phi_grid.rho_nodes
     if phi_grid.k == phi_grid.n:

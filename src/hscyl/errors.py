@@ -3,7 +3,11 @@
 Two broad families matter to callers: domain errors (bad inputs, shell exit
 code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
+The one integer validator, :func:`require_int`, lives here too, so every
+module can import it without an import cycle.
 """
+
+import numpy as np
 
 
 class HscylError(Exception):
@@ -51,3 +55,21 @@ class ConvergenceError(HscylError):
 
 class UsageError(HscylError):
     """Malformed command line or configuration file."""
+
+
+def require_int(value, name: str) -> int:
+    """``value`` as an ``int``, or ParameterDomainError.
+
+    Bools, arrays, non-integral numbers, nan, infinities and non-numeric
+    input are all rejected the same way, so no ValueError, OverflowError or
+    TypeError from ``int()`` escapes a validator.
+    """
+    if not isinstance(value, (bool, np.bool_)) and np.ndim(value) == 0:
+        try:
+            as_int = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if as_int == value:
+                return as_int
+    raise ParameterDomainError(f"{name} must be an integer, got {value!r}")

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, require_int
 
 __all__ = [
     "ExponentContext",
@@ -27,12 +27,6 @@ __all__ = [
     "galaxy_mass_window",
     "galaxy_mass_inside",
 ]
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or value != int(value):
-        raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_ps(p: float, s: float, n: int) -> None:
@@ -59,8 +53,8 @@ class ExponentContext:
     s: float
 
     def __post_init__(self):
-        n = _as_int(self.n, "n")
-        k = _as_int(self.k, "k")
+        n = require_int(self.n, "n")
+        k = require_int(self.k, "k")
         if n < 3:
             raise ParameterDomainError(f"need n >= 3, got n={n}")
         if not (2 <= k <= n):
@@ -92,7 +86,7 @@ def hs_conjugate(p: float, s: float, n: int) -> float:
     Interpolates between the Sobolev conjugate np/(n-p) at s = 0 and p
     itself at s = p.
     """
-    n = _as_int(n, "n")
+    n = require_int(n, "n")
     _check_ps(p, s, n)
     return p * (n - s) / (n - p)
 
@@ -103,7 +97,7 @@ def critical_pair(p: float, s: float, n: int) -> tuple[float, float]:
     r' equals p*/(p*(s) - p), which simplifies to n/(p-s); at the endpoint
     s = p it is reported as an explicit math.inf, never as an overflow.
     """
-    n = _as_int(n, "n")
+    n = require_int(n, "n")
     _check_ps(p, s, n)
     r = n / (n - p + s)
     if s == p:

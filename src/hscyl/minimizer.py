@@ -42,6 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .asymptotics import estimate_core_scale
 from .cylgrid import CylGrid, GridSpec, build_grid, cell_volumes
 from .errors import (
     ConvergenceError,
@@ -132,7 +133,7 @@ class DiscreteRayleigh:
         if k == n:
             self.shape = (rho.size,)
             self.mass = sigma * vol_rho
-            self.op = a_rho.tocsr()
+            self.op = a_rho
             self.weight_s = rho ** (-self.s)
             self.interior = np.ones(self.shape, dtype=bool)
             self.interior[-1] = False
@@ -163,9 +164,8 @@ class DiscreteRayleigh:
         upper[:] = wf / vol[:-1]
         main[1:] -= wf / vol[1:]
         lower[:] = wf / vol[1:]
-        mat = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-        mat[m - 1, :] = 0.0
-        return mat
+        main[-1] = lower[-1] = 0.0
+        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
 
     def apply_op(self, u: np.ndarray) -> np.ndarray:
         return (self.op @ u.ravel()).reshape(self.shape)
@@ -268,18 +268,6 @@ def _truncation_estimate(problem: DiscreteRayleigh, u: np.ndarray) -> float:
     return sigma * angular * (n - 2.0) * amp**2 * box ** (2.0 - n)
 
 
-def _core_scale(problem: DiscreteRayleigh, u: np.ndarray) -> float:
-    """Radius at which the near-axis profile halves from its peak."""
-    profile = u if problem.k == problem.n else u[:, 0]
-    peak = float(profile[0])
-    if peak <= 0.0:
-        return float("nan")
-    below = np.nonzero(profile <= 0.5 * peak)[0]
-    if below.size == 0:
-        return float(problem.grid.rho_nodes[-1])
-    return float(problem.grid.rho_nodes[below[0]])
-
-
 def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
                       opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Run the normalized gradient flow and return the converged minimum.
@@ -360,7 +348,10 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
 
 def _package(problem, u, energy, history, iterations) -> MinimizeResult:
     grid = problem.grid.with_values(u)
-    core = _core_scale(problem, u)
+    profile = u if problem.k == problem.n else u[:, 0]
+    # a partial result may carry a vanished axis profile: no core scale then
+    core = (estimate_core_scale(grid.rho_nodes, profile) if profile[0] > 0.0
+            else float("nan"))
     first_node = float(problem.grid.rho_nodes[0])
     if math.isfinite(core) and core < 8.0 * first_node:
         warnings.warn(

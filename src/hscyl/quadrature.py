@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, ParameterDomainError, SingularityError
+from .errors import (
+    ConvergenceError,
+    GridError,
+    ParameterDomainError,
+    SingularityError,
+    require_int,
+)
 from .specfn import sphere_measure
 
 __all__ = [
@@ -252,7 +258,8 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     is integrable and is never sampled.  Divergent tails (or a genuinely
     non-integrable g) exhaust the budget and raise ConvergenceError.
     """
-    if int(k) != k or k < 1:
+    k = require_int(k, "k")
+    if k < 1:
         raise ParameterDomainError(f"k must be an integer >= 1, got {k}")
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
@@ -262,7 +269,7 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     counter = _Budget(budget)
     pieces = _radial_segments(g, k - 1.0 - s, upper)
     value, err = _integrate_segments(pieces, 0.5 * tol, counter)
-    sigma = sphere_measure(int(k))
+    sigma = sphere_measure(k)
     return QuadratureResult(sigma * value, sigma * err, counter.used)
 
 
@@ -278,9 +285,7 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     second direction is absent: f is evaluated as f(rho, 0.0) and only the
     sigma_k prefactor applies.
     """
-    if int(n) != n or int(k) != k:
-        raise ParameterDomainError(f"n, k must be integers, got n={n}, k={k}")
-    n, k = int(n), int(k)
+    n, k = require_int(n, "n"), require_int(k, "k")
     if not (3 <= n and 2 <= k <= n):
         raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
     if not (k > s >= 0.0):
@@ -333,9 +338,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     angle phi between the two radial factors; the t^(1-s) net weight keeps
     the kernel singularity at w = 0 harmless.  I scales like |z|^(2-s).
     """
-    if int(n) != n or int(k) != k:
-        raise ParameterDomainError(f"n, k must be integers, got n={n}, k={k}")
-    n, k = int(n), int(k)
+    n, k = require_int(n, "n"), require_int(k, "k")
     if n < 3 or not (2 <= k <= n):
         raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
     if not (0.0 <= s < min(k, 2)):

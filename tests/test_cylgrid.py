@@ -123,6 +123,43 @@ def test_axis_symmetry_zero_derivative():
         assert abs(axis_slope) < 1e-10
 
 
+def _loop_reference(x, axis_ghost, order):
+    """Dense (D1 or D2) from one _fd_weights solve per row: the per-node
+    construction the closed-form interior rows replace."""
+    from hscyl.cylgrid import _fd_weights
+
+    m = x.size
+    ref = np.zeros((m, m))
+    if axis_ghost:
+        w = _fd_weights(x[0], np.array([-x[0], x[0], x[1]]), order)
+        ref[0, :2] = w[0] + w[1], w[2]
+    else:
+        ref[0, :4] = _fd_weights(x[0], x[:4], order)
+    for i in range(1, m - 1):
+        ref[i, i - 1:i + 2] = _fd_weights(x[i], x[i - 1:i + 2], order)
+    ref[-1, -4:] = _fd_weights(x[-1], x[-4:], order)
+    return ref
+
+
+@pytest.mark.parametrize("nodes", [8, 1024])
+@pytest.mark.parametrize("layout", ["uniform", "graded-1.5", "graded-2", "window"])
+@pytest.mark.parametrize("axis_ghost", [True, False])
+def test_axis_operators_match_per_node_weights(nodes, layout, axis_ghost):
+    # float64 bound fixed before measuring: 1e-14 of the row's largest weight
+    from hscyl.cylgrid import axis_derivative_operators
+
+    if layout == "window":
+        x = window_grid(3, 2, 0.5, 4.0, 0.5, 4.0, nodes, nodes).rho_nodes
+    else:
+        grading = {"uniform": 1.0, "graded-1.5": 1.5, "graded-2": 2.0}[layout]
+        x = build_grid(3, 2, 7.0, 7.0, nodes, nodes, grading).rho_nodes
+    ops = axis_derivative_operators(x, axis_ghost)
+    for order, op in zip((1, 2), ops):
+        ref = _loop_reference(x, axis_ghost, order)
+        row_scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(op.toarray() - ref) <= 1e-14 * row_scale)
+
+
 def test_gradient_energy_of_sobolev_bubble():
     g = build_grid(3, 2, 400.0, 400.0, 512, 512, grading=2.0)
     g = g.sampled(lambda rho, r: (1.0 + rho**2 + r**2) ** -0.5)

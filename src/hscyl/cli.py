@@ -83,7 +83,6 @@ _SCHEMAS = {
         "grading": (float, minimizer.DEFAULT_MINIMIZE_GRADING),
         "step": (float, 2.0), "max-iters": (int, 4000), "tol": (float, 1e-10),
         "init": (str, "positive-bump"), "init-scale": (float, None),
-        "stepper": (str, "semi-implicit"),
     },
     "decay-fit": {
         "grid": (str, None), "samples": (str, None),
@@ -418,8 +417,7 @@ def _run_minimize(config: RunConfig) -> None:
                             n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
     opts = minimizer.MinimizeOptions(step=p["step"], max_iters=p["max-iters"],
                                      tol=p["tol"], init=p["init"],
-                                     init_scale=p["init-scale"],
-                                     stepper=p["stepper"])
+                                     init_scale=p["init-scale"])
     result = minimizer.minimize_rayleigh(p["n"], p["k"], p["s"], spec, opts)
     _write_csv(config.output_dir / "history.csv",
                ["iteration", "energy", "constraint_defect"], result.history)

@@ -33,6 +33,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_split,
 )
 from .quadrature import DEFAULT_TOL, integrate_cylindrical
 from .specfn import ball_volume, beta, sphere_measure
@@ -158,28 +159,24 @@ class SharpConstant:
         return (self.n - 2) / (4.0 * (self.k - 1))
 
 
-def _normalization_integral_closed(n: int, k: int, shift: float) -> float:
-    """Beta composition of the two nested radial integrals behind J.
+def _y_factor(n: int, k: int) -> float:
+    """The |y| integral behind J, (sigma_(n-k)/2) B((n-k)/2, (n+k)/2 - 1);
+    it degenerates to 1 for k = n."""
+    if k == n:
+        return 1.0
+    return 0.5 * sphere_measure(n - k) * beta(0.5 * (n - k), 0.5 * (n + k) - 1.0)
 
-    The |y| factor gives (sigma_(n-k)/2) B((n-k)/2, (n+k)/2 - 1) and the
-    remaining |x| factor gives sigma_k shift^(1-n) B(k-1, n-1); for k = n
-    the first factor degenerates to 1.
-    """
-    y_factor = 1.0
-    if k < n:
-        y_factor = (0.5 * sphere_measure(n - k)
-                    * beta(0.5 * (n - k), 0.5 * (n + k) - 1.0))
-    return y_factor * sphere_measure(k) * shift ** (1.0 - n) * beta(k - 1.0, n - 1.0)
+
+def _normalization_integral_closed(n: int, k: int, shift: float) -> float:
+    """Beta composition of the two nested radial integrals behind J: the
+    |y| factor times the |x| factor sigma_k shift^(1-n) B(k-1, n-1)."""
+    return _y_factor(n, k) * sphere_measure(k) * shift ** (1.0 - n) * beta(k - 1.0, n - 1.0)
 
 
 def _k_printed(n: int, k: int, shift: float) -> float:
     """Literal published formula for K (first line of its display)."""
-    y_factor = 1.0
-    if k < n:
-        y_factor = (0.5 * sphere_measure(n - k)
-                    * beta(0.5 * (n - k), 0.5 * (n + k) - 1.0))
     rhs = ((0.5 * (n - 2)) ** (2 * (n - 1))
-           * y_factor
+           * _y_factor(n, k)
            * sphere_measure(k) / shift ** (n + k + 1)
            * beta(k - 1.0, n + k - 1.0))
     return rhs ** ((n - 2) / (2.0 * (n - 1) ** 2))
@@ -197,12 +194,7 @@ def sharp_constant_K(n: int, k: int, tol: float = DEFAULT_TOL) -> SharpConstant:
     The literal published formula is evaluated alongside and its relative
     discrepancy recorded.
     """
-    n = require_int(n, "n")
-    k = require_int(k, "k")
-    if n < 3:
-        raise ParameterDomainError(f"need n >= 3, got n={n}")
-    if not (2 <= k <= n):
-        raise ParameterDomainError(f"need 2 <= k <= n, got k={k}")
+    n, k = require_split(n, k)
     shift = (n - 2) / (4.0 * (k - 1))
 
     def integrand(rho, r):
@@ -241,10 +233,7 @@ class ExtremalParams:
     y0: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        n = require_int(self.n, "n")
-        k = require_int(self.k, "k")
-        if n < 3 or not (2 <= k <= n):
-            raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
+        n, k = require_split(self.n, self.k)
         if not self.lam > 0.0:
             raise ParameterDomainError(f"lam must be positive, got {self.lam}")
         y0 = np.zeros(n - k) if self.y0 is None else np.asarray(self.y0, dtype=float)

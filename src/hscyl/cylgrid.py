@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridError, ParameterDomainError, require_int
+from .errors import GridError, ParameterDomainError, require_int, require_split
 from .exponents import hs_conjugate
 from .specfn import sphere_measure
 
@@ -67,10 +67,7 @@ class CylGrid:
     axis_ghost: bool = True
 
     def __post_init__(self):
-        n = require_int(self.n, "n")
-        k = require_int(self.k, "k")
-        if n < 3 or not (2 <= k <= n):
-            raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
+        n, k = require_split(self.n, self.k)
         rho = np.array(self.rho_nodes, dtype=float)
         r = np.array(self.r_nodes, dtype=float)
         vals = np.array(self.values, dtype=float)
@@ -132,8 +129,7 @@ def build_grid(n: int, k: int, rho_max: float, r_max: float,
                n_rho: int, n_r: int, grading: float = 2.0) -> CylGrid:
     """Graded tensor grid with nodes rho_i = rho_max (i/n_rho)^grading,
     i = 1..n_rho (never 0), and likewise in r.  Values start at zero."""
-    n = require_int(n, "n")
-    k = require_int(k, "k")
+    n, k = require_split(n, k)
     n_rho = require_int(n_rho, "n_rho")
     n_r = require_int(n_r, "n_r")
     if n_rho < 8 or (k < n and n_r < 8):
@@ -157,8 +153,7 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
     a grid that does not touch the axis).  Used for residual checks of
     explicit solutions on a fixed box.
     """
-    n = require_int(n, "n")
-    k = require_int(k, "k")
+    n, k = require_split(n, k)
     n_rho = require_int(n_rho, "n_rho")
     n_r = require_int(n_r, "n_r")
     if not (0.0 < rho_lo < rho_hi) or (k < n and not (0.0 < r_lo < r_hi)):
@@ -373,62 +368,53 @@ def dump_grid(grid: CylGrid, path) -> None:
     """Write the grid as a comma-separated table with header rho,r,value.
 
     Floats are printed with 17 significant digits so a reload is
-    bit-exact; a leading comment line carries (n, k, grading).
+    bit-exact; a leading comment line carries (n, k, grading).  A 1-D
+    grid's r column is 0.
     """
+    if grid.k == grid.n:
+        rho, r = grid.rho_nodes, np.zeros_like(grid.rho_nodes)
+    else:
+        rho, r = np.meshgrid(grid.rho_nodes, grid.r_nodes, indexing="ij")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# hscyl-grid n={grid.n} k={grid.k} grading={grid.grading:.17g} "
                  f"axis_ghost={int(grid.axis_ghost)}\n")
         fh.write("rho,r,value\n")
-        if grid.k == grid.n:
-            for rho, val in zip(grid.rho_nodes, grid.values):
-                fh.write(f"{rho:.17g},0,{val:.17g}\n")
-            return
-        for i, rho in enumerate(grid.rho_nodes):
-            for j, r in enumerate(grid.r_nodes):
-                fh.write(f"{rho:.17g},{r:.17g},{grid.values[i, j]:.17g}\n")
+        np.savetxt(fh, np.column_stack((rho.ravel(), r.ravel(), grid.values.ravel())),
+                   fmt="%.17g", delimiter=",")
 
 
 def load_grid(path) -> CylGrid:
     """Read a grid written by :func:`dump_grid` (bit-exact round trip)."""
-    meta = {}
-    rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    if "=" in token:
-                        key, val = token.split("=", 1)
-                        meta[key] = val
-                continue
-            if line == "rho,r,value":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise GridError(f"malformed grid row: {line!r}")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-    if "n" not in meta or "k" not in meta:
-        raise GridError("grid dump is missing its n/k metadata line")
-    n, k = int(meta["n"]), int(meta["k"])
-    grading = float(meta.get("grading", 1.0))
-    ghost = bool(int(meta.get("axis_ghost", 1)))
-    rho = np.unique([row[0] for row in rows])
+        lines = [line.strip() for line in fh]
+    meta = dict(token.split("=", 1) for line in lines if line.startswith("#")
+                for token in line[1:].split() if "=" in token)
+    rows = [line for line in lines
+            if line and not line.startswith("#") and line != "rho,r,value"]
+    try:
+        n, k = int(meta["n"]), int(meta["k"])
+        grading = float(meta.get("grading", 1.0))
+        ghost = bool(int(meta.get("axis_ghost", 1)))
+    except (KeyError, ValueError):
+        raise GridError("grid dump has a missing or malformed metadata line") from None
+    if not rows:
+        raise GridError("grid dump has no rows")
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise GridError(f"malformed grid row: {exc}") from None
+    if table.shape[1:] != (3,):
+        raise GridError(f"grid rows must hold rho,r,value, got {table.shape[1]} columns")
+    rho, i = np.unique(table[:, 0], return_inverse=True)
     if k == n:
-        if len(rows) != rho.size:
+        if len(table) != rho.size:
             raise GridError("grid dump is not a full 1-D table")
         vals = np.empty(rho.size)
-        index = {v: i for i, v in enumerate(rho)}
-        for rr, _, vv in rows:
-            vals[index[rr]] = vv
+        vals[i] = table[:, 2]
         return CylGrid(n, k, rho, np.empty(0), vals, grading, ghost)
-    r = np.unique([row[1] for row in rows])
-    if len(rows) != rho.size * r.size:
+    r, j = np.unique(table[:, 1], return_inverse=True)
+    if len(table) != rho.size * r.size or np.unique(i * r.size + j).size != len(table):
         raise GridError("grid dump is not a full tensor table")
     vals = np.empty((rho.size, r.size))
-    ri = {v: i for i, v in enumerate(rho)}
-    ti = {v: i for i, v in enumerate(r)}
-    for rr, tt, vv in rows:
-        vals[ri[rr], ti[tt]] = vv
+    vals[i, j] = table[:, 2]
     return CylGrid(n, k, rho, r, vals, grading, ghost)

@@ -3,8 +3,8 @@
 Two broad families matter to callers: domain errors (bad inputs, shell exit
 code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
-The one integer validator, :func:`require_int`, lives here too, so every
-module can import it without an import cycle.
+The integer validators, :func:`require_int` and :func:`require_split`, live
+here too, so every module can import them without an import cycle.
 """
 
 import numpy as np
@@ -73,3 +73,12 @@ def require_int(value, name: str) -> int:
             if as_int == value:
                 return as_int
     raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_split(n, k) -> tuple[int, int]:
+    """``(n, k)`` as ints for the split R^k x R^(n-k): integer n >= 3 and
+    integer 2 <= k <= n, or ParameterDomainError."""
+    n, k = require_int(n, "n"), require_int(k, "k")
+    if n < 3 or not (2 <= k <= n):
+        raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
+    return n, k

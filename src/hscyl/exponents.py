@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ParameterDomainError, require_int
+from .errors import ParameterDomainError, require_int, require_split
 
 __all__ = [
     "ExponentContext",
@@ -53,12 +53,7 @@ class ExponentContext:
     s: float
 
     def __post_init__(self):
-        n = require_int(self.n, "n")
-        k = require_int(self.k, "k")
-        if n < 3:
-            raise ParameterDomainError(f"need n >= 3, got n={n}")
-        if not (2 <= k <= n):
-            raise ParameterDomainError(f"need 2 <= k <= n, got k={k}, n={n}")
+        n, k = require_split(self.n, self.k)
         _check_ps(self.p, self.s, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)

@@ -30,6 +30,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_split,
 )
 from .specfn import sphere_measure
 
@@ -124,6 +125,19 @@ def _vectorized_1d(f):
     except Exception:
         pass
     return lambda x: np.array([float(f(xi)) for xi in np.atleast_1d(x)])
+
+
+def _nodewise(g):
+    """Batch integrand for _adaptive from a scalar g(x) -> (value, error),
+    called once per abscissa (for integrands that are themselves
+    adaptive integrals)."""
+    def fvec(xs):
+        vals = np.empty_like(xs)
+        errs = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            vals[i], errs[i] = g(float(x))
+        return vals, errs
+    return fvec
 
 
 def _panel_eval(fvec, lefts, rights):
@@ -285,9 +299,7 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     second direction is absent: f is evaluated as f(rho, 0.0) and only the
     sigma_k prefactor applies.
     """
-    n, k = require_int(n, "n"), require_int(k, "k")
-    if not (3 <= n and 2 <= k <= n):
-        raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
+    n, k = require_split(n, k)
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
     if domain is None:
@@ -310,16 +322,10 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
                                   domain.rho_max)
         return _integrate_segments(pieces, inner_tol, counter)
 
-    def outer_g(r_pts):
-        vals = np.empty_like(r_pts)
-        errs = np.empty_like(r_pts)
-        for i, r in enumerate(r_pts):
-            vals[i], errs[i] = inner(float(r))
-        return vals, errs
-
     # reuse the radial segment maps for the outer direction: the inner
     # value plays the role of g(r) and the r measure is the weight
-    outer_pieces = _radial_segments_with_side(outer_g, n - k - 1.0, domain.r_max)
+    outer_pieces = _radial_segments_with_side(_nodewise(inner), n - k - 1.0,
+                                              domain.r_max)
     value, err = _integrate_segments(outer_pieces, 0.25 * tol, counter)
     sigma = sphere_measure(k) * sphere_measure(n - k)
     return QuadratureResult(sigma * value, sigma * err, counter.used)
@@ -338,9 +344,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     angle phi between the two radial factors; the t^(1-s) net weight keeps
     the kernel singularity at w = 0 harmless.  I scales like |z|^(2-s).
     """
-    n, k = require_int(n, "n"), require_int(k, "k")
-    if n < 3 or not (2 <= k <= n):
-        raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
+    n, k = require_split(n, k)
     if not (0.0 <= s < min(k, 2)):
         raise ParameterDomainError(f"need 0 <= s < min(k, 2), got s={s}")
     z = np.asarray(z, dtype=float)
@@ -396,14 +400,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         return near + far, err_near + err_far
 
     if k == n:
-        def f_t(ts):
-            vals = np.empty_like(ts)
-            errs = np.empty_like(ts)
-            for i, t in enumerate(ts):
-                m, e = theta_integral(t)
-                vals[i] = t * m
-                errs[i] = t * e
-            return vals, errs
+        @_nodewise
+        def f_t(t):
+            m, e = theta_integral(t)
+            return t * m, t * e
+
         val, err = _adaptive(f_t, 0.0, radius, 0.5 * tol, counter)
         pref = sphere_measure(k - 1)
         return QuadratureResult(pref * val, pref * err, counter.used)
@@ -418,15 +419,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
                 return theta_mean * t ** (-s) * w, np.zeros_like(phis)
             return f_phi
 
-        def f_t(ts):
-            vals = np.empty_like(ts)
-            errs = np.empty_like(ts)
-            for i, t in enumerate(ts):
-                v, e = _adaptive(f_phi_factory(float(t)), 0.0, 0.5 * math.pi,
-                                 0.25 * tol, counter, initial_splits=4)
-                vals[i] = t * v
-                errs[i] = t * e
-            return vals, errs
+        @_nodewise
+        def f_t(t):
+            v, e = _adaptive(f_phi_factory(t), 0.0, 0.5 * math.pi,
+                             0.25 * tol, counter, initial_splits=4)
+            return t * v, t * e
 
         val, err = _adaptive(f_t, 0.0, radius, 0.5 * tol, counter,
                              initial_splits=4)
@@ -447,15 +444,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
         return _adaptive(f_v, 0.0, vmax, tol / 6.0, counter)
 
-    def outer_g(us):
-        vals = np.empty_like(us)
-        errs = np.empty_like(us)
-        for i, u in enumerate(us):
-            mean, err_t = theta_integral(float(u))
-            vol, err_v = v_integral(float(u))
-            vals[i] = mean * vol
-            errs[i] = abs(mean) * err_v + abs(vol) * err_t + err_t * err_v
-        return vals, errs
+    @_nodewise
+    def outer_g(u):
+        mean, err_t = theta_integral(u)
+        vol, err_v = v_integral(u)
+        return mean * vol, abs(mean) * err_v + abs(vol) * err_t + err_t * err_v
 
     pieces = _radial_segments_with_side(outer_g, k - 1.0, radius)
     val, err = _integrate_segments(pieces, tol / 3.0, counter)

@@ -57,20 +57,28 @@ def beta(a, b):
     return out
 
 
+# math.gamma(m/2 + 1) overflows from m = 342 up
+_MAX_DIMENSION = 340
+
+
+def _dimension(m, name: str) -> int:
+    m = require_int(m, "m")
+    if not 1 <= m <= _MAX_DIMENSION:
+        raise ParameterDomainError(
+            f"{name} requires an integer 1 <= m <= {_MAX_DIMENSION}, got {m}")
+    return m
+
+
 def sphere_measure(m: int) -> float:
     """Surface measure of the unit sphere in R^m: 2 pi^(m/2) / Gamma(m/2)."""
-    m = require_int(m, "m")
-    if m < 1:
-        raise ParameterDomainError(f"sphere_measure requires an integer m >= 1, got {m}")
-    return float(np.exp(math.log(2.0) + 0.5 * m * math.log(math.pi) - log_gamma(0.5 * m)))
+    m = _dimension(m, "sphere_measure")
+    return 2.0 * math.pi ** (0.5 * m) / math.gamma(0.5 * m)
 
 
 def ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m: pi^(m/2) / Gamma(m/2 + 1)."""
-    m = require_int(m, "m")
-    if m < 1:
-        raise ParameterDomainError(f"ball_volume requires an integer m >= 1, got {m}")
-    return float(np.exp(0.5 * m * math.log(math.pi) - log_gamma(0.5 * m + 1.0)))
+    m = _dimension(m, "ball_volume")
+    return math.pi ** (0.5 * m) / math.gamma(0.5 * m + 1.0)
 
 
 @dataclass(frozen=True)

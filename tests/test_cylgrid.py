@@ -307,3 +307,29 @@ def test_grid_dump_roundtrip_one_dimensional(tmp_path, rng):
     back = load_grid(path)
     assert back.r_nodes.size == 0
     assert np.array_equal(back.values, g.values)
+
+
+
+BAD_DUMPS = {
+    "short row": lambda lines: lines[:2] + ["1.0,2.0"] + lines[3:],
+    "non-numeric row": lambda lines: lines[:2] + ["1.0,abc,3.0"] + lines[3:],
+    "no metadata line": lambda lines: lines[1:],
+    "malformed metadata": lambda lines: [lines[0].replace("axis_ghost=1", "axis_ghost=yes")]
+    + lines[1:],
+    "missing row": lambda lines: lines[:-1],
+    "no rows": lambda lines: lines[:2],
+    "duplicate row in place of another": lambda lines: lines[:-1] + [lines[2]],
+}
+
+
+@pytest.mark.parametrize("k, defect", [(k, d) for k in (2, 3) for d in sorted(BAD_DUMPS)
+                                       # a 1-D dump short of its last row is
+                                       # a complete dump of a shorter grid
+                                       if (k, d) != (3, "missing row")])
+def test_load_grid_rejects_bad_dumps(tmp_path, k, defect):
+    g = build_grid(3, k, 5.0, 5.0, 8, 8)
+    path = tmp_path / "grid.csv"
+    dump_grid(g.with_values(np.arange(g.values.size).reshape(g.values.shape)), path)
+    path.write_text("\n".join(BAD_DUMPS[defect](path.read_text().splitlines())) + "\n")
+    with pytest.raises(GridError):
+        load_grid(path)

@@ -125,22 +125,13 @@ def test_gradient_direction_matches_fd_gradient(rng):
     assert num / den >= 0.999
 
 
-def test_explicit_stepper_reaches_the_same_discrete_minimum():
-    # both steppers minimise the same discrete functional; the explicit one
-    # is only usable on small, mildly graded grids (stability bound)
-    import warnings
-
-    spec = GridSpec(rho_max=20.0, r_max=20.0, n_rho=24, n_r=24, grading=1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        implicit = minimize_rayleigh(3, 2, 1.0, spec, MinimizeOptions(
-            init="analytic-extremal", init_scale=2.0, tol=1e-11))
-        explicit = minimize_rayleigh(3, 2, 1.0, spec, MinimizeOptions(
-            init="analytic-extremal", init_scale=2.0, stepper="explicit",
-            tol=1e-11, max_iters=100000, step=1.0))
-    assert explicit.E_min == pytest.approx(implicit.E_min, rel=1e-4)
-    energies = [row[1] for row in explicit.history]
-    assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies, energies[1:]))
+def test_converged_flow_is_stationary(small_run):
+    # the constrained-gradient residual ||d||_M / E of the converged state;
+    # the flow's state after 300 iterations reads 2.7e-4 and fails this
+    problem = DiscreteRayleigh(3, 2, 1.0, small_run.grid)
+    d = problem.direction(small_run.grid.values)
+    residual = math.sqrt(float(np.sum(problem.mass * d**2))) / small_run.E_min
+    assert residual <= 1e-5
 
 
 def test_inadmissible_parameters_rejected():

@@ -18,7 +18,8 @@ from hscyl import (
 def test_log_gamma_against_stdlib_grid():
     xs = np.concatenate([np.linspace(0.5, 5, 400), np.geomspace(5, 100, 400)])
     mine = log_gamma(xs)
-    ref = np.array([math.lgamma(x) for x in xs])
+    # log_gamma is math.lgamma, so the independent reference is scipy
+    ref = scipy.special.gammaln(xs)
     assert np.all(np.abs(mine - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -55,6 +56,16 @@ def test_beta_symmetry_and_recurrence(rng):
     assert np.allclose(beta(a + 1.0, b), beta(a, b) * a / (a + b), rtol=1e-12)
 
 
+def test_beta_array_and_mixed_shapes_against_scipy():
+    a = np.linspace(0.1, 30.0, 12).reshape(3, 4)
+    b = np.geomspace(0.05, 40.0, 4)
+    for x, y in ((a, b), (a, 2.5), (0.75, b), (b, b[::-1])):
+        mine = beta(x, y)
+        ref = scipy.special.beta(x, y)
+        assert isinstance(mine, np.ndarray) and mine.shape == np.shape(ref)
+        assert np.allclose(mine, ref, rtol=1e-12, atol=0.0)
+
+
 def test_beta_rejects_nonpositive():
     with pytest.raises(ParameterDomainError):
         beta(0.0, 1.0)
@@ -63,6 +74,8 @@ def test_beta_rejects_nonpositive():
 
 
 def test_sphere_measure_known_values():
+    assert sphere_measure(1) == 2.0
+    assert sphere_measure(2) == 2.0 * math.pi
     assert sphere_measure(1) == pytest.approx(2.0, rel=1e-14)
     assert sphere_measure(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert sphere_measure(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
@@ -93,3 +106,8 @@ def test_dimension_validation():
         ball_volume(-1)
     with pytest.raises(ParameterDomainError):
         sphere_measure(2.5)
+    for m in (341, 342, 10**6):
+        with pytest.raises(ParameterDomainError):
+            sphere_measure(m)
+        with pytest.raises(ParameterDomainError):
+            ball_volume(m)

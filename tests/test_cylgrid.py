@@ -57,8 +57,8 @@ def test_grid_values_immutable():
 
 
 def test_laplacian_exact_on_paraboloid():
-    # L(rho^2 + r^2) = 2 + 2a + 2 + 2b = 2n
-    for (n, k) in [(3, 2), (4, 2), (5, 3)]:
+    # L(rho^2 + r^2) = 2 + 2a + 2 + 2b = 2n, and L(rho^2) = 2 + 2a = 2n for k = n
+    for (n, k) in [(3, 2), (4, 2), (5, 3), (3, 3), (4, 4)]:
         g = build_grid(n, k, 8.0, 8.0, 20, 20, grading=1.0)
         lap = cyl_laplacian(g.sampled(lambda rho, r: rho**2 + r**2))
         assert np.allclose(lap.values, 2.0 * n, rtol=0, atol=1e-8)

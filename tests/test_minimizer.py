@@ -99,11 +99,12 @@ def test_scale_consistency_against_truncation_estimate(small_run):
     assert abs(wide.E_min - small_run.E_min) <= small_run.truncation_estimate
 
 
-def test_gradient_direction_matches_fd_gradient(rng):
+@pytest.mark.parametrize("n, k", [(3, 2), (3, 3)])
+def test_gradient_direction_matches_fd_gradient(rng, n, k):
     # cosine between the flow direction and the (mass-metric) gradient of
     # the discrete Rayleigh functional at a random positive state
-    grid = build_grid(3, 2, 20.0, 20.0, 12, 12, grading=1.5)
-    problem = DiscreteRayleigh(3, 2, 1.0, grid)
+    grid = build_grid(n, k, 20.0, 20.0, 12, 12, grading=1.5)
+    problem = DiscreteRayleigh(n, k, 1.0, grid)
     u = rng.uniform(0.2, 1.0, size=problem.shape)
     u = np.where(problem.interior, u, 0.0)
     u = problem.project(u)
@@ -132,6 +133,24 @@ def test_converged_flow_is_stationary(small_run):
     d = problem.direction(small_run.grid.values)
     residual = math.sqrt(float(np.sum(problem.mass * d**2))) / small_run.E_min
     assert residual <= 1e-5
+
+
+def test_one_dimensional_flow():
+    # k = n: the grid has the rho axis only.  The core collapses onto the
+    # axis even at grading 1.0, and the flow says so.
+    spec = GridSpec(rho_max=60.0, r_max=60.0, n_rho=256, n_r=256, grading=1.0)
+    with pytest.warns(RuntimeWarning, match="core collapsed"):
+        res = minimize_rayleigh(3, 3, 1.0, spec)
+    u = res.grid.values
+    assert u.shape == (256,)
+    energies = [row[1] for row in res.history]
+    assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies, energies[1:]))
+    assert max(row[2] for row in res.history) <= 1e-10
+    assert u[-1] == 0.0
+    assert np.all(u[:-1] > 0.0)
+    problem = DiscreteRayleigh(3, 3, 1.0, res.grid)
+    d = problem.direction(u)
+    assert math.sqrt(float(np.sum(problem.mass * d**2))) / res.E_min <= 1e-5
 
 
 def test_inadmissible_parameters_rejected():

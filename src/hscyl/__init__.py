@@ -78,4 +78,4 @@ from .quadrature import (
     integrate_radial,
     singular_newtonian_integral,
 )
-from .specfn import GeometricConstants, ball_volume, beta, geometric_constants, log_gamma, sphere_measure
+from .specfn import ball_volume, beta, log_gamma, sphere_measure

@@ -15,8 +15,11 @@ The reduced Laplacian is
     L U = U_rho_rho + (a/rho) U_rho + U_rr + (b/r) U_r,
     a = k - 1,  b = n - k - 1,
 
-acting on U(rho, r); for k = n the r direction is absent and grids are
-one-dimensional.
+acting on U(rho, r).  Every operation is written once, as a loop over the
+grid's active axes (``CylGrid.axes``): a 1-D operator or coefficient is
+applied along one axis at a time, and the per-axis terms are summed or
+multiplied in.  For k = n the r direction is absent, grids are
+one-dimensional, and the same loops run over the rho axis alone.
 """
 
 from __future__ import annotations
@@ -102,6 +105,13 @@ class CylGrid:
     @property
     def b(self) -> int:
         return self.n - self.k - 1
+
+    @property
+    def axes(self) -> tuple:
+        """The active axes as (nodes, drift coefficient) pairs: (rho_nodes, a),
+        then (r_nodes, b) when k < n."""
+        rho = ((self.rho_nodes, self.a),)
+        return rho + ((self.r_nodes, self.b),) if self.k < self.n else rho
 
     def with_values(self, values) -> "CylGrid":
         return replace(self, values=np.array(values, dtype=float))
@@ -225,39 +235,37 @@ def axis_derivative_operators(nodes: np.ndarray,
     return ops[0], ops[1]
 
 
-def _axis_operators(grid: CylGrid):
-    """(D1, D2) of the rho axis, and of the r axis (None when k = n)."""
-    rho_ops = axis_derivative_operators(grid.rho_nodes, grid.axis_ghost)
-    if grid.k == grid.n:
-        return rho_ops, None
-    return rho_ops, axis_derivative_operators(grid.r_nodes, grid.axis_ghost)
+def _axis_operators(grid: CylGrid) -> list:
+    """(D1, D2) of each active axis."""
+    return [axis_derivative_operators(nodes, grid.axis_ghost) for nodes, _ in grid.axes]
+
+
+def _along(op, u: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a 1-D operator along one axis of u: a sparse matrix acts on
+    that axis, a 1-D array of per-node coefficients multiplies along it."""
+    if sp.issparse(op):
+        return np.moveaxis(op @ np.moveaxis(u, axis, 0), 0, axis)
+    return np.moveaxis(np.moveaxis(u, axis, -1) * op, -1, axis)
 
 
 def _apply_reduced_laplacian(grid: CylGrid, ops) -> np.ndarray:
-    (d1r, d2r), r_ops = ops
+    """Sum over the axes of D2 U + (c/x) D1 U, c = a on rho and b on r."""
     u = grid.values
-    drift_rho = grid.a / grid.rho_nodes
-    if r_ops is None:
-        return d2r @ u + drift_rho * (d1r @ u)
-    out = d2r @ u + drift_rho[:, None] * (d1r @ u)
-    d1t, d2t = r_ops
-    out += (d2t @ u.T).T
-    if grid.b:
-        out += (grid.b / grid.r_nodes)[None, :] * (d1t @ u.T).T
+    out = np.zeros_like(u)
+    for axis, ((d1, d2), (nodes, c)) in enumerate(zip(ops, grid.axes)):
+        out += _along(d2, u, axis)
+        if c:
+            out += _along(c / nodes, _along(d1, u, axis), axis)
     return out
 
 
-def _gradient(grid: CylGrid, ops) -> tuple[np.ndarray, np.ndarray]:
-    (d1r, _), r_ops = ops
-    if r_ops is None:
-        return d1r @ grid.values, np.zeros_like(grid.values)
-    return d1r @ grid.values, (r_ops[0] @ grid.values.T).T
+def _gradient_sq(grid: CylGrid, ops) -> np.ndarray:
+    """|grad U|^2: the squared D1 derivatives summed over the axes."""
+    return sum(_along(d1, grid.values, axis) ** 2 for axis, (d1, _) in enumerate(ops))
 
 
 def cyl_laplacian(grid: CylGrid) -> CylGrid:
     """Apply L = d_rho_rho + (a/rho) d_rho + d_rr + (b/r) d_r to the grid."""
-    if grid.rho_nodes.size < 3 or (grid.k < grid.n and grid.r_nodes.size < 3):
-        raise GridError("need at least 3 nodes per active dimension")
     return grid.with_values(_apply_reduced_laplacian(grid, _axis_operators(grid)))
 
 
@@ -298,18 +306,12 @@ def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
     """
     if not p_exp >= 1.0:
         raise ParameterDomainError(f"need p_exp >= 1, got {p_exp}")
-    ux, ur = _gradient(grid, _axis_operators(grid))
-    mag = (ux**2 + ur**2) ** (0.5 * p_exp)
-    wr = _trapezoid_weights(grid.rho_nodes, vanishes_at_axis=grid.a > 0,
-                            axis_cell=grid.axis_ghost)
-    wr = wr * grid.rho_nodes ** (grid.k - 1.0)
-    if grid.k == grid.n:
-        return float(sphere_measure(grid.k) * np.sum(mag * wr))
-    wt = _trapezoid_weights(grid.r_nodes, vanishes_at_axis=grid.b > 0,
-                            axis_cell=grid.axis_ghost)
-    wt = wt * grid.r_nodes ** (grid.n - grid.k - 1.0)
-    sigma = sphere_measure(grid.k) * sphere_measure(grid.n - grid.k)
-    return float(sigma * np.sum(mag * wr[:, None] * wt[None, :]))
+    weighted = _gradient_sq(grid, _axis_operators(grid)) ** (0.5 * p_exp)
+    for axis, (nodes, c) in enumerate(grid.axes):
+        w = _trapezoid_weights(nodes, vanishes_at_axis=c > 0, axis_cell=grid.axis_ghost)
+        weighted = _along(w * nodes ** float(c), weighted, axis)
+    sigma = math.prod(sphere_measure(c + 1) for _, c in grid.axes)
+    return float(sigma * np.sum(weighted))
 
 
 def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
@@ -324,10 +326,8 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
     lap = _apply_reduced_laplacian(grid, _axis_operators(grid))
-    weight = grid.rho_nodes ** (-s)
-    if grid.k < grid.n:
-        weight = weight[:, None]
-    return grid.with_values(lap + Lambda * weight * grid.values ** (q - 1.0))
+    source = _along(Lambda * grid.rho_nodes ** (-s), grid.values ** (q - 1.0), 0)
+    return grid.with_values(lap + source)
 
 
 def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
@@ -346,17 +346,13 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
             f"grid split (a={phi_grid.a}, b={phi_grid.b}) does not match "
             f"params (a={params.a}, b={params.b})"
         )
-    n = params.n
     ops = _axis_operators(phi_grid)
     lap = _apply_reduced_laplacian(phi_grid, ops)
-    ux, ur = _gradient(phi_grid, ops)
-    res = lap - 0.5 * n * (ux**2 + ur**2) / phi_grid.values
-    drive_rho = 2.0 * params.a * params.lam**2 * params.alpha / phi_grid.rho_nodes
-    if phi_grid.k == phi_grid.n:
-        res = res - drive_rho
-    else:
-        res = res - drive_rho[:, None]
-        res = res - (2.0 * params.b * params.lam**2 * params.beta / phi_grid.r_nodes)[None, :]
+    res = lap - 0.5 * params.n * _gradient_sq(phi_grid, ops) / phi_grid.values
+    shifts = (params.alpha, params.beta)
+    for axis, ((nodes, c), shift) in enumerate(zip(phi_grid.axes, shifts)):
+        drive = 2.0 * c * params.lam**2 * shift / nodes
+        res = np.moveaxis(np.moveaxis(res, axis, -1) - drive, -1, axis)
     return phi_grid.with_values(res)
 
 

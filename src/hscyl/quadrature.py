@@ -83,8 +83,9 @@ class QuadratureResult:
 class CylindricalDomain:
     """Integration ranges in (rho, r).
 
-    Semi-infinite ranges are the default and are compressed internally by
-    the rho/(1+rho) change of variables.  ``r_max`` must be None when the
+    Semi-infinite ranges are the default.  Each range is split at 1 and
+    mapped by rho = w^2 below it and rho = u^(-2) on a semi-infinite tail
+    (see the module docstring).  ``r_max`` must be None when the
     reduction has no second radial direction (k = n).
     """
 

@@ -17,8 +17,6 @@ for radial f.  With this convention sphere_measure(m) = m * ball_volume(m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterDomainError, require_int
@@ -28,8 +26,6 @@ __all__ = [
     "beta",
     "sphere_measure",
     "ball_volume",
-    "GeometricConstants",
-    "geometric_constants",
 ]
 
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -79,17 +75,3 @@ def ball_volume(m: int) -> float:
     """Volume of the unit ball in R^m: pi^(m/2) / Gamma(m/2 + 1)."""
     m = _dimension(m, "ball_volume")
     return math.pi ** (0.5 * m) / math.gamma(0.5 * m + 1.0)
-
-
-@dataclass(frozen=True)
-class GeometricConstants:
-    """Unit-sphere surface measure and unit-ball volume for one dimension."""
-
-    m: int
-    sigma_m: float
-    omega_m: float
-
-
-def geometric_constants(m: int) -> GeometricConstants:
-    m = require_int(m, "m")
-    return GeometricConstants(m=m, sigma_m=sphere_measure(m), omega_m=ball_volume(m))

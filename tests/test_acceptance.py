@@ -18,7 +18,6 @@ import hscyl
 from hscyl import (
     CylindricalDomain,
     DiscreteRayleigh,
-    ExtremalParams,
     GridSpec,
     MinimizeOptions,
     ShiftedQuadraticParams,
@@ -28,7 +27,6 @@ from hscyl import (
     check_decay_bounds,
     cyl_laplacian,
     el_residual,
-    extremal_profile,
     fit_decay,
     integrate_cylindrical,
     integrate_radial,
@@ -38,7 +36,6 @@ from hscyl import (
     shifted_power_profile,
     shifted_quadratic_residual,
     sample_ray,
-    sharp_constant_K,
     window_grid,
 )
 

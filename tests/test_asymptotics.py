@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hscyl import (
-    ExtremalParams,
     FitDomainError,
     GridError,
     ParameterDomainError,
@@ -12,7 +11,6 @@ from hscyl import (
     build_grid,
     check_decay_bounds,
     estimate_core_scale,
-    extremal_profile,
     fit_decay,
     local_sup_ratio,
     sample_ray,

@@ -2,7 +2,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hscyl import UsageError, load_grid

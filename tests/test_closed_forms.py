@@ -20,7 +20,6 @@ from hscyl import (
     log_gamma,
     multi_subspace_coefficients,
     multi_subspace_solution,
-    shifted_power_profile,
     shifted_power_solution,
     sharp_constant_K,
 )

@@ -8,7 +8,6 @@ from hscyl import (
     ParameterDomainError,
     ball_volume,
     beta,
-    geometric_constants,
     integrate_radial,
     log_gamma,
     sphere_measure,
@@ -79,18 +78,13 @@ def test_sphere_measure_known_values():
     assert sphere_measure(1) == pytest.approx(2.0, rel=1e-14)
     assert sphere_measure(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert sphere_measure(3) == pytest.approx(4.0 * math.pi, rel=1e-14)
+    assert sphere_measure(4) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+    assert ball_volume(4) == pytest.approx(math.pi**2 / 2.0, rel=1e-14)
 
 
 def test_sphere_equals_dimension_times_ball():
     for m in range(1, 12):
         assert sphere_measure(m) == pytest.approx(m * ball_volume(m), rel=1e-13)
-
-
-def test_geometric_constants_bundle():
-    g = geometric_constants(4)
-    assert g.m == 4
-    assert g.sigma_m == pytest.approx(2.0 * math.pi**2, rel=1e-13)
-    assert g.omega_m == pytest.approx(math.pi**2 / 2.0, rel=1e-13)
 
 
 def test_radial_convention_matches_full_space_gaussian():

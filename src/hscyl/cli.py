@@ -1,8 +1,9 @@
 """Command-line orchestration.
 
-Flags take the form ``--key value``; ``--config FILE`` points at a plain
-key=value file whose entries the command-line flags override.  Unknown
-keys are rejected.  Every run writes ``manifest.json`` echoing the fully
+Each subcommand is one entry of ``_SUBCOMMANDS``: its runner, the module
+that owns it, and its parameter schema.  Flags take the form
+``--key value``; ``--config FILE`` points at a plain key=value file whose
+entries the command-line flags override.  Unknown keys are rejected.  Every run writes ``manifest.json`` echoing the fully
 resolved configuration (that file alone reproduces the run), a
 ``summary.json`` of (key, value, units, oracle-provenance) records, and
 one or more comma-separated tables.  Numbers are printed with 17
@@ -20,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,64 +49,7 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"expected a boolean, got {text!r}")
 
 
-# per-subcommand parameter schema: key -> (type, default); REQUIRED means no default
-_REQUIRED = object()
-
-_SCHEMAS = {
-    "exponents": {
-        "n": (int, _REQUIRED), "k": (int, _REQUIRED),
-        "p": (float, 2.0), "s": (float, 1.0),
-        "gamma": (float, None), "q": (float, None),
-    },
-    "quadrature": {
-        "identity": (str, _REQUIRED),
-        "n": (int, 3), "k": (int, 2), "m": (float, 2.0),
-        "s": (float, 1.0), "a": (float, 2.0),
-        "x-norm": (float, 1.0), "y-norm": (float, 0.0),
-        "tol": (float, 1e-10),
-    },
-    "constant": {
-        "n": (int, _REQUIRED), "k": (int, _REQUIRED), "tol": (float, 1e-10),
-    },
-    "verify-extremal": {
-        "n": (int, 3), "k": (int, 2), "lam": (float, 1.0),
-        "levels": (int, 3), "nodes": (int, 24), "box": (float, 4.0),
-        "tol": (float, 1e-10),
-    },
-    "verify-prop4": {
-        "a": (int, 1), "b": (int, 1), "lam": (float, 1.0),
-        "alpha": (float, 1.0), "beta": (float, 1.0),
-        "nodes": (int, 1024), "lo": (float, 1.0), "hi": (float, 2.0),
-    },
-    "minimize": {
-        "n": (int, 3), "k": (int, 2), "s": (float, 1.0),
-        "rho-max": (float, 120.0), "r-max": (float, 120.0),
-        "n-rho": (int, 256), "n-r": (int, 256),
-        "grading": (float, minimizer.DEFAULT_MINIMIZE_GRADING),
-        "step": (float, 2.0), "max-iters": (int, 4000), "tol": (float, 1e-10),
-        "init": (str, "positive-bump"), "init-scale": (float, None),
-    },
-    "decay-fit": {
-        "grid": (str, None), "samples": (str, None),
-        "direction": (str, "rho-axis"),
-        "min-radius": (float, 0.0), "max-radius": (float, None),
-        "n": (int, None), "p": (float, 2.0),
-        "mode": (str, "solution-two-sided"), "tol": (float, 0.1),
-    },
-    "plot": {
-        "input": (str, _REQUIRED), "output": (str, _REQUIRED),
-        "log-x": (bool, False), "log-y": (bool, False),
-        "title": (str, ""), "x-col": (str, None), "y-col": (str, None),
-    },
-}
-
-# owning module, used to qualify propagated error messages
-_OWNERS = {
-    "exponents": "exponents", "quadrature": "quadrature",
-    "constant": "closed_forms", "verify-extremal": "closed_forms",
-    "verify-prop4": "cylgrid", "minimize": "minimizer",
-    "decay-fit": "asymptotics", "plot": "cli",
-}
+_REQUIRED = object()  # schema default of a parameter that has none
 
 
 @dataclass
@@ -125,74 +70,69 @@ def _convert(key: str, raw: str, typ):
         raise UsageError(f"malformed value for --{key}: {raw!r} is not a {typ.__name__}")
 
 
-def parse_args(argv) -> RunConfig:
-    """Parse [subcommand, --key, value, ...] into a validated RunConfig."""
-    if not argv:
-        raise UsageError(
-            "usage: hscyl SUBCOMMAND [--key value]... ; subcommands: "
-            + ", ".join(sorted(_SCHEMAS))
-        )
-    sub = argv[0]
-    if sub not in _SCHEMAS:
-        raise UsageError(f"unknown subcommand {sub!r}; expected one of "
-                         + ", ".join(sorted(_SCHEMAS)))
-    schema = _SCHEMAS[sub]
+def _config_pairs(path: str) -> list:
+    """(key, value, origin) triples of a key=value file; '#' starts a comment."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
+    pairs = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs.append((key, value, f"{path}:{lineno}"))
+    return pairs
 
-    raw: dict[str, str] = {}
-    i = 1
-    config_path = None
-    output_dir = None
-    while i < len(argv):
+
+def parse_args(argv) -> RunConfig:
+    """Parse [subcommand, --key, value, ...] into a validated RunConfig.
+
+    The ``--config`` file's pairs come first and the flags after them, so a
+    flag overrides the file; one loop checks the keys of both."""
+    if not argv:
+        raise UsageError("usage: hscyl SUBCOMMAND [--key value]... ; subcommands: "
+                         + ", ".join(sorted(_SUBCOMMANDS)))
+    sub = argv[0]
+    if sub not in _SUBCOMMANDS:
+        raise UsageError(f"unknown subcommand {sub!r}; expected one of "
+                         + ", ".join(sorted(_SUBCOMMANDS)))
+    schema = _SUBCOMMANDS[sub].schema
+
+    pairs, config_path = [], None
+    for i in range(1, len(argv), 2):
         token = argv[i]
         if not token.startswith("--"):
             raise UsageError(f"expected a --flag, got {token!r}")
-        key = token[2:]
-        if i + 1 >= len(argv):
-            raise UsageError(f"flag --{key} is missing its value")
-        value = argv[i + 1]
-        i += 2
-        if key == "config":
-            config_path = value
-            continue
+        if i + 1 == len(argv):
+            raise UsageError(f"flag {token} is missing its value")
+        if token == "--config":
+            config_path = argv[i + 1]
+        else:
+            pairs.append((token[2:], argv[i + 1], "command line"))
+    if config_path is not None:
+        pairs = _config_pairs(config_path) + pairs
+
+    raw, output_dir = {}, "."
+    for key, value, origin in pairs:
         if key == "output-dir":
             output_dir = value
-            continue
-        if key not in schema:
-            raise UsageError(f"unknown flag --{key} for subcommand {sub}")
-        raw[key] = value
-
-    file_values: dict[str, str] = {}
-    if config_path is not None:
-        try:
-            lines = Path(config_path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise UsageError(f"cannot read config file {config_path}: {exc}")
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{config_path}:{lineno}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "output-dir":
-                if output_dir is None:
-                    output_dir = value
-                continue
-            if key not in schema:
-                raise UsageError(f"{config_path}:{lineno}: unknown key {key!r} for {sub}")
-            file_values[key] = value
-
-    merged = {**file_values, **raw}  # flags override the file
+        elif key in schema:
+            raw[key] = value
+        else:
+            raise UsageError(f"{origin}: unknown key {key!r} for {sub}")
     params = {}
     for key, (typ, default) in schema.items():
-        if key in merged:
-            params[key] = _convert(key, merged[key], typ)
+        if key in raw:
+            params[key] = _convert(key, raw[key], typ)
         elif default is _REQUIRED:
             raise UsageError(f"subcommand {sub} requires --{key}")
         else:
             params[key] = default
-    return RunConfig(subcommand=sub, parameters=params,
-                     output_dir=Path(output_dir) if output_dir else Path("."))
+    return RunConfig(subcommand=sub, parameters=params, output_dir=Path(output_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -206,40 +146,17 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_manifest(config: RunConfig) -> None:
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "tool": "hscyl",
-        "version": __version__,
-        "subcommand": config.subcommand,
-        "parameters": {k: (None if v is None else v)
-                       for k, v in sorted(config.parameters.items())},
-        "output_dir": str(config.output_dir),
-    }
-    with open(config.output_dir / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _write_summary(config: RunConfig, records) -> None:
-    path = config.output_dir / "summary.json"
-    payload = [
-        {"key": key, "value": value, "units": units, "oracle": oracle}
-        for key, value, units, oracle in records
-    ]
+def _write_json(path: Path, payload, sort_keys: bool) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=False)
+        json.dump(payload, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
-    for key, value, _, _ in records:
-        print(f"{key} = {_fmt(value) if isinstance(value, (int, float)) else value}")
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_exponents(config: RunConfig) -> None:
-    p = config.parameters
+def _run_exponents(p: dict, out: Path) -> list:
     ctx = expo.ExponentContext(n=p["n"], k=p["k"], p=p["p"], s=p["s"])
     ok = expo.admissible(ctx)
     records = [("admissible", ok, "", "window predicate")]
@@ -255,7 +172,7 @@ def _run_exponents(config: RunConfig) -> None:
             ("p_sigma", rep.p_sigma, "", "exponent algebra"),
             ("decay_bound", rep.decay_bound, "", "exponent algebra"),
         ]
-        _write_csv(config.output_dir / "exponents.csv",
+        _write_csv(out / "exponents.csv",
                    ["n", "k", "p", "s", "p_star_s", "p_prime", "r", "r_prime",
                     "sigma", "p_sigma", "decay_bound"],
                    [[ctx.n, ctx.k, ctx.p, ctx.s, rep.p_star_s, rep.p_prime, rep.r,
@@ -268,11 +185,10 @@ def _run_exponents(config: RunConfig) -> None:
             records.append(("mass_window_inside",
                             expo.galaxy_mass_inside(p["q"], p["gamma"]), "",
                             "window predicate"))
-    _write_summary(config, records)
+    return records
 
 
-def _run_quadrature(config: RunConfig) -> None:
-    p = config.parameters
+def _run_quadrature(p: dict, out: Path) -> list:
     identity = p["identity"]
     tol = p["tol"]
     if identity == "beta-full":
@@ -304,40 +220,38 @@ def _run_quadrature(config: RunConfig) -> None:
         raise UsageError(f"unknown identity {identity!r}; expected beta-full, "
                          f"beta-radial or newtonian-ball")
     rel = abs(quad.value - closed) / abs(closed) if math.isfinite(closed) else float("nan")
-    _write_csv(config.output_dir / "comparison.csv",
+    _write_csv(out / "comparison.csv",
                ["identity", "closed_form", "quadrature", "relative_error",
                 "error_estimate", "evaluations"],
                [[identity, closed, quad.value, rel, quad.error_estimate,
                  quad.evaluations]])
-    _write_summary(config, [
+    return [
         ("identity", identity, "", ""),
         ("closed_form", closed, "", "Beta-function composition"),
         ("quadrature", quad.value, "", oracle),
         ("relative_error", rel, "", "cross-check"),
-    ])
+    ]
 
 
-def _run_constant(config: RunConfig) -> None:
-    p = config.parameters
+def _run_constant(p: dict, out: Path) -> list:
     const = closed_forms.sharp_constant_K(p["n"], p["k"], tol=p["tol"])
-    _write_csv(config.output_dir / "constant.csv",
+    _write_csv(out / "constant.csv",
                ["n", "k", "K", "K_printed", "printed_discrepancy", "Lambda",
                 "mu", "attained_ratio", "normalization_integral"],
                [[const.n, const.k, const.K, const.K_printed,
                  const.printed_discrepancy, const.Lambda, const.mu,
                  const.attained_ratio, const.normalization_integral]])
-    _write_summary(config, [
+    return [
         ("K", const.K, "", "quadrature of the normalization integral"),
         ("K_printed", const.K_printed, "", "literal published display"),
         ("printed_discrepancy", const.printed_discrepancy, "", "cross-check"),
         ("Lambda", const.Lambda, "", "K^(2(n-1)/(n-2))"),
         ("mu", const.mu, "", "4 Lambda / (n-2)^2"),
         ("attained_ratio", const.attained_ratio, "", "Lambda^(-1/2)"),
-    ])
+    ]
 
 
-def _run_verify_extremal(config: RunConfig) -> None:
-    p = config.parameters
+def _run_verify_extremal(p: dict, out: Path) -> list:
     n, k, lam, box = p["n"], p["k"], p["lam"], p["box"]
     const = closed_forms.sharp_constant_K(n, k, tol=p["tol"])
     params = closed_forms.ExtremalParams(n=n, k=k, lam=lam)
@@ -365,19 +279,18 @@ def _run_verify_extremal(config: RunConfig) -> None:
         lambda rho, r: profile(rho, r) ** q, n, k, s=1.0, tol=p["tol"])
     norm_defect = abs(norm.value - 1.0)
 
-    _write_csv(config.output_dir / "residuals.csv",
+    _write_csv(out / "residuals.csv",
                ["level", "nodes", "h", "max_residual", "ratio"], rows)
-    _write_summary(config, [
+    return [
         ("residual_ratios_ok", ratios_ok, "", "refinement study, factor 4 +- 0.5"),
         ("finest_max_residual", rows[-1][3], "", "windowed max-norm"),
         ("normalization_defect", norm_defect, "", "cylindrical quadrature of the "
                                                   "constraint integral"),
         ("normalization_ok", bool(norm_defect <= 1e-6), "", "target 1e-6"),
-    ])
+    ]
 
 
-def _run_verify_prop4(config: RunConfig) -> None:
-    p = config.parameters
+def _run_verify_prop4(p: dict, out: Path) -> list:
     params = closed_forms.ShiftedQuadraticParams(a=p["a"], b=p["b"], lam=p["lam"],
                                       alpha=p["alpha"], beta=p["beta"])
     n, k = params.n, params.a + 1
@@ -397,43 +310,41 @@ def _run_verify_prop4(config: RunConfig) -> None:
     trim = slice(1, -1)
     max_41 = float(np.abs(res_41.values[trim, trim]).max())
     max_42 = float(np.abs(res_42[trim, trim]).max())
-    _write_csv(config.output_dir / "residuals.csv",
+    _write_csv(out / "residuals.csv",
                ["a", "b", "lam", "alpha", "beta", "p_coef", "q_coef",
                 "residual_quadratic", "residual_solution"],
                [[params.a, params.b, params.lam, params.alpha, params.beta,
                  params.p_coef, params.q_coef, max_41, max_42]])
-    _write_summary(config, [
+    return [
         ("p_coef", params.p_coef, "", "alpha (n-2) lam^2 a"),
         ("q_coef", params.q_coef, "", "beta (n-2) lam^2 b"),
         ("residual_quadratic_max", max_41, "", "stencil residual, interior"),
         ("residual_solution_max", max_42, "", "stencil residual, interior"),
         ("pass", bool(max_41 <= 1e-6 and max_42 <= 1e-6), "", "target 1e-6"),
-    ])
+    ]
 
 
-def _run_minimize(config: RunConfig) -> None:
-    p = config.parameters
+def _run_minimize(p: dict, out: Path) -> list:
     spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
                             n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
     opts = minimizer.MinimizeOptions(step=p["step"], max_iters=p["max-iters"],
                                      tol=p["tol"], init=p["init"],
                                      init_scale=p["init-scale"])
     result = minimizer.minimize_rayleigh(p["n"], p["k"], p["s"], spec, opts)
-    _write_csv(config.output_dir / "history.csv",
+    _write_csv(out / "history.csv",
                ["iteration", "energy", "constraint_defect"], result.history)
-    cylgrid.dump_grid(result.grid, config.output_dir / "minimizer.csv")
-    _write_summary(config, [
+    cylgrid.dump_grid(result.grid, out / "minimizer.csv")
+    return [
         ("E_min", result.E_min, "", "normalized gradient flow"),
         ("K_est", result.K_est, "", "E_min^(-1/2)"),
         ("iterations", result.iterations, "", ""),
         ("truncation_estimate", result.truncation_estimate, "",
          "fundamental-decay tail model"),
         ("core_scale", result.core_scale, "", "half-peak radius"),
-    ])
+    ]
 
 
-def _run_decay_fit(config: RunConfig) -> None:
-    p = config.parameters
+def _run_decay_fit(p: dict, out: Path) -> list:
     if (p["grid"] is None) == (p["samples"] is None):
         raise UsageError("decay-fit needs exactly one of --grid or --samples")
     if p["grid"] is not None:
@@ -442,12 +353,8 @@ def _run_decay_fit(config: RunConfig) -> None:
                                          min_radius=p["min-radius"],
                                          max_radius=p["max-radius"])
     else:
-        rows = Path(p["samples"]).read_text(encoding="ascii").splitlines()
-        pairs = [tuple(float(tok) for tok in line.split(","))
-                 for line in rows[1:] if line.strip()]
-        radii = np.array([row[0] for row in pairs])
-        values = np.array([row[1] for row in pairs])
-        samples = asymptotics.RaySamples(p["direction"], radii, values)
+        _, data = _read_table(p["samples"])
+        samples = asymptotics.RaySamples(p["direction"], data[:, 0], data[:, 1])
     fit = asymptotics.fit_decay(samples)
     records = [
         ("exponent", fit.exponent, "", "log-log least squares"),
@@ -462,24 +369,30 @@ def _run_decay_fit(config: RunConfig) -> None:
             ("bound", verdict.bound, "", "theoretical rate"),
             ("pass", verdict.passed, "", f"tolerance {verdict.tol}"),
         ]
-    _write_csv(config.output_dir / "decay_fit.csv",
+    _write_csv(out / "decay_fit.csv",
                ["direction", "exponent", "amplitude", "r_squared"],
                [[samples.direction, fit.exponent, fit.amplitude, fit.r_squared]])
-    _write_summary(config, records)
+    return records
 
 
 def _read_table(path: str):
-    lines = [ln for ln in Path(path).read_text(encoding="ascii").splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise UsageError(f"{path} is empty")
-    header = lines[0].split(",")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    """Header and rows of a comma-separated table; blank and '#' lines are
+    skipped.  UsageError unless the file reads as a header of two or more
+    columns over at least one numeric row of the same width."""
+    try:
+        lines = [ln for ln in Path(path).read_text(encoding="ascii").splitlines()
+                 if ln.strip() and not ln.startswith("#")]
+        header = lines[0].split(",") if lines else []
+        data = np.loadtxt(lines[1:], delimiter=",", ndmin=2) if lines[1:] else None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read table {path}: {exc}") from None
+    if len(header) < 2 or data is None or data.shape[1] != len(header):
+        raise UsageError(f"{path} is not a header of two or more columns over "
+                         "rows of the same width")
     return header, data
 
 
-def _run_plot(config: RunConfig) -> None:
-    p = config.parameters
+def _run_plot(p: dict, out: Path) -> list:
     header, data = _read_table(p["input"])
     if header == ["rho", "r", "value"]:
         # grid dump: plot the profile along the first r row
@@ -498,44 +411,96 @@ def _run_plot(config: RunConfig) -> None:
         xlabel, ylabel = x_col, y_col
     render_line_plot(series, p["output"], log_x=p["log-x"], log_y=p["log-y"],
                      title=p["title"], xlabel=xlabel, ylabel=ylabel)
-    _write_summary(config, [("plot", str(p["output"]), "", "")])
+    return [("plot", str(p["output"]), "", "")]
 
 
-_RUNNERS = {
-    "exponents": _run_exponents,
-    "quadrature": _run_quadrature,
-    "constant": _run_constant,
-    "verify-extremal": _run_verify_extremal,
-    "verify-prop4": _run_verify_prop4,
-    "minimize": _run_minimize,
-    "decay-fit": _run_decay_fit,
-    "plot": _run_plot,
+class _Subcommand(NamedTuple):
+    runner: Callable[[dict, Path], list]  # (params, output dir) -> summary records
+    owner: str  # module named in the messages of propagated errors
+    schema: dict  # key -> (type, default)
+
+
+_SUBCOMMANDS = {
+    "exponents": _Subcommand(_run_exponents, "exponents", {
+        "n": (int, _REQUIRED), "k": (int, _REQUIRED),
+        "p": (float, 2.0), "s": (float, 1.0),
+        "gamma": (float, None), "q": (float, None),
+    }),
+    "quadrature": _Subcommand(_run_quadrature, "quadrature", {
+        "identity": (str, _REQUIRED),
+        "n": (int, 3), "k": (int, 2), "m": (float, 2.0),
+        "s": (float, 1.0), "a": (float, 2.0),
+        "x-norm": (float, 1.0), "y-norm": (float, 0.0),
+        "tol": (float, 1e-10),
+    }),
+    "constant": _Subcommand(_run_constant, "closed_forms", {
+        "n": (int, _REQUIRED), "k": (int, _REQUIRED), "tol": (float, 1e-10),
+    }),
+    "verify-extremal": _Subcommand(_run_verify_extremal, "closed_forms", {
+        "n": (int, 3), "k": (int, 2), "lam": (float, 1.0),
+        "levels": (int, 3), "nodes": (int, 24), "box": (float, 4.0),
+        "tol": (float, 1e-10),
+    }),
+    "verify-prop4": _Subcommand(_run_verify_prop4, "cylgrid", {
+        "a": (int, 1), "b": (int, 1), "lam": (float, 1.0),
+        "alpha": (float, 1.0), "beta": (float, 1.0),
+        "nodes": (int, 1024), "lo": (float, 1.0), "hi": (float, 2.0),
+    }),
+    "minimize": _Subcommand(_run_minimize, "minimizer", {
+        "n": (int, 3), "k": (int, 2), "s": (float, 1.0),
+        "rho-max": (float, 120.0), "r-max": (float, 120.0),
+        "n-rho": (int, 256), "n-r": (int, 256),
+        "grading": (float, minimizer.DEFAULT_MINIMIZE_GRADING),
+        "step": (float, 2.0), "max-iters": (int, 4000), "tol": (float, 1e-10),
+        "init": (str, "positive-bump"), "init-scale": (float, None),
+    }),
+    "decay-fit": _Subcommand(_run_decay_fit, "asymptotics", {
+        "grid": (str, None), "samples": (str, None),
+        "direction": (str, "rho-axis"),
+        "min-radius": (float, 0.0), "max-radius": (float, None),
+        "n": (int, None), "p": (float, 2.0),
+        "mode": (str, "solution-two-sided"), "tol": (float, 0.1),
+    }),
+    "plot": _Subcommand(_run_plot, "cli", {
+        "input": (str, _REQUIRED), "output": (str, _REQUIRED),
+        "log-x": (bool, False), "log-y": (bool, False),
+        "title": (str, ""), "x-col": (str, None), "y-col": (str, None),
+    }),
 }
 
 
 def run(config: RunConfig) -> int:
-    """Dispatch a parsed configuration; returns the process exit status."""
-    _write_manifest(config)
-    _RUNNERS[config.subcommand](config)
+    """Run a parsed configuration: manifest.json, the subcommand's tables,
+    then summary.json and one printed line per record.  Returns the exit
+    status."""
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "manifest.json", {
+        "tool": "hscyl", "version": __version__, "subcommand": config.subcommand,
+        "parameters": config.parameters, "output_dir": str(out),
+    }, sort_keys=True)
+    records = _SUBCOMMANDS[config.subcommand].runner(config.parameters, out)
+    _write_json(out / "summary.json", [
+        {"key": key, "value": value, "units": units, "oracle": oracle}
+        for key, value, units, oracle in records
+    ], sort_keys=False)
+    for key, value, _, _ in records:
+        print(f"{key} = {_fmt(value) if isinstance(value, (int, float)) else value}")
     return 0
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_args(argv)
-        return run(config)
-    except UsageError as exc:
+        return run(parse_args(argv))
+    except (UsageError, OSError) as exc:  # OSError: a path named on the command line
         print(f"hscyl: usage error: {exc}", file=sys.stderr)
         return 1
-    except ConvergenceError as exc:
-        owner = _OWNERS.get(argv[0] if argv else "", "hscyl")
-        print(f"hscyl {owner}: convergence error: {exc}", file=sys.stderr)
-        return 3
-    except DomainError as exc:
-        owner = _OWNERS.get(argv[0] if argv else "", "hscyl")
-        print(f"hscyl {owner}: domain error: {exc}", file=sys.stderr)
-        return 2
+    except (ConvergenceError, DomainError) as exc:
+        # parse_args succeeded, so argv[0] names a subcommand
+        kind, code = ("convergence", 3) if isinstance(exc, ConvergenceError) else ("domain", 2)
+        print(f"hscyl {_SUBCOMMANDS[argv[0]].owner}: {kind} error: {exc}", file=sys.stderr)
+        return code
     except HscylError as exc:
         print(f"hscyl: error: {exc}", file=sys.stderr)
         return 2

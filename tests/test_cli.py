@@ -1,11 +1,12 @@
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
 
 from hscyl import UsageError, load_grid
-from hscyl.cli import main, parse_args, run
+from hscyl.cli import _SUBCOMMANDS, main, parse_args, run
 
 
 def _summary(outdir) -> dict:
@@ -46,6 +47,30 @@ def test_parse_args_usage_errors(tmp_path):
     cfg.write_text("unknown-key = 5\n")
     with pytest.raises(UsageError):
         parse_args(["constant", "--config", str(cfg), "--n", "3", "--k", "2"])
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    examples = [shlex.split(line)[1:] for line in section.splitlines()
+                if line.startswith("hscyl ") and "SUBCOMMAND" not in line]
+    for argv in examples:
+        parse_args(argv)
+    assert {argv[0] for argv in examples} == set(_SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("args, table", [
+    (["plot", "--input", "missing.csv", "--output", "x.svg"], None),
+    (["plot", "--input", "bad.csv", "--output", "x.svg"], "x,y\n1,2\n3,abc\n"),
+    (["decay-fit", "--samples", "bad.csv"], "radius,value\n1,2\n3,abc\n"),
+    (["decay-fit", "--grid", "missing.csv"], None),
+], ids=["plot-missing", "plot-non-numeric", "samples-non-numeric", "grid-missing"])
+def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, args, table):
+    monkeypatch.chdir(tmp_path)
+    if table is not None:
+        Path("bad.csv").write_text(table)
+    assert main(args + ["--output-dir", "out"]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_exit_codes(tmp_path, capsys):

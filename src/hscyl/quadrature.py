@@ -341,9 +341,10 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
                |z - zeta|^(2-n) |xi|^(-s) d zeta,
 
     where zeta = (xi, eta) splits along R^k x R^(n-k).  After shifting to
-    w = z - zeta the ball is parameterised by spherical radius t and the
-    angle phi between the two radial factors; the t^(1-s) net weight keeps
-    the kernel singularity at w = 0 harmless.  I scales like |z|^(2-s).
+    w = z - zeta the ball is parameterised by the radii u = |w_x| and
+    v = |w_y| of the two factors, with the mean of |xi|^(-s) over the
+    directions of w_x taken once per u node (a constant times u^(-s) when
+    s = 0 or x = 0).  I scales like |z|^(2-s).
     """
     n, k = require_split(n, k)
     if not (0.0 <= s < min(k, 2)):
@@ -408,27 +409,6 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
         val, err = _adaptive(f_t, 0.0, radius, 0.5 * tol, counter)
         pref = sphere_measure(k - 1)
-        return QuadratureResult(pref * val, pref * err, counter.used)
-
-    if flat_theta:
-        # angular mean is u^(-s) times a constant: one nested (t, phi) pass
-        def f_phi_factory(t: float):
-            def f_phi(phis):
-                sin_p = np.sin(phis)
-                cos_p = np.cos(phis)
-                w = sin_p ** (k - 1 - s) * cos_p ** (n - k - 1)
-                return theta_mean * t ** (-s) * w, np.zeros_like(phis)
-            return f_phi
-
-        @_nodewise
-        def f_t(t):
-            v, e = _adaptive(f_phi_factory(t), 0.0, 0.5 * math.pi,
-                             0.25 * tol, counter, initial_splits=4)
-            return t * v, t * e
-
-        val, err = _adaptive(f_t, 0.0, radius, 0.5 * tol, counter,
-                             initial_splits=4)
-        pref = sphere_measure(n - k) * sphere_measure(k - 1)
         return QuadratureResult(pref * val, pref * err, counter.used)
 
     # general case: iterate over the two radial factors of w directly, so

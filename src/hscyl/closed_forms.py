@@ -335,23 +335,22 @@ class ShiftedQuadraticParams:
 
     @property
     def p_coef(self) -> float:
-        return self.alpha * (self.n - 2) * self.lam**2 * self.a
+        return multi_subspace_coefficients((self.a + 1, self.b + 1), self.lam,
+                                           (self.alpha, self.beta))[0]
 
     @property
     def q_coef(self) -> float:
-        return self.beta * (self.n - 2) * self.lam**2 * self.b
+        return multi_subspace_coefficients((self.a + 1, self.b + 1), self.lam,
+                                           (self.alpha, self.beta))[1]
 
 
 def shifted_power_profile(params: ShiftedQuadraticParams):
-    """Cylindrical profile (rho, r) -> lam^(2-n) ((rho+alpha)^2+(r+beta)^2)^((2-n)/2)."""
-    n, lam, al, be = params.n, params.lam, params.alpha, params.beta
+    """Cylindrical profile (rho, r) -> lam^(2-n) ((rho+alpha)^2+(r+beta)^2)^((2-n)/2),
+    the two-factor case of :func:`multi_subspace_solution`."""
+    dims, offsets = (params.a + 1, params.b + 1), (params.alpha, params.beta)
 
     def profile(rho, r):
-        base = (np.asarray(rho) + al) ** 2 + (np.asarray(r) + be) ** 2
-        if np.any(base == 0.0):
-            raise SingularityError("explicit solution has a pole where "
-                                   "|x| + alpha = |y| + beta = 0")
-        return lam ** (2.0 - n) * base ** (0.5 * (2.0 - n))
+        return multi_subspace_solution(dims, params.lam, offsets, (rho, r))
 
     return profile
 
@@ -379,14 +378,14 @@ def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:
     return tuple(float(off) * (n - 2) * lam**2 * (d - 1) for off, d in zip(offsets, dims))
 
 
-def multi_subspace_solution(dims, lam: float, offsets, radii) -> float:
+def multi_subspace_solution(dims, lam: float, offsets, radii):
     """Explicit solution for a split of R^n into several radial factors:
 
         v = lam^(2-n) ( sum_i (rho_i + offset_i)^2 )^((2-n)/2),
 
-    with n = sum of the factor dimensions.  Satisfies
-    Delta v = -v^(n/(n-2)) sum_i coef_i / rho_i with the coefficients from
-    :func:`multi_subspace_coefficients`.
+    with n = sum of the factor dimensions; the radii may be arrays that
+    broadcast together.  Satisfies Delta v = -v^(n/(n-2)) sum_i coef_i / rho_i
+    with the coefficients from :func:`multi_subspace_coefficients`.
     """
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if not lam > 0.0:
@@ -396,8 +395,13 @@ def multi_subspace_solution(dims, lam: float, offsets, radii) -> float:
     n = sum(dims)
     if n < 3:
         raise ParameterDomainError(f"total dimension must exceed 2, got {n}")
-    base = sum((float(r) + float(off)) ** 2 for r, off in zip(radii, offsets))
-    if base == 0.0:
+    squares = ((np.asarray(r, dtype=float) + float(off)) ** 2
+               for r, off in zip(radii, offsets))
+    base = next(squares)
+    for _ in dims[1:]:
+        # a fresh square on the left lets numpy add into its buffer
+        base = next(squares) + base
+    if np.any(base == 0.0):
         raise SingularityError("explicit solution has a pole at this point")
     return lam ** (2.0 - n) * base ** (0.5 * (2.0 - n))
 

@@ -162,14 +162,14 @@ def _bilinear(grid: CylGrid, rho: float, r: float) -> float:
                  + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
 
 
-def sample_ray(grid: CylGrid, direction: str, n_samples: int = 0,
-               min_radius: float = 0.0, max_radius: float | None = None) -> RaySamples:
+def sample_ray(grid: CylGrid, direction: str, min_radius: float = 0.0,
+               max_radius: float | None = None) -> RaySamples:
     """Extract profile values along one ray of the grid.
 
     rho-axis and r-axis rays use the first row of nodes in the transverse
     direction; the diagonal ray is bilinearly interpolated along
-    rho = r = t/sqrt(2).  Samples outside [min_radius, max_radius] are
-    dropped; n_samples > 0 geometrically subsamples the rest.
+    rho = r = t/sqrt(2) at 64 geometric radii.  Samples outside
+    [min_radius, max_radius] are dropped.
     """
     if grid.k == grid.n and direction != "rho-axis":
         raise GridError("1-D grids only carry the rho-axis ray")
@@ -182,8 +182,7 @@ def sample_ray(grid: CylGrid, direction: str, n_samples: int = 0,
     elif direction == "diagonal":
         top = min(grid.rho_nodes[-1], grid.r_nodes[-1]) * math.sqrt(2.0)
         lo = max(grid.rho_nodes[0], grid.r_nodes[0]) * math.sqrt(2.0) * 1.01
-        count = n_samples if n_samples > 0 else 64
-        radii = np.geomspace(lo, top * 0.999, count)
+        radii = np.geomspace(lo, top * 0.999, 64)
         values = np.array([_bilinear(grid, t / math.sqrt(2.0), t / math.sqrt(2.0))
                            for t in radii])
     else:
@@ -191,9 +190,6 @@ def sample_ray(grid: CylGrid, direction: str, n_samples: int = 0,
     hi = max_radius if max_radius is not None else float(radii[-1])
     keep = (radii >= min_radius) & (radii <= hi) & (values > 0.0)
     radii, values = radii[keep], values[keep]
-    if n_samples > 0 and direction != "diagonal" and radii.size > n_samples:
-        idx = np.unique(np.geomspace(1, radii.size, n_samples).astype(int) - 1)
-        radii, values = radii[idx], values[idx]
     if radii.size < 2:
         raise FitDomainError("ray sampling produced fewer than 2 usable samples")
     return RaySamples(direction=direction, radii=radii, values=values)

@@ -450,7 +450,7 @@ _SUBCOMMANDS = {
         "n": (int, 3), "k": (int, 2), "s": (float, 1.0),
         "rho-max": (float, 120.0), "r-max": (float, 120.0),
         "n-rho": (int, 256), "n-r": (int, 256),
-        "grading": (float, minimizer.DEFAULT_MINIMIZE_GRADING),
+        "grading": (float, cylgrid.GridSpec.grading),
         "step": (float, 2.0), "max-iters": (int, 4000), "tol": (float, 1e-10),
         "init": (str, "positive-bump"), "init-scale": (float, None),
     }),

@@ -132,7 +132,7 @@ class GridSpec:
     r_max: float
     n_rho: int
     n_r: int
-    grading: float = 2.0
+    grading: float = 1.5
 
 
 def build_grid(n: int, k: int, rho_max: float, r_max: float,
@@ -286,13 +286,11 @@ def _trapezoid_weights(nodes: np.ndarray, vanishes_at_axis: bool,
     return w
 
 
-def cell_volumes(nodes: np.ndarray, weight_pow: float,
-                 xmax: float | None = None) -> np.ndarray:
+def cell_volumes(nodes: np.ndarray, weight_pow: float) -> np.ndarray:
     """Exact moments of x^weight_pow over the cells of a node-centred
-    partition of [0, xmax] (faces at 0, the midpoints, and xmax)."""
+    partition of [0, x_last] (faces at 0, the midpoints, and the last node)."""
     x = np.asarray(nodes, dtype=float)
-    top = x[-1] if xmax is None else float(xmax)
-    faces = np.concatenate(([0.0], 0.5 * (x[1:] + x[:-1]), [top]))
+    faces = np.concatenate(([0.0], 0.5 * (x[1:] + x[:-1]), x[-1:]))
     p = weight_pow + 1.0
     return (faces[1:] ** p - faces[:-1] ** p) / p
 

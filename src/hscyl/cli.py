@@ -3,11 +3,12 @@
 Each subcommand is one entry of ``_SUBCOMMANDS``: its runner, the module
 that owns it, and its parameter schema.  Flags take the form
 ``--key value``; ``--config FILE`` points at a plain key=value file whose
-entries the command-line flags override.  Unknown keys are rejected.  Every run writes ``manifest.json`` echoing the fully
-resolved configuration (that file alone reproduces the run), a
-``summary.json`` of (key, value, units, oracle-provenance) records, and
-one or more comma-separated tables.  Numbers are printed with 17
-significant digits so that dumps round-trip bit-exactly.
+entries the command-line flags override.  Unknown keys are rejected.
+Every run writes ``manifest.json`` echoing the fully resolved
+configuration (that file alone reproduces the run), a ``summary.json`` of
+(key, value, units, oracle-provenance) records, and one or more
+comma-separated tables.  Numbers are printed with 17 significant digits
+so that dumps round-trip bit-exactly.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 convergence
 failure.  Verification subcommands always exit 0 when the computation
@@ -387,8 +388,8 @@ def _read_table(path: str):
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read table {path}: {exc}") from None
     if len(header) < 2 or data is None or data.shape[1] != len(header):
-        raise UsageError(f"{path} is not a header of two or more columns over "
-                         "rows of the same width")
+        raise UsageError(f"{path}: need a header of two or more columns and at "
+                         "least one row of the same width")
     return header, data
 
 
@@ -493,7 +494,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         return run(parse_args(argv))
-    except (UsageError, OSError) as exc:  # OSError: a path named on the command line
+    except (UsageError, OSError, UnicodeDecodeError) as exc:  # an unreadable input path
         print(f"hscyl: usage error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, DomainError) as exc:

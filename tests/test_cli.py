@@ -64,11 +64,15 @@ def test_readme_command_lines_parse():
     (["plot", "--input", "bad.csv", "--output", "x.svg"], "x,y\n1,2\n3,abc\n"),
     (["decay-fit", "--samples", "bad.csv"], "radius,value\n1,2\n3,abc\n"),
     (["decay-fit", "--grid", "missing.csv"], None),
-], ids=["plot-missing", "plot-non-numeric", "samples-non-numeric", "grid-missing"])
+    (["plot", "--input", "bad.csv", "--output", "x.svg"], "x,y\n"),
+    (["decay-fit", "--samples", "bad.csv"], "radius,value\n1,2,3\n"),
+    (["decay-fit", "--grid", "bad.csv"], "\u00e9\n"),
+], ids=["plot-missing", "plot-non-numeric", "samples-non-numeric", "grid-missing",
+        "plot-no-rows", "samples-row-wider-than-header", "grid-not-ascii"])
 def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, args, table):
     monkeypatch.chdir(tmp_path)
     if table is not None:
-        Path("bad.csv").write_text(table)
+        Path("bad.csv").write_text(table, encoding="utf-8")
     assert main(args + ["--output-dir", "out"]) == 1
     assert "usage error" in capsys.readouterr().err
 

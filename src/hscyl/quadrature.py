@@ -117,13 +117,17 @@ class _Budget:
 
 
 def _vectorized_1d(f):
-    """Return f if it maps arrays to same-shape arrays, else a wrapped copy."""
+    """Return f if it maps arrays to same-shape arrays, else a wrapped copy.
+
+    Only the shape failures of a scalar-only callable given an array
+    (TypeError, ValueError) select the wrapper; any other error from the
+    probe propagates."""
     probe = np.array([0.37, 0.73])
     try:
         out = np.asarray(f(probe), dtype=float)
         if out.shape == probe.shape:
             return f
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return lambda x: np.array([float(f(xi)) for xi in np.atleast_1d(x)])
 

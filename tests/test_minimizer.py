@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from hscyl import (
     ConvergenceError,
@@ -16,6 +18,7 @@ from hscyl import (
     minimize_rayleigh,
     recover_constant,
 )
+from hscyl.minimizer import _AxisSolver
 
 SMALL = GridSpec(rho_max=60.0, r_max=60.0, n_rho=64, n_r=64, grading=1.5)
 
@@ -124,6 +127,27 @@ def test_gradient_direction_matches_fd_gradient(rng, n, k):
     num = float(np.sum(direction * descent))
     den = float(np.linalg.norm(direction) * np.linalg.norm(descent))
     assert num / den >= 0.999
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
+def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
+    # the per-axis solve of (1 - tau L) u = rhs against a sparse direct
+    # solve; tau = 1 is the halved default step, refactorised in place
+    grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
+    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    solver = _AxisSolver(problem, 2.0)
+    rng = np.random.default_rng(7)
+    for tau in (2.0, 1.0, 1e4):
+        if tau != 2.0:
+            solver.factor(tau)
+        rhs = np.where(problem.interior, rng.uniform(-1.0, 1.0, size=problem.shape), 0.0)
+        mat = sp.identity(problem.op.shape[0], format="csc") - tau * problem.op.tocsc()
+        ref = spsolve(mat, rhs.ravel()).reshape(problem.shape)
+        u = solver.solve(rhs)
+        assert u.shape == problem.shape
+        assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.all(u[~problem.interior] == 0.0)
 
 
 def test_converged_flow_is_stationary(small_run):

@@ -44,6 +44,19 @@ def test_radial_scalar_callable_is_wrapped():
     assert res.value == pytest.approx(math.pi**1.5, rel=1e-8)
 
 
+@pytest.mark.parametrize("error", [ZeroDivisionError, SingularityError])
+def test_radial_probe_error_is_not_swallowed(error):
+    # only a shape failure (TypeError, ValueError) marks an integrand as
+    # scalar-only; any other error it raises on the array probe propagates
+    def integrand(rho):
+        if np.ndim(rho) > 0:
+            raise error("fails on arrays")
+        return math.exp(-rho * rho)
+
+    with pytest.raises(error, match="fails on arrays"):
+        integrate_radial(integrand, 3, 0.0, tol=1e-9)
+
+
 def test_radial_validation():
     with pytest.raises(ParameterDomainError):
         integrate_radial(lambda rho: rho, 2, 2.5)  # s >= k

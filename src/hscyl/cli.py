@@ -342,6 +342,7 @@ def _run_minimize(p: dict, out: Path) -> list:
         ("truncation_estimate", result.truncation_estimate, "",
          "fundamental-decay tail model"),
         ("core_scale", result.core_scale, "", "half-peak radius"),
+        ("stationarity", result.stationarity, "", "||d||_M / E_min, stop at sqrt(tol)"),
     ]
 
 
@@ -452,8 +453,11 @@ _SUBCOMMANDS = {
         "rho-max": (float, 120.0), "r-max": (float, 120.0),
         "n-rho": (int, 256), "n-r": (int, 256),
         "grading": (float, cylgrid.GridSpec.grading),
-        "step": (float, 2.0), "max-iters": (int, 4000), "tol": (float, 1e-10),
-        "init": (str, "positive-bump"), "init-scale": (float, None),
+        "step": (float, minimizer.MinimizeOptions.step),
+        "max-iters": (int, minimizer.MinimizeOptions.max_iters),
+        "tol": (float, minimizer.MinimizeOptions.tol),
+        "init": (str, minimizer.MinimizeOptions.init),
+        "init-scale": (float, minimizer.MinimizeOptions.init_scale),
     }),
     "decay-fit": _Subcommand(_run_decay_fit, "asymptotics", {
         "grid": (str, None), "samples": (str, None),

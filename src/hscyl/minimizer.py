@@ -21,8 +21,16 @@ and d is its constrained gradient in the mass-weighted inner product.
 Time stepping is semi-implicit, (1 - step L) u+ = u + step E rho^(-s)
 u^(q-1): the normalised gradient flow of Bao & Du (SIAM J. Sci. Comput.
 25, 2004).  It is unconditionally stable, so the pseudo-time step can be
-O(1) even on graded grids whose smallest cells would force an explicit
-step below 1e-6.
+large even on graded grids whose smallest cells would force an explicit
+step below 1e-6.  The default step, 1e4, makes each step close to
+nonlinear inverse iteration; a step that would raise the energy is
+halved.  The flow stops on stationarity, not on the energy change: at
+the first state whose residual ||d||_M / E is at most sqrt(tol).  Near a
+nondegenerate minimum the energy error is quadratic in that residual, so
+tol reads as a relative energy accuracy, and where the flow stops does
+not depend on the step.  Each step evaluates its candidate once: one
+power u^(q-1) and one operator product give the projected state's
+energy, its residual and the next right-hand side.
 
 Each step solves (1 - step L) u+ = rhs axis by axis, by fast
 diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  L is a
@@ -82,9 +90,14 @@ INIT_MODES = ("positive-bump", "analytic-extremal", "user-grid")
 
 @dataclass
 class MinimizeOptions:
-    """Knobs for the flow; defaults are the calibrated s = 1 settings."""
+    """Knobs for the flow; defaults are the calibrated s = 1 settings.
 
-    step: float = 2.0
+    step is the pseudo-time step of the semi-implicit flow; the default is
+    large enough that each step is close to nonlinear inverse iteration.
+    tol is a relative energy accuracy: the flow stops once the
+    constrained-gradient residual ||d||_M / E is at most sqrt(tol)."""
+
+    step: float = 1e4
     max_iters: int = 4000
     tol: float = 1e-10
     init: str = "positive-bump"
@@ -105,7 +118,8 @@ class MinimizeOptions:
 @dataclass(frozen=True)
 class MinimizeResult:
     """Converged minimum, the recovered constant estimate, the minimiser
-    itself, the accepted-step history, and boundary-truncation diagnostics.
+    itself, the accepted-step history, boundary-truncation diagnostics and
+    the final constrained-gradient residual ||d||_M / E (stationarity).
 
     history rows are (iteration, energy, constraint_defect); energies are
     non-increasing and every defect is at (rescaling) rounding level.
@@ -118,6 +132,7 @@ class MinimizeResult:
     iterations: int
     truncation_estimate: float
     core_scale: float
+    stationarity: float
 
 
 class DiscreteRayleigh:
@@ -193,6 +208,20 @@ class DiscreteRayleigh:
         d = self.apply_op(u) + self.energy(u) * self.weight_s * np.abs(u) ** (self.q - 1.0)
         return np.where(self.interior, d, 0.0)
 
+    def evaluate(self, candidate: np.ndarray):
+        """The flow's per-step evaluation of a non-negative candidate:
+        (u, E(u), L u, rho^(-s) u^(q-1)) for u = project(candidate), from
+        one power of the candidate and one operator product."""
+        weighted = self.weight_s * candidate ** (self.q - 1.0)
+        nval = float(np.vdot(self.mass * weighted, candidate))
+        if not nval > 0.0:
+            raise ConvergenceError("flow state has vanished (zero constraint norm)")
+        scale = nval ** (-1.0 / self.q)
+        u = candidate * scale
+        lu = self.apply_op(u)
+        weighted *= scale ** (self.q - 1.0)
+        return u, -float(np.vdot(self.mass * u, lu)), lu, weighted
+
     def rayleigh(self, u: np.ndarray) -> float:
         return self.energy(u) / self.constraint(u) ** (2.0 / self.q)
 
@@ -217,8 +246,7 @@ def _initial_values(problem: DiscreteRayleigh, spec: GridSpec, opts: MinimizeOpt
     else:  # positive-bump
         width = spec.rho_max / 10.0
         u = grid.sampled(lambda rho, r: np.exp(-(rho**2 + r**2) / width**2)).values
-    u = np.where(problem.interior, u, 0.0)
-    return problem.project(u)
+    return np.where(problem.interior, u, 0.0)
 
 
 class _AxisSolver:
@@ -293,9 +321,12 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
                       opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Run the normalized gradient flow and return the converged minimum.
 
-    Raises ConvergenceError (with the partial result attached) when
-    max_iters is exhausted before the relative energy change drops below
-    opts.tol.
+    The flow stops at the first state whose constrained-gradient residual
+    ||d||_M / E is at most sqrt(opts.tol); near a nondegenerate minimum
+    the energy error is quadratic in that residual, so opts.tol is a
+    relative energy accuracy whatever the step.  Raises ConvergenceError
+    (with the partial result attached) when max_iters is exhausted first,
+    or when the step has to be halved below 1e-12 of opts.step.
     """
     opts = opts or MinimizeOptions()
     ctx = ExponentContext(n=n, k=k, p=2.0, s=s)
@@ -304,54 +335,55 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     grid = build_grid(n, k, grid_spec.rho_max, grid_spec.r_max,
                       grid_spec.n_rho, grid_spec.n_r, grid_spec.grading)
     problem = DiscreteRayleigh(n, k, s, grid)
-    u = _initial_values(problem, grid_spec, opts)
+    u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
 
     step = float(opts.step)
     solver = _AxisSolver(problem, step)
 
-    energy = problem.energy(u)
-    history = [(0, energy, abs(problem.constraint(u) - 1.0))]
+    def accepted(it):
+        """Record the current state in the history; return its residual
+        ||d||_M / E, with d the flow direction."""
+        defect = abs(float(np.vdot(problem.mass * u, weighted)) - 1.0)
+        history.append((it, energy, defect))
+        d = np.where(problem.interior, lu + energy * weighted, 0.0)
+        return math.sqrt(float(np.vdot(problem.mass * d, d))) / energy
 
-    def partial_result(it):
-        return _package(problem, u, energy, history, it)
+    def result():
+        return _package(problem, u, energy, history, it, residual)
 
+    history = []
     it = 0
-    while it < opts.max_iters:
+    residual = accepted(it)
+    while residual > math.sqrt(opts.tol):
+        if it >= opts.max_iters:
+            raise ConvergenceError(
+                f"no convergence within max_iters = {opts.max_iters}",
+                partial=result(),
+            )
         it += 1
-        rhs = u + step * energy * problem.weight_s * np.abs(u) ** (problem.q - 1.0)
-        rhs = np.where(problem.interior, rhs, 0.0)
-        candidate = solver.solve(rhs)
-        candidate = np.clip(candidate, 0.0, None)
-        candidate = problem.project(candidate)
-        new_energy = problem.energy(candidate)
+        rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
+        candidate = problem.evaluate(np.clip(solver.solve(rhs), 0.0, None))
+        new_energy = candidate[1]
         if not math.isfinite(new_energy) or new_energy > energy + 1e-14 * abs(energy):
             step *= 0.5
             if step < 1e-12 * opts.step:
                 raise ConvergenceError(
                     "flow step collapsed without reaching tolerance",
-                    partial=partial_result(it),
+                    partial=result(),
                 )
             solver.factor(step)
             continue
-        rel_change = abs(energy - new_energy) / max(abs(new_energy), 1e-300)
-        u, energy = candidate, new_energy
-        history.append((it, energy, abs(problem.constraint(u) - 1.0)))
-        if rel_change <= opts.tol:
-            result = _package(problem, u, energy, history, it)
-            interior_min = float(np.min(u[problem.interior]))
-            if interior_min <= 0.0:
-                raise ConvergenceError(
-                    "flow converged to a profile that is not strictly positive",
-                    partial=result,
-                )
-            return result
-    raise ConvergenceError(
-        f"no convergence within max_iters = {opts.max_iters}",
-        partial=partial_result(it),
-    )
+        u, energy, lu, weighted = candidate
+        residual = accepted(it)
+    if not np.min(u[problem.interior]) > 0.0:
+        raise ConvergenceError(
+            "flow converged to a profile that is not strictly positive",
+            partial=result(),
+        )
+    return result()
 
 
-def _package(problem, u, energy, history, iterations) -> MinimizeResult:
+def _package(problem, u, energy, history, iterations, stationarity) -> MinimizeResult:
     grid = problem.grid.with_values(u)
     profile = u.reshape(grid.rho_nodes.size, -1)[:, 0]
     # a partial result may carry a vanished axis profile: no core scale then
@@ -364,7 +396,7 @@ def _package(problem, u, energy, history, iterations) -> MinimizeResult:
             f"(core scale {core:.3g} vs first node {first_node:.3g}); "
             "reduce grading or refine the grid",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of minimize_rayleigh
         )
     return MinimizeResult(
         E_min=energy,
@@ -374,6 +406,7 @@ def _package(problem, u, energy, history, iterations) -> MinimizeResult:
         iterations=iterations,
         truncation_estimate=_truncation_estimate(problem, u),
         core_scale=core,
+        stationarity=stationarity,
     )
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hscyl import UsageError, load_grid
+from hscyl import MinimizeOptions, UsageError, load_grid
 from hscyl.cli import _SUBCOMMANDS, main, parse_args, run
 
 
@@ -28,6 +28,14 @@ def test_parse_args_config_file_with_override(tmp_path):
     config = parse_args(["minimize", "--config", str(cfg), "--step", "0.01"])
     assert config.parameters["n"] == 3
     assert config.parameters["step"] == 0.01  # flag overrides the file
+
+
+def test_minimize_defaults_are_the_library_defaults():
+    params = parse_args(["minimize"]).parameters
+    opts = MinimizeOptions()
+    assert (params["step"], params["max-iters"], params["tol"], params["init"],
+            params["init-scale"]) == (opts.step, opts.max_iters, opts.tol,
+                                      opts.init, opts.init_scale)
 
 
 def test_parse_args_usage_errors(tmp_path):
@@ -167,6 +175,7 @@ def test_minimize_decay_fit_and_plot_pipeline(tmp_path):
     assert rc == 0
     summary = _summary(out)
     assert summary["E_min"] == pytest.approx(math.pi / math.sqrt(2.0), rel=0.05)
+    assert 0.0 < summary["stationarity"] <= math.sqrt(1e-10)
 
     # grid dump round-trips bit-exactly
     dumped = load_grid(out / "minimizer.csv")

@@ -13,8 +13,12 @@ polynomial and panels converge at full order (a single rho/(1+rho)
 compression leaves fractional-power endpoints that measurably stall
 refinement).
 
-All integrands must accept numpy arrays in their radial argument; plain
-scalar callables are detected and wrapped, at a cost.
+Integrands receive numpy arrays: g(rho) in the radial case and two
+same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
+only scalars is detected by one probe and called point by point, at a
+cost.  Nested integrals run as batches: each pass of an outer integral
+computes the inner integrals at all of its new abscissae in one adaptive
+loop, in which every integral refines exactly as it would alone.
 """
 
 from __future__ import annotations
@@ -116,47 +120,47 @@ class _Budget:
             )
 
 
-def _vectorized_1d(f):
-    """Return f if it maps arrays to same-shape arrays, else a wrapped copy.
+def _vectorized(f, nargs: int = 1):
+    """Return f if it maps nargs same-shape arrays to an array of that
+    shape, else a copy that calls f once per point (broadcasting its
+    arguments first).
 
-    Only the shape failures of a scalar-only callable given an array
+    Only the shape failures of a scalar-only callable given arrays
     (TypeError, ValueError) select the wrapper; any other error from the
     probe propagates."""
     probe = np.array([0.37, 0.73])
     try:
-        out = np.asarray(f(probe), dtype=float)
+        out = np.asarray(f(*[probe] * nargs), dtype=float)
         if out.shape == probe.shape:
             return f
     except (TypeError, ValueError):
         pass
-    return lambda x: np.array([float(f(xi)) for xi in np.atleast_1d(x)])
+
+    def pointwise(*xs):
+        xs = np.broadcast_arrays(*xs)
+        flat = [float(f(*p)) for p in zip(*(x.ravel() for x in xs))]
+        return np.array(flat).reshape(xs[0].shape)
+    return pointwise
 
 
-def _nodewise(g):
-    """Batch integrand for _adaptive from a scalar g(x) -> (value, error),
-    called once per abscissa (for integrands that are themselves
-    adaptive integrals)."""
-    def fvec(xs):
-        vals = np.empty_like(xs)
-        errs = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            vals[i], errs[i] = g(float(x))
-        return vals, errs
-    return fvec
+def _exact(f):
+    """Batch integrand with no carried error from a plain f(x, owner)."""
+    return lambda x, owner: (np.asarray(f(x, owner), dtype=float), np.zeros_like(x))
 
 
-def _panel_eval(fvec, lefts, rights):
-    """Evaluate GK15 on a batch of panels.
+def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial=None):
+    """Evaluate GK15 on a batch of panels, panel i belonging to integral
+    owner[i], and spend the evaluations from ``budget``.
 
-    fvec maps an array of abscissae to (values, carried_errors); returns
-    per-panel Kronrod values, error estimates and the evaluation count.
+    fvec(x, owner) maps abscissae and the integral each belongs to onto
+    (values, carried_errors); returns per-panel Kronrod values and error
+    estimates.
     """
-    lefts = np.asarray(lefts, dtype=float)
-    rights = np.asarray(rights, dtype=float)
     h = 0.5 * (rights - lefts)
     c = 0.5 * (rights + lefts)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
-    vals, side = fvec(pts.ravel())
+    vals, side = fvec(pts.ravel(), np.repeat(owner, _NODES.size))
+    budget.spend(pts.size, partial=partial)
     vals = vals.reshape(pts.shape)
     side = side.reshape(pts.shape)
     bad = ~np.isfinite(vals)
@@ -166,103 +170,107 @@ def _panel_eval(fvec, lefts, rights):
     i_g = (vals @ _W_G) * h
     err = np.abs(i_k - i_g) + (np.abs(side) @ _W_K) * np.abs(h)
     err[np.any(bad, axis=1)] = math.inf
-    return i_k, err, pts.size
+    return i_k, err
 
 
-def _adaptive(fvec, a, b, tol, budget: _Budget, initial_splits=8):
-    """Globally adaptive GK15 on [a, b] with relative tolerance ``tol``.
+def _adaptive(fvec, a, b, tol, budget: _Budget):
+    """Globally adaptive GK15 on the independent intervals [a[i], b[i]],
+    each integral to relative tolerance ``tol``.
 
-    fvec(x) -> (values, carried_errors); carried errors (e.g. from an inner
-    integral) are folded into each panel's error estimate.  Returns
-    (value, error_estimate).
+    fvec(x, owner) -> (values, carried_errors), where owner[j] is the
+    integral that abscissa x[j] belongs to; carried errors (e.g. from an
+    inner integral) are folded into each panel's error estimate.  Every
+    integral refines exactly as it would alone, and each pass evaluates
+    the new panels of all integrals still open in one call.  Returns the
+    arrays (values, error_estimates).
     """
-    edges = np.linspace(a, b, initial_splits + 1)
-    lefts, rights = edges[:-1], edges[1:]
-    vals, errs, n_eval = _panel_eval(fvec, lefts, rights)
-    budget.spend(n_eval)
+    values, errors = np.zeros(a.size), np.zeros(a.size)
     min_width = 64.0 * np.finfo(float).eps * (b - a)
+    edges = np.linspace(a, b, 9, axis=-1)                   # 8 initial panels
+    new_l, new_r = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    new_o = np.repeat(np.arange(a.size), 8)
+    panels, owner, partial = np.empty((4, 0)), new_o[:0], None
 
-    while True:
-        total = float(np.sum(vals))
-        total_err = float(np.sum(errs))
-        if total_err <= tol * abs(total) or total_err == 0.0:
-            return total, total_err
-        order = np.argsort(errs)[::-1]
-        n_split = max(1, min(64, len(order) // 2 + 1))
-        worst = order[:n_split]
-        worst = worst[errs[worst] > 0.25 * tol * abs(total) / max(len(errs), 1)]
-        if len(worst) == 0:
-            return total, total_err
-        if np.any((rights[worst] - lefts[worst]) < min_width):
+    while new_o.size:
+        new_v, new_e = _panel_eval(fvec, new_l, new_r, new_o, budget, partial)
+        # per integral: its unsplit panels, then the left and right halves,
+        # the order a lone run holds them in, so the sums below are its sums
+        owner = np.concatenate((owner, new_o))
+        regroup = np.argsort(owner, kind="stable")
+        owner = owner[regroup]
+        lefts, rights, vals, errs = np.concatenate(
+            (panels, np.vstack((new_l, new_r, new_v, new_e))), axis=1)[:, regroup]
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        ids = owner[starts]
+        count = np.diff(starts, append=owner.size)
+        seg = np.repeat(np.arange(ids.size), count)
+        total = np.add.reduceat(vals, starts)
+        total_err = np.add.reduceat(errs, starts)
+        met = (total_err <= tol * np.abs(total)) | (total_err == 0.0)
+        order = np.lexsort((-errs, owner))                # worst panel first
+        rank = np.arange(owner.size) - starts[seg]
+        pick = ((rank < np.minimum(64, count // 2 + 1)[seg])
+                & (errs[order] > (0.25 * tol * np.abs(total) / count)[seg])
+                & ~met[seg])
+        worst = order[pick]
+        splitting = np.zeros(ids.size, dtype=bool)
+        splitting[seg[pick]] = True
+        values[ids[~splitting]] = total[~splitting]
+        errors[ids[~splitting]] = total_err[~splitting]
+        narrow = (rights[worst] - lefts[worst]) < min_width[owner[worst]]
+        if np.any(narrow):
+            i = seg[np.flatnonzero(pick)[np.argmax(narrow)]]
             raise ConvergenceError(
                 "quadrature cannot resolve integrand (panel width underflow); "
-                f"partial value {total!r} with error {total_err!r}",
-                partial=QuadratureResult(total, total_err, budget.used),
+                f"partial value {total[i]!r} with error {total_err[i]!r}",
+                partial=QuadratureResult(float(total[i]), float(total_err[i]),
+                                         budget.used),
             )
-        partial = QuadratureResult(float(np.sum(vals)), float(np.sum(errs)), budget.used)
+        partial = QuadratureResult(float(np.sum(total[splitting])),
+                                   float(np.sum(total_err[splitting])), budget.used)
         mids = 0.5 * (lefts[worst] + rights[worst])
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
-        new_v, new_e, n_eval = _panel_eval(fvec, new_l, new_r)
-        budget.spend(n_eval, partial=partial)
-        keep = np.ones(len(vals), dtype=bool)
+        new_o = np.concatenate((owner[worst], owner[worst]))
+        keep = splitting[seg]
         keep[worst] = False
-        lefts = np.concatenate((lefts[keep], new_l))
-        rights = np.concatenate((rights[keep], new_r))
-        vals = np.concatenate((vals[keep], new_v))
-        errs = np.concatenate((errs[keep], new_e))
+        panels, owner = np.vstack((lefts, rights, vals, errs))[:, keep], owner[keep]
+    return values, errors
 
 
-def _radial_segments_with_side(g2, weight_pow: float, upper: float):
+def _radial_segments(g2, weight_pow: float, upper: float):
     """Transformed integrand pieces covering integral of g(rho) rho^weight_pow,
-    for g2 returning (values, carried_errors).
+    for g2(rho, owner) returning (values, carried_errors).
 
-    The range is split at rho = 1.  The head uses rho = w^2 and the
-    semi-infinite tail rho = u^(-2); both double the weight exponent, so
-    the half-integer powers that arise from fractional s become smooth
-    polynomial factors and panels converge at full Gauss-Kronrod order
-    (a plain rho/(1+rho) compression leaves fractional-power endpoints
-    that measurably stall the refinement).  Finite tails run directly in
-    rho.  Returns a list of (fvec, a, b) pieces.
+    The range is split at rho = 1: the head runs in w with rho = w^2, a
+    semi-infinite tail in u with rho = u^(-2) (see the module docstring),
+    and a finite tail directly in rho.  Returns a list of (fvec, a, b)
+    pieces.
     """
-    beta = weight_pow
-    head_top = min(1.0, upper)
-
-    def head(w):
-        jac = 2.0 * w ** (2.0 * beta + 1.0)
-        vals, errs = g2(w * w)
-        return vals * jac, errs * jac
-
-    pieces = [(head, 0.0, math.sqrt(head_top))]
-    if upper <= 1.0:
-        return pieces
-    if math.isinf(upper):
-        def tail(u):
-            jac = 2.0 * u ** (-(2.0 * beta + 3.0))
-            vals, errs = g2(u**-2.0)
+    def piece(to_rho, a, b):
+        def fvec(x, owner):
+            rho, jac = to_rho(x)
+            vals, errs = g2(rho, owner)
             return vals * jac, errs * jac
-        pieces.append((tail, 0.0, 1.0))
-    else:
-        def finite_tail(rho):
-            vals, errs = g2(rho)
-            return vals * rho**beta, errs * rho**beta
-        pieces.append((finite_tail, 1.0, float(upper)))
+        return fvec, a, b
+
+    beta = weight_pow
+    pieces = [piece(lambda w: (w * w, 2.0 * w ** (2.0 * beta + 1.0)),
+                    0.0, math.sqrt(min(1.0, upper)))]
+    if math.isinf(upper):
+        pieces.append(piece(lambda u: (u**-2.0, 2.0 * u ** (-(2.0 * beta + 3.0))),
+                            0.0, 1.0))
+    elif upper > 1.0:
+        pieces.append(piece(lambda rho: (rho, rho**beta), 1.0, float(upper)))
     return pieces
 
 
-def _radial_segments(g, weight_pow: float, upper: float):
-    """Segment pieces for a plain array->array integrand g."""
-    def g2(rho):
-        vals = np.asarray(g(rho), dtype=float)
-        return vals, np.zeros_like(vals)
-    return _radial_segments_with_side(g2, weight_pow, upper)
-
-
-def _integrate_segments(pieces, tol, counter):
-    value = 0.0
-    err = 0.0
+def _integrate_segments(pieces, tol, counter, m: int = 1):
+    """Sum of the pieces, for each of m integrals that share them."""
+    value = np.zeros(m)
+    err = np.zeros(m)
     for fvec, a, b in pieces:
-        v, e = _adaptive(fvec, a, b, tol, counter)
+        v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter)
         value += v
         err += e
     return value, err
@@ -284,12 +292,12 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
     if not tol > 0.0:
         raise ParameterDomainError(f"tol must be positive, got {tol}")
-    g = _vectorized_1d(g)
+    g = _vectorized(g)
     counter = _Budget(budget)
-    pieces = _radial_segments(g, k - 1.0 - s, upper)
+    pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
     value, err = _integrate_segments(pieces, 0.5 * tol, counter)
     sigma = sphere_measure(k)
-    return QuadratureResult(sigma * value, sigma * err, counter.used)
+    return QuadratureResult(sigma * float(value[0]), sigma * float(err[0]), counter.used)
 
 
 def integrate_cylindrical(f, n: int, k: int, s: float,
@@ -300,9 +308,10 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     f(rho, r) rho^(k-1-s) r^(n-k-1) over the (rho, r) quadrant.
 
     Computed as an iterated integral, adaptively in both directions; inner
-    (rho) errors ride along into the outer error estimate.  For k = n the
-    second direction is absent: f is evaluated as f(rho, 0.0) and only the
-    sigma_k prefactor applies.
+    (rho) errors ride along into the outer error estimate.  f receives
+    same-shape arrays of rho and r.  For k = n the second direction is
+    absent: f is evaluated as f(rho, 0.0) and only the sigma_k prefactor
+    applies.
     """
     n, k = require_split(n, k)
     if not (k > s >= 0.0):
@@ -317,23 +326,23 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
                                 upper=domain.rho_max, budget=budget)
     if domain.r_max is None:
         raise GridError(f"k = {k} < n = {n} requires an r range")
+    f = _vectorized(f, 2)
 
     counter = _Budget(budget)
-    inner_tol = 0.25 * tol
     weight_pow = k - 1.0 - s
 
-    def inner(r: float) -> tuple[float, float]:
-        pieces = _radial_segments(lambda rho: f(rho, r), weight_pow,
-                                  domain.rho_max)
-        return _integrate_segments(pieces, inner_tol, counter)
+    def inner(r, _):
+        """The rho integrals at every outer node r, as one batch."""
+        pieces = _radial_segments(_exact(lambda rho, j: f(rho, r[j])),
+                                  weight_pow, domain.rho_max)
+        return _integrate_segments(pieces, 0.25 * tol, counter, r.size)
 
     # reuse the radial segment maps for the outer direction: the inner
     # value plays the role of g(r) and the r measure is the weight
-    outer_pieces = _radial_segments_with_side(_nodewise(inner), n - k - 1.0,
-                                              domain.r_max)
+    outer_pieces = _radial_segments(inner, n - k - 1.0, domain.r_max)
     value, err = _integrate_segments(outer_pieces, 0.25 * tol, counter)
     sigma = sphere_measure(k) * sphere_measure(n - k)
-    return QuadratureResult(sigma * value, sigma * err, counter.used)
+    return QuadratureResult(sigma * float(value[0]), sigma * float(err[0]), counter.used)
 
 
 def singular_newtonian_integral(z, n: int, k: int, s: float,
@@ -367,75 +376,71 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     flat_theta = (s == 0.0) or (xnorm == 0.0)
     theta_mean = sphere_measure(k) / sphere_measure(k - 1)
 
-    def theta_integral(u: float) -> tuple[float, float]:
-        """integral over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s) d theta
-        at |w_x| = u, written via |x - w_x|^2 = c^2 + 4 u |x| sin^2(theta/2)
-        (exact, no cancellation).  Near the slice u = |x| the integrand
+    def kernel(th, c, four_ux):
+        """sin^(k-2)(theta) |x - w_x|^(-s), with |x - w_x|^2 written as
+        c^2 + 4 u |x| sin^2(theta/2) (exact, no cancellation)."""
+        kern = (c * c + four_ux * np.sin(0.5 * th) ** 2) ** (-0.5 * s)
+        return kern * np.sin(th) ** (k - 2) if k > 2 else kern
+
+    def theta_integral(u):
+        """integral over (0, pi) of the kernel at each |w_x| = u, as the
+        arrays (values, errors).  Near the slice u = |x| the integrand
         peaks at theta = 0 with width c/sqrt(u|x|); a tangent map puts a
-        fixed number of panels across the peak whatever c is.
+        fixed number of panels across the peak whatever c is.  On the
+        slice itself (c = 0) the mean is infinite.
         """
         if flat_theta:
-            return theta_mean * (1.0 if s == 0.0 else u ** (-s)), 0.0
-        c = abs(xnorm - u)
-        if c == 0.0:
-            return math.inf, math.inf
+            return theta_mean * (1.0 if s == 0.0 else u ** (-s)), np.zeros_like(u)
+        c = np.abs(xnorm - u)
         four_ux = 4.0 * u * xnorm
+        with np.errstate(divide="ignore"):
+            width = c / np.sqrt(u * xnorm)
+        mean, err = np.full_like(u, math.inf), np.full_like(u, math.inf)
 
-        def f_theta(th):
-            base = c * c + four_ux * np.sin(0.5 * th) ** 2
-            kern = base ** (-0.5 * s)
-            if k > 2:
-                kern = kern * np.sin(th) ** (k - 2)
-            return kern, np.zeros_like(th)
+        wide = width >= 0.5
+        c_w, f_w = c[wide], four_ux[wide]
+        mean[wide], err[wide] = _adaptive(
+            _exact(lambda th, j: kernel(th, c_w[j], f_w[j])), 0.0 * c_w,
+            np.full_like(c_w, math.pi), 0.1 * tol, counter)
 
-        width = c / math.sqrt(u * xnorm) if four_ux > 0.0 else math.inf
-        if width >= 0.5:
-            return _adaptive(f_theta, 0.0, math.pi, 0.1 * tol, counter)
-        theta_split = min(1.0, 1e3 * width)
-
-        def f_peak(psi):
-            th = width * np.tan(psi)
-            jac = width / np.cos(psi) ** 2
-            vals, _ = f_theta(th)
-            return vals * jac, np.zeros_like(psi)
-
-        near, err_near = _adaptive(f_peak, 0.0, math.atan(theta_split / width),
-                                   0.05 * tol, counter)
-        far, err_far = _adaptive(f_theta, theta_split, math.pi, 0.05 * tol,
-                                 counter)
-        return near + far, err_near + err_far
+        peak = (width < 0.5) & (c > 0.0)
+        c_p, f_p, w_p = c[peak], four_ux[peak], width[peak]
+        theta_split = np.minimum(1.0, 1e3 * w_p)
+        near, err_near = _adaptive(
+            _exact(lambda psi, j: kernel(w_p[j] * np.tan(psi), c_p[j], f_p[j])
+                   * (w_p[j] / np.cos(psi) ** 2)),
+            0.0 * w_p, np.arctan(theta_split / w_p), 0.05 * tol, counter)
+        far, err_far = _adaptive(
+            _exact(lambda th, j: kernel(th, c_p[j], f_p[j])), theta_split,
+            np.full_like(w_p, math.pi), 0.05 * tol, counter)
+        mean[peak], err[peak] = near + far, err_near + err_far
+        return mean, err
 
     if k == n:
-        @_nodewise
-        def f_t(t):
+        def f_t(t, _):
             m, e = theta_integral(t)
             return t * m, t * e
 
-        val, err = _adaptive(f_t, 0.0, radius, 0.5 * tol, counter)
+        val, err = _integrate_segments([(f_t, 0.0, radius)], 0.5 * tol, counter)
         pref = sphere_measure(k - 1)
-        return QuadratureResult(pref * val, pref * err, counter.used)
+        return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)
 
     # general case: iterate over the two radial factors of w directly, so
     # the angular mean (the expensive piece: its integrand develops a
     # near-singular slice at u = |x|) is evaluated once per u node
-    def v_integral(u: float) -> tuple[float, float]:
-        vmax = math.sqrt(max(radius * radius - u * u, 0.0))
-        if vmax == 0.0:
-            return 0.0, 0.0
+    def v_integral(u):
+        vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
+        return _adaptive(
+            _exact(lambda v, j: v ** (n - k - 1.0)
+                   * (u[j] * u[j] + v * v) ** (0.5 * (2.0 - n))),
+            0.0 * u, vmax, tol / 6.0, counter)
 
-        def f_v(vs):
-            vals = vs ** (n - k - 1.0) * (u * u + vs * vs) ** (0.5 * (2.0 - n))
-            return vals, np.zeros_like(vs)
-
-        return _adaptive(f_v, 0.0, vmax, tol / 6.0, counter)
-
-    @_nodewise
-    def outer_g(u):
+    def outer_g(u, _):
         mean, err_t = theta_integral(u)
         vol, err_v = v_integral(u)
-        return mean * vol, abs(mean) * err_v + abs(vol) * err_t + err_t * err_v
+        return mean * vol, np.abs(mean) * err_v + np.abs(vol) * err_t + err_t * err_v
 
-    pieces = _radial_segments_with_side(outer_g, k - 1.0, radius)
+    pieces = _radial_segments(outer_g, k - 1.0, radius)
     val, err = _integrate_segments(pieces, tol / 3.0, counter)
     pref = sphere_measure(n - k) * sphere_measure(k - 1)
-    return QuadratureResult(pref * val, pref * err, counter.used)
+    return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)

@@ -88,8 +88,9 @@ class CylindricalDomain:
     """Integration ranges in (rho, r).
 
     Semi-infinite ranges are the default.  Each range is split at 1 and
-    mapped by rho = w^2 below it and rho = u^(-2) on a semi-infinite tail
-    (see the module docstring).  ``r_max`` must be None when the
+    mapped by rho = w^2 below it (a higher power where that leaves a
+    singular integrand) and rho = u^(-2) on a semi-infinite tail (see the
+    module docstring).  ``r_max`` must be None when the
     reduction has no second radial direction (k = n).
     """
 
@@ -122,8 +123,8 @@ class _Budget:
 
 def _vectorized(f, nargs: int = 1):
     """Return f if it maps nargs same-shape arrays to an array of that
-    shape, else a copy that calls f once per point (broadcasting its
-    arguments first).
+    shape, else a copy that broadcasts its arguments and calls f once per
+    point.
 
     Only the shape failures of a scalar-only callable given arrays
     (TypeError, ValueError) select the wrapper; any other error from the
@@ -135,12 +136,7 @@ def _vectorized(f, nargs: int = 1):
             return f
     except (TypeError, ValueError):
         pass
-
-    def pointwise(*xs):
-        xs = np.broadcast_arrays(*xs)
-        flat = [float(f(*p)) for p in zip(*(x.ravel() for x in xs))]
-        return np.array(flat).reshape(xs[0].shape)
-    return pointwise
+    return np.vectorize(f, otypes=[float])
 
 
 def _exact(f):
@@ -149,13 +145,9 @@ def _exact(f):
 
 
 def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial=None):
-    """Evaluate GK15 on a batch of panels, panel i belonging to integral
-    owner[i], and spend the evaluations from ``budget``.
-
-    fvec(x, owner) maps abscissae and the integral each belongs to onto
-    (values, carried_errors); returns per-panel Kronrod values and error
-    estimates.
-    """
+    """Evaluate GK15 on panels [lefts[i], rights[i]] of the integrals
+    owner[i] and spend the evaluations from ``budget``; returns per-panel
+    Kronrod values and error estimates (see _adaptive for fvec)."""
     h = 0.5 * (rights - lefts)
     c = 0.5 * (rights + lefts)
     pts = c[:, None] + h[:, None] * _NODES[None, :]
@@ -173,9 +165,10 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial=None):
     return i_k, err
 
 
-def _adaptive(fvec, a, b, tol, budget: _Budget):
+def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0):
     """Globally adaptive GK15 on the independent intervals [a[i], b[i]],
-    each integral to relative tolerance ``tol``.
+    each integral to an error of ``tol`` times its own magnitude or its
+    absolute ``floor[i]``, whichever is larger.
 
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     integral that abscissa x[j] belongs to; carried errors (e.g. from an
@@ -185,6 +178,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget):
     arrays (values, error_estimates).
     """
     values, errors = np.zeros(a.size), np.zeros(a.size)
+    floor = np.broadcast_to(floor, a.shape)
     min_width = 64.0 * np.finfo(float).eps * (b - a)
     edges = np.linspace(a, b, 9, axis=-1)                   # 8 initial panels
     new_l, new_r = edges[:, :-1].ravel(), edges[:, 1:].ravel()
@@ -198,43 +192,40 @@ def _adaptive(fvec, a, b, tol, budget: _Budget):
         owner = np.concatenate((owner, new_o))
         regroup = np.argsort(owner, kind="stable")
         owner = owner[regroup]
-        lefts, rights, vals, errs = np.concatenate(
-            (panels, np.vstack((new_l, new_r, new_v, new_e))), axis=1)[:, regroup]
+        panels = np.hstack((panels, (new_l, new_r, new_v, new_e)))[:, regroup]
+        lefts, rights, vals, errs = panels
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         ids = owner[starts]
         count = np.diff(starts, append=owner.size)
         seg = np.repeat(np.arange(ids.size), count)
         total = np.add.reduceat(vals, starts)
         total_err = np.add.reduceat(errs, starts)
-        met = (total_err <= tol * np.abs(total)) | (total_err == 0.0)
+        target = np.maximum(tol * np.abs(total), floor[ids])
+        met = (total_err <= target) | (total_err == 0.0)
         order = np.lexsort((-errs, owner))                # worst panel first
         rank = np.arange(owner.size) - starts[seg]
         pick = ((rank < np.minimum(64, count // 2 + 1)[seg])
-                & (errs[order] > (0.25 * tol * np.abs(total) / count)[seg])
+                & (errs[order] > (0.25 * target / count)[seg])
                 & ~met[seg])
         worst = order[pick]
-        splitting = np.zeros(ids.size, dtype=bool)
-        splitting[seg[pick]] = True
+        splitting = np.bincount(seg[pick], minlength=ids.size) > 0
         values[ids[~splitting]] = total[~splitting]
         errors[ids[~splitting]] = total_err[~splitting]
-        narrow = (rights[worst] - lefts[worst]) < min_width[owner[worst]]
-        if np.any(narrow):
-            i = seg[np.flatnonzero(pick)[np.argmax(narrow)]]
-            raise ConvergenceError(
-                "quadrature cannot resolve integrand (panel width underflow); "
-                f"partial value {total[i]!r} with error {total_err[i]!r}",
-                partial=QuadratureResult(float(total[i]), float(total_err[i]),
-                                         budget.used),
-            )
+        # the open integrals' sums, for the errors below
         partial = QuadratureResult(float(np.sum(total[splitting])),
                                    float(np.sum(total_err[splitting])), budget.used)
+        if np.any((rights[worst] - lefts[worst]) < min_width[owner[worst]]):
+            raise ConvergenceError(
+                "quadrature cannot resolve integrand (panel width underflow); "
+                f"partial value {partial.value!r} with error {partial.error_estimate!r}",
+                partial=partial)
         mids = 0.5 * (lefts[worst] + rights[worst])
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
         new_o = np.concatenate((owner[worst], owner[worst]))
         keep = splitting[seg]
         keep[worst] = False
-        panels, owner = np.vstack((lefts, rights, vals, errs))[:, keep], owner[keep]
+        panels, owner = panels[:, keep], owner[keep]
     return values, errors
 
 
@@ -244,8 +235,9 @@ def _radial_segments(g2, weight_pow: float, upper: float):
 
     The range is split at rho = 1: the head runs in w with rho = w^2, a
     semi-infinite tail in u with rho = u^(-2) (see the module docstring),
-    and a finite tail directly in rho.  Returns a list of (fvec, a, b)
-    pieces.
+    and a finite tail directly in rho.  Where w^2 would still leave the
+    head singular (weight_pow < -1/2), rho = w^(1/(weight_pow+1)) makes
+    its weight constant instead.  Returns a list of (fvec, a, b) pieces.
     """
     def piece(to_rho, a, b):
         def fvec(x, owner):
@@ -255,8 +247,9 @@ def _radial_segments(g2, weight_pow: float, upper: float):
         return fvec, a, b
 
     beta = weight_pow
-    pieces = [piece(lambda w: (w * w, 2.0 * w ** (2.0 * beta + 1.0)),
-                    0.0, math.sqrt(min(1.0, upper)))]
+    p = 2.0 if beta >= -0.5 else 1.0 / (beta + 1.0)
+    pieces = [piece(lambda w: (w**p, p * w ** (p * (beta + 1.0) - 1.0)),
+                    0.0, min(1.0, upper) ** (1.0 / p))]
     if math.isinf(upper):
         pieces.append(piece(lambda u: (u**-2.0, 2.0 * u ** (-(2.0 * beta + 3.0))),
                             0.0, 1.0))
@@ -266,11 +259,15 @@ def _radial_segments(g2, weight_pow: float, upper: float):
 
 
 def _integrate_segments(pieces, tol, counter, m: int = 1):
-    """Sum of the pieces, for each of m integrals that share them."""
-    value = np.zeros(m)
-    err = np.zeros(m)
+    """Sum of the pieces, for each of m integrals that share them.
+
+    A later piece is held to ``tol`` relative to the sum so far, not only
+    to itself: a sliver piece whose value is rounding noise could never
+    meet a tolerance relative to that noise."""
+    value, err = np.zeros(m), np.zeros(m)
     for fvec, a, b in pieces:
-        v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter)
+        v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter,
+                         tol * np.abs(value))
         value += v
         err += e
     return value, err
@@ -329,12 +326,11 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     f = _vectorized(f, 2)
 
     counter = _Budget(budget)
-    weight_pow = k - 1.0 - s
 
     def inner(r, _):
         """The rho integrals at every outer node r, as one batch."""
         pieces = _radial_segments(_exact(lambda rho, j: f(rho, r[j])),
-                                  weight_pow, domain.rho_max)
+                                  k - 1.0 - s, domain.rho_max)
         return _integrate_segments(pieces, 0.25 * tol, counter, r.size)
 
     # reuse the radial segment maps for the outer direction: the inner
@@ -417,11 +413,10 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         return mean, err
 
     if k == n:
-        def f_t(t, _):
-            m, e = theta_integral(t)
-            return t * m, t * e
-
-        val, err = _integrate_segments([(f_t, 0.0, radius)], 0.5 * tol, counter)
+        # no y factor: |w|^(2-n) t^(n-1) dt = t dt times the angular integral
+        val, err = _integrate_segments(
+            [(lambda t, _: [t * part for part in theta_integral(t)], 0.0, radius)],
+            0.5 * tol, counter)
         pref = sphere_measure(k - 1)
         return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)
 

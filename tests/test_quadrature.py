@@ -16,6 +16,7 @@ from hscyl import (
     singular_newtonian_integral,
     sphere_measure,
 )
+from hscyl.quadrature import _adaptive, _Budget, _exact
 
 PI2 = math.pi**2
 
@@ -57,6 +58,53 @@ def test_radial_probe_error_is_not_swallowed(error):
         integrate_radial(integrand, 3, 0.0, tol=1e-9)
 
 
+def test_cylindrical_scalar_callable_is_wrapped():
+    # integrand receives arrays of rho and r; a scalar-only one is called
+    # point by point: the Gaussian over R^3 integrates to pi^(3/2)
+    res = integrate_cylindrical(lambda rho, r: math.exp(-rho * rho - r * r),
+                                3, 2, 0.0, tol=1e-9)
+    assert res.value == pytest.approx(math.pi**1.5, rel=1e-8)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, SingularityError])
+def test_cylindrical_probe_error_is_not_swallowed(error):
+    def integrand(rho, r):
+        if np.ndim(rho) > 0 or np.ndim(r) > 0:
+            raise error("fails on arrays")
+        return math.exp(-rho * rho - r * r)
+
+    with pytest.raises(error, match="fails on arrays"):
+        integrate_cylindrical(integrand, 3, 2, 0.0, tol=1e-9)
+
+
+def test_batched_adaptive_matches_separate_runs():
+    # x^2 converges on its first pass, sqrt(x) and the narrow Lorentzian
+    # refine deeply; a batch must give each integral its lone-run answer
+    # and spend exactly the evaluations of the lone runs together
+    a = np.array([0.0, 0.0, -1.0, 0.5])
+    b = np.array([1.0, 2.0, 1.0, 3.0])
+    width = np.array([1.0, 1.0, 1e-6, 0.3])
+
+    def family(x, j):
+        return np.choose(j, [x * x, np.sqrt(np.abs(x)),
+                             1.0 / ((x - 0.3) ** 2 + width[2] ** 2),
+                             np.cos(x / width[3])])
+
+    batch_budget = _Budget(10**7)
+    values, _ = _adaptive(_exact(family), a, b, 1e-10, batch_budget)
+    used = 0
+    for i in range(a.size):
+        budget = _Budget(10**7)
+        value, _ = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
+                             a[i:i + 1], b[i:i + 1], 1e-10, budget)
+        assert values[i] == pytest.approx(value[0], rel=1e-14)
+        used += budget.used
+    assert batch_budget.used == used
+    assert values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert values[2] == pytest.approx(
+        (math.atan(0.7 / 1e-6) + math.atan(1.3 / 1e-6)) / 1e-6, rel=1e-10)
+
+
 def test_radial_validation():
     with pytest.raises(ParameterDomainError):
         integrate_radial(lambda rho: rho, 2, 2.5)  # s >= k
@@ -71,6 +119,15 @@ def test_cylindrical_matches_closed_form():
                                 3, 2, 1.0, tol=1e-10)
     assert res.value == pytest.approx(PI2, rel=1e-9)
     assert res.value == pytest.approx(beta_integral_full(3, 2, 2.0, 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("n, k, s, m", [(3, 2, 1.75, 2.0), (4, 2, 1.99, 2.5)])
+def test_cylindrical_weight_singular_after_doubling(n, k, s, m):
+    # for s > k - 1/2 the head map rho = w^2 leaves a singular w integrand
+    # that refinement alone cannot resolve (panel width underflow)
+    res = integrate_cylindrical(lambda rho, r: (1.0 + rho**2 + r**2) ** -m,
+                                n, k, s, tol=1e-9)
+    assert res.value == pytest.approx(beta_integral_full(n, k, m, s), rel=1e-8)
 
 
 def test_cylindrical_error_estimate_covers_true_error():
@@ -149,6 +206,20 @@ def test_newtonian_closed_form_at_s_zero():
     z = np.array([0.6, 0.0, 0.8])
     res = singular_newtonian_integral(z, 3, 2, 0.0, tol=1e-8)
     assert res.value == pytest.approx(sphere_measure(3) * 0.25 / 2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("z", [
+    np.array([2.0, 0.0, 1.2e-7]),          # radius 1 + 8 ulp
+    np.array([2.0, 0.0, 0.0]) * (1.0 + 1e-12),
+])
+def test_newtonian_sliver_tail_is_cheap(z):
+    # the radial range [0, R] splits at 1, so R just above 1 leaves a tail
+    # piece worth rounding noise; it must not have to meet tol relative to
+    # itself (that exhausted the budget at R = 1 + 8 ulp)
+    radius = 0.5 * np.linalg.norm(z)
+    res = singular_newtonian_integral(z, 3, 2, 0.0)
+    assert res.value == pytest.approx(sphere_measure(3) * radius**2 / 2.0, rel=1e-6)
+    assert res.evaluations < 100_000
 
 
 def test_newtonian_homogeneity(rng):

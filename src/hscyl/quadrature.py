@@ -18,7 +18,7 @@ same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
 only scalars is detected by one probe and called point by point, at a
 cost.  Nested integrals run as batches: each pass of an outer integral
 computes the inner integrals at all of its new abscissae in one adaptive
-loop, in which every integral refines exactly as it would alone.
+loop, in which every integral follows the refinement rule of a lone run.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def _exact(f):
     return lambda x, owner: (np.asarray(f(x, owner), dtype=float), np.zeros_like(x))
 
 
-def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial=None):
+def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
     """Evaluate GK15 on panels [lefts[i], rights[i]] of the integrals
     owner[i] and spend the evaluations from ``budget``; returns per-panel
     Kronrod values and error estimates (see _adaptive for fvec)."""
@@ -173,9 +173,9 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0):
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     integral that abscissa x[j] belongs to; carried errors (e.g. from an
     inner integral) are folded into each panel's error estimate.  Every
-    integral refines exactly as it would alone, and each pass evaluates
-    the new panels of all integrals still open in one call.  Returns the
-    arrays (values, error_estimates).
+    integral follows the refinement rule of a lone run, and each pass
+    evaluates the new panels of all integrals still open in one call.
+    Returns the arrays (values, error_estimates).
     """
     values, errors = np.zeros(a.size), np.zeros(a.size)
     floor = np.broadcast_to(floor, a.shape)

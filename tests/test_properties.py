@@ -37,7 +37,7 @@ def test_beta_identity_matches_quadrature(case):
 
 @fixed(20)
 @given(
-    split=st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3)]),
+    split=st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (3, 3), (4, 4)]),
     direction=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
     norm=st.floats(0.25, 4.0),
     s=st.floats(0.0, 1.0),

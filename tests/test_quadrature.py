@@ -207,6 +207,19 @@ def test_newtonian_closed_form_at_s_zero():
 
 
 @pytest.mark.parametrize("z", [
+    np.array([0.6, 0.0, 0.8]),
+    np.array([0.3, -0.4, 0.0, 1.2]),
+])
+def test_newtonian_k_equals_n_closed_form_at_s_zero(z):
+    # k = n: the whole point is the xi factor, and s = 0 leaves the
+    # Newtonian potential of the half-radius ball, sigma_n R^2 / 2
+    n = z.size
+    radius = 0.5 * np.linalg.norm(z)
+    res = singular_newtonian_integral(z, n, n, 0.0, tol=1e-8)
+    assert res.value == pytest.approx(sphere_measure(n) * radius**2 / 2.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("z", [
     np.array([2.0, 0.0, 1.2e-7]),          # radius 1 + 8 ulp
     np.array([2.0, 0.0, 0.0]) * (1.0 + 1e-12),
 ])

@@ -229,6 +229,21 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0):
     return values, errors
 
 
+def _peaked(f, width, upper, tol, budget: _Budget):
+    """Integrals of f(x, j) over [0, upper[j]] for a batch of integrands
+    that peak at x = 0, each with its own width[j]; returns the arrays
+    (values, error_estimates).
+
+    x = width[j] sinh(xi) spreads a peak of any width over a fixed range
+    of xi and grows only logarithmically in upper/width, so one adaptive
+    run resolves narrow and wide peaks alike (the sinh transformation for
+    nearly singular integrals, Johnston & Elliott 2005).
+    """
+    return _adaptive(
+        _exact(lambda xi, j: f(width[j] * np.sinh(xi), j) * (width[j] * np.cosh(xi))),
+        np.zeros_like(width), np.arcsinh(upper / width), tol, budget)
+
+
 def _radial_segments(g2, weight_pow: float, upper: float):
     """Transformed integrand pieces covering integral of g(rho) rho^weight_pow,
     for g2(rho, owner) returning (values, carried_errors).
@@ -380,56 +395,34 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
     def theta_integral(u):
         """integral over (0, pi) of the kernel at each |w_x| = u, as the
-        arrays (values, errors).  Near the slice u = |x| the integrand
-        peaks at theta = 0 with width c/sqrt(u|x|); a tangent map puts a
-        fixed number of panels across the peak whatever c is.  On the
-        slice itself (c = 0) the mean is infinite.
+        arrays (values, errors).  The integrand peaks at theta = 0 with
+        width c/sqrt(u|x|), which closes up near the slice u = |x|.  On
+        the slice itself (c = 0) the mean is infinite.
         """
         if flat_theta:
             return theta_mean * (1.0 if s == 0.0 else u ** (-s)), np.zeros_like(u)
         c = np.abs(xnorm - u)
         four_ux = 4.0 * u * xnorm
-        with np.errstate(divide="ignore"):
-            width = c / np.sqrt(u * xnorm)
         mean, err = np.full_like(u, math.inf), np.full_like(u, math.inf)
-
-        wide = width >= 0.5
-        c_w, f_w = c[wide], four_ux[wide]
-        mean[wide], err[wide] = _adaptive(
-            _exact(lambda th, j: kernel(th, c_w[j], f_w[j])), 0.0 * c_w,
-            np.full_like(c_w, math.pi), 0.1 * tol, counter)
-
-        peak = (width < 0.5) & (c > 0.0)
-        c_p, f_p, w_p = c[peak], four_ux[peak], width[peak]
-        theta_split = np.minimum(1.0, 1e3 * w_p)
-        near, err_near = _adaptive(
-            _exact(lambda psi, j: kernel(w_p[j] * np.tan(psi), c_p[j], f_p[j])
-                   * (w_p[j] / np.cos(psi) ** 2)),
-            0.0 * w_p, np.arctan(theta_split / w_p), 0.05 * tol, counter)
-        far, err_far = _adaptive(
-            _exact(lambda th, j: kernel(th, c_p[j], f_p[j])), theta_split,
-            np.full_like(w_p, math.pi), 0.05 * tol, counter)
-        mean[peak], err[peak] = near + far, err_near + err_far
+        live = c > 0.0
+        c, four_ux = c[live], four_ux[live]
+        mean[live], err[live] = _peaked(
+            lambda th, j: kernel(th, c[j], four_ux[j]), c / np.sqrt(0.25 * four_ux),
+            np.full_like(c, math.pi), 0.1 * tol, counter)
         return mean, err
 
-    if k == n:
-        # no y factor: |w|^(2-n) t^(n-1) dt = t dt times the angular integral
-        val, err = _integrate_segments(
-            [(lambda t, _: [t * part for part in theta_integral(t)], 0.0, radius)],
-            0.5 * tol, counter)
-        pref = sphere_measure(k - 1)
-        return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)
-
-    # general case: iterate over the two radial factors of w directly, so
-    # the angular mean (the expensive piece: its integrand develops a
-    # near-singular slice at u = |x|) is evaluated once per u node
     def v_integral(u):
+        """The y-factor integral of |w|^(2-n) v^(n-k-1) over v at each u,
+        peaked at v = 0 with width u; for k = n it is just u^(2-n)."""
+        if k == n:
+            return u ** (2.0 - n), np.zeros_like(u)
         vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
-        return _adaptive(
-            _exact(lambda v, j: v ** (n - k - 1.0)
-                   * (u[j] * u[j] + v * v) ** (0.5 * (2.0 - n))),
-            0.0 * u, vmax, tol / 6.0, counter)
+        return _peaked(lambda v, j: v ** (n - k - 1.0)
+                       * (u[j] * u[j] + v * v) ** (0.5 * (2.0 - n)),
+                       u, vmax, tol / 6.0, counter)
 
+    # iterate over the two radial factors of w directly, so the angular
+    # mean (the expensive piece) is evaluated once per u node
     def outer_g(u, _):
         mean, err_t = theta_integral(u)
         vol, err_v = v_integral(u)
@@ -437,5 +430,5 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
     pieces = _radial_segments(outer_g, k - 1.0, radius)
     val, err = _integrate_segments(pieces, tol / 3.0, counter)
-    pref = sphere_measure(n - k) * sphere_measure(k - 1)
+    pref = sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0)
     return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)

@@ -13,6 +13,14 @@ polynomial and panels converge at full order (a single rho/(1+rho)
 compression leaves fractional-power endpoints that measurably stall
 refinement).
 
+The Newtonian-kernel ball integral iterates over the radii of the two
+factors.  Its inner integrals peak at 0 with widths that vary from node to
+node, and one map, x = width sinh(xi), puts a fixed number of panels
+across any of those peaks (``_peaked``).  The outer range is split at the
+slice u = |x|, where the angular mean is singular, and each side runs in
+its distance from the slice; on the axis x = 0 the mean's u^(-s) joins the
+outer weight.
+
 Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
 only scalars is detected by one probe and called point by point, at a
@@ -158,9 +166,11 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
     bad = ~np.isfinite(vals)
     if np.any(bad):
         vals = np.where(bad, 0.0, vals)
-    i_k = (vals @ _W_K) * h
-    i_g = (vals @ _W_G) * h
-    err = np.abs(i_k - i_g) + (np.abs(side) @ _W_K) * np.abs(h)
+    # fixed-order row sums, not a matrix product: a BLAS product rounds a
+    # row differently depending on the batch it sits in
+    i_k = (vals * _W_K).sum(axis=1) * h
+    i_g = (vals * _W_G).sum(axis=1) * h
+    err = np.abs(i_k - i_g) + (np.abs(side) * _W_K).sum(axis=1) * np.abs(h)
     err[np.any(bad, axis=1)] = math.inf
     return i_k, err
 
@@ -239,6 +249,9 @@ def _peaked(f, width, upper, tol, budget: _Budget):
     run resolves narrow and wide peaks alike (the sinh transformation for
     nearly singular integrals, Johnston & Elliott 2005).
     """
+    if np.any(width < np.finfo(float).tiny):
+        raise ConvergenceError("quadrature cannot resolve a peak whose width "
+                               "underflows (the map of an outer integral underflows)")
     return _adaptive(
         _exact(lambda xi, j: f(width[j] * np.sinh(xi), j) * (width[j] * np.cosh(xi))),
         np.zeros_like(width), np.arcsinh(upper / width), tol, budget)
@@ -366,9 +379,15 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
     where zeta = (xi, eta) splits along R^k x R^(n-k).  After shifting to
     w = z - zeta the ball is parameterised by the radii u = |w_x| and
-    v = |w_y| of the two factors, with the mean of |xi|^(-s) over the
-    directions of w_x taken once per u node (a constant times u^(-s) when
-    s = 0 or x = 0).  I scales like |z|^(2-s).
+    v = |w_y| of the two factors.  Each u node takes the mean of |xi|^(-s)
+    over the directions of w_x, and u^(k-2) times the integral of the
+    kernel over v (1 when k = n).  Both inner integrands peak at 0, with
+    widths c/sqrt(u|x|) (c = |u - |x||) and u, and both run through the
+    sinh peak map of ``_peaked``.  The outer weight is u, or u^(1-s) on
+    the axis x = 0, where the mean is a constant times u^(-s).  When the
+    slice u = |x| lies inside the ball the mean has a cusp, log or pole
+    there, so the outer range is split at the slice and each side runs in
+    its distance c from it.  I scales like |z|^(2-s).
     """
     n, k = require_split(n, k)
     if not (0.0 <= s < min(k, 2)):
@@ -383,7 +402,8 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     radius = 0.5 * znorm
 
     counter = _Budget(budget)
-    # mean of |x - w_x|^(-s) over directions of w_x, for |w_x| = u
+    # mean of |x - w_x|^(-s) over directions of w_x, for |w_x| = u: flat
+    # (its u^(-s) on the axis goes into the outer weight) or peaked
     flat_theta = (s == 0.0) or (xnorm == 0.0)
     theta_mean = sphere_measure(k) / sphere_measure(k - 1)
 
@@ -393,42 +413,56 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         kern = (c * c + four_ux * np.sin(0.5 * th) ** 2) ** (-0.5 * s)
         return kern * np.sin(th) ** (k - 2) if k > 2 else kern
 
-    def theta_integral(u):
-        """integral over (0, pi) of the kernel at each |w_x| = u, as the
-        arrays (values, errors).  The integrand peaks at theta = 0 with
-        width c/sqrt(u|x|), which closes up near the slice u = |x|.  On
-        the slice itself (c = 0) the mean is infinite.
-        """
+    def theta_integral(u, c):
+        """integral over (0, pi) of the kernel at each |w_x| = u, a
+        distance c = |u - |x|| from the slice, as (values, errors)."""
         if flat_theta:
-            return theta_mean * (1.0 if s == 0.0 else u ** (-s)), np.zeros_like(u)
-        c = np.abs(xnorm - u)
+            return np.full_like(u, theta_mean), np.zeros_like(u)
         four_ux = 4.0 * u * xnorm
-        mean, err = np.full_like(u, math.inf), np.full_like(u, math.inf)
-        live = c > 0.0
-        c, four_ux = c[live], four_ux[live]
-        mean[live], err[live] = _peaked(
-            lambda th, j: kernel(th, c[j], four_ux[j]), c / np.sqrt(0.25 * four_ux),
-            np.full_like(c, math.pi), 0.1 * tol, counter)
-        return mean, err
+        return _peaked(lambda th, j: kernel(th, c[j], four_ux[j]), c / np.sqrt(u * xnorm),
+                       np.full_like(u, math.pi), 0.1 * tol, counter)
 
     def v_integral(u):
-        """The y-factor integral of |w|^(2-n) v^(n-k-1) over v at each u,
-        peaked at v = 0 with width u; for k = n it is just u^(2-n)."""
+        """u^(k-2) times the integral of |w|^(2-n) v^(n-k-1) over v at
+        each u, as (values, errors); 1 when there is no y factor."""
         if k == n:
-            return u ** (2.0 - n), np.zeros_like(u)
+            return np.ones_like(u), np.zeros_like(u)
         vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
-        return _peaked(lambda v, j: v ** (n - k - 1.0)
-                       * (u[j] * u[j] + v * v) ** (0.5 * (2.0 - n)),
-                       u, vmax, tol / 6.0, counter)
+
+        def f(v, j):
+            # t^(n-k-1) (1 + t^2)^((2-n)/2) / u in t = v/u, arranged so
+            # that neither a tiny u nor a large t overflows
+            t = v / u[j]
+            hyp = np.hypot(1.0, t)
+            return (t / hyp) ** (n - k - 1.0) * hyp ** (1.0 - k) / u[j]
+        return _peaked(f, u, vmax, tol / 6.0, counter)
 
     # iterate over the two radial factors of w directly, so the angular
     # mean (the expensive piece) is evaluated once per u node
-    def outer_g(u, _):
-        mean, err_t = theta_integral(u)
+    def outer_g(u, c):
+        mean, err_t = theta_integral(u, c)
         vol, err_v = v_integral(u)
         return mean * vol, np.abs(mean) * err_v + np.abs(vol) * err_t + err_t * err_v
 
-    pieces = _radial_segments(outer_g, k - 1.0, radius)
+    if flat_theta or xnorm >= radius:
+        pieces = _radial_segments(lambda u, _: outer_g(u, xnorm - u),
+                                  1.0 - s if xnorm == 0.0 else 1.0, radius)
+    else:
+        # c = d t^p on each side of the slice: the mean behaves like
+        # const + c^(k-1-s) (log c at s = k-1), a pole when s > k-1 that
+        # p = 1/(k-s) makes constant in t; p = 2 leaves t^(2(k-1-s)+1)
+        p = 1.0 / (k - s) if s > k - 1.0 else 2.0
+
+        def side(d, sign):
+            def fvec(t, _):
+                c = d * t**p
+                u = xnorm + sign * c
+                vals, errs = outer_g(u, c)
+                jac = u * d * p * t ** (p - 1.0)
+                return vals * jac, errs * jac
+            return fvec, 0.0, 1.0
+
+        pieces = [side(xnorm, -1.0), side(radius - xnorm, 1.0)]
     val, err = _integrate_segments(pieces, tol / 3.0, counter)
     pref = sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0)
     return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)

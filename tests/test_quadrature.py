@@ -80,7 +80,8 @@ def test_cylindrical_probe_error_is_not_swallowed(error):
 def test_batched_adaptive_matches_separate_runs():
     # x^2 converges on its first pass, sqrt(x) and the narrow Lorentzian
     # refine deeply; a batch must give each integral its lone-run answer
-    # and spend exactly the evaluations of the lone runs together
+    # and error estimate bit for bit, and spend exactly the evaluations of
+    # the lone runs together
     a = np.array([0.0, 0.0, -1.0, 0.5])
     b = np.array([1.0, 2.0, 1.0, 3.0])
 
@@ -89,13 +90,14 @@ def test_batched_adaptive_matches_separate_runs():
                              1.0 / ((x - 0.3) ** 2 + 1e-12), np.cos(x / 0.3)])
 
     batch_budget = _Budget(10**7)
-    values, _ = _adaptive(_exact(family), a, b, 1e-10, batch_budget)
+    values, errors = _adaptive(_exact(family), a, b, 1e-10, batch_budget)
     used = 0
     for i in range(a.size):
         budget = _Budget(10**7)
-        value, _ = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
-                             a[i:i + 1], b[i:i + 1], 1e-10, budget)
-        assert values[i] == pytest.approx(value[0], rel=1e-14)
+        value, error = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
+                                 a[i:i + 1], b[i:i + 1], 1e-10, budget)
+        assert values[i] == value[0]
+        assert errors[i] == error[0]
         used += budget.used
     assert batch_budget.used == used
     assert values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -257,6 +259,62 @@ def test_newtonian_axis_case_has_closed_form():
     z = np.array([0.0, 0.0, 1.0])
     res = singular_newtonian_integral(z, 3, 2, 1.0, tol=1e-8)
     assert res.value == pytest.approx(PI2, rel=1e-8)
+
+
+AXIS_SPLITS = [(3, 2), (4, 2), (4, 3), (5, 3), (5, 2)]
+
+
+def axis_closed_form(n, k, s, radius):
+    # x = 0: I = R^(2-s)/(2-s) times the integral of |omega_x|^(-s) over
+    # the unit sphere, sigma_k sigma_(n-k)/2 * B((k-s)/2, (n-k)/2)
+    a, b = 0.5 * (k - s), 0.5 * (n - k)
+    beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return (0.5 * sphere_measure(k) * sphere_measure(n - k) * beta
+            * radius ** (2.0 - s) / (2.0 - s))
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("split", AXIS_SPLITS)
+def test_newtonian_axis_closed_form_over_splits(split, s):
+    # on the axis the outer integrand behaves like u^(1-s), which needs
+    # the strong-weight head map once s > 3/2
+    n, k = split
+    z = np.zeros(n)
+    z[-1] = 1.3
+    res = singular_newtonian_integral(z, n, k, s)
+    assert res.value == pytest.approx(axis_closed_form(n, k, s, 0.65), rel=1e-6)
+
+
+@pytest.mark.parametrize("split", AXIS_SPLITS)
+def test_newtonian_axis_near_s_two_fails_fast(split):
+    # s = 1.99 maps u = w^100, which underflows to 0 on the first pass:
+    # a typed failure at once, not a spent budget
+    n, k = split
+    z = np.zeros(n)
+    z[-1] = 1.3
+    with pytest.raises(ConvergenceError, match="underflows"):
+        singular_newtonian_integral(z, n, k, 1.99)
+
+
+@pytest.mark.parametrize("z, s, ref", [
+    ((0.3, 0.0, 1.0), 1.0, 6.534258322),    # log at the slice
+    ((0.4, 0.0, 1.0), 1.25, 8.478330230),   # pole at the slice
+])
+def test_newtonian_slice_inside_ball(z, s, ref):
+    # |x| < R puts the slice u = |x|, where the angular mean is singular,
+    # inside the outer range; references at tol 1e-10
+    res = singular_newtonian_integral(np.array(z), 3, 2, s)
+    assert res.value == pytest.approx(ref, rel=1e-6)
+    assert res.error_estimate >= abs(res.value - ref)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.2, 0.3, 0.4])
+def test_newtonian_slice_pole_converges(a):
+    # s = 1.75 > k - 1: a |u - |x||^(-3/4) pole, resolved by c = d t^(1/(k-s))
+    z = np.array([a, 0.0, 1.0])
+    res = singular_newtonian_integral(z, 3, 2, 1.75)
+    assert math.isfinite(res.value) and res.value > 0.0
+    assert res.error_estimate <= 1e-6 * res.value
 
 
 def test_newtonian_validation():

@@ -251,7 +251,7 @@ def _peaked(f, width, upper, tol, budget: _Budget):
     """
     if np.any(width < np.finfo(float).tiny):
         raise ConvergenceError("quadrature cannot resolve a peak whose width "
-                               "underflows (the map of an outer integral underflows)")
+                               "underflows (an outer map underflowed)")
     return _adaptive(
         _exact(lambda xi, j: f(width[j] * np.sinh(xi), j) * (width[j] * np.cosh(xi))),
         np.zeros_like(width), np.arcsinh(upper / width), tol, budget)

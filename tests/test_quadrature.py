@@ -202,23 +202,14 @@ def test_domain_validation():
 
 def test_newtonian_closed_form_at_s_zero():
     # without the weight the integral is the Newtonian potential of the
-    # half-radius ball at its centre: sigma_n R^2 / 2
-    z = np.array([0.6, 0.0, 0.8])
-    res = singular_newtonian_integral(z, 3, 2, 0.0, tol=1e-8)
-    assert res.value == pytest.approx(sphere_measure(3) * 0.25 / 2.0, rel=1e-8)
-
-
-@pytest.mark.parametrize("z", [
-    np.array([0.6, 0.0, 0.8]),
-    np.array([0.3, -0.4, 0.0, 1.2]),
-])
-def test_newtonian_k_equals_n_closed_form_at_s_zero(z):
-    # k = n: the whole point is the xi factor, and s = 0 leaves the
-    # Newtonian potential of the half-radius ball, sigma_n R^2 / 2
-    n = z.size
-    radius = 0.5 * np.linalg.norm(z)
-    res = singular_newtonian_integral(z, n, n, 0.0, tol=1e-8)
-    assert res.value == pytest.approx(sphere_measure(n) * radius**2 / 2.0, rel=1e-8)
+    # half-radius ball at its centre: sigma_n R^2 / 2, for k < n and for
+    # k = n, where the whole point is the xi factor
+    for z, k in [([0.6, 0.0, 0.8], 2), ([0.6, 0.0, 0.8], 3), ([0.3, -0.4, 0.0, 1.2], 4)]:
+        z = np.array(z)
+        radius = 0.5 * np.linalg.norm(z)
+        res = singular_newtonian_integral(z, z.size, k, 0.0, tol=1e-8)
+        assert res.value == pytest.approx(sphere_measure(z.size) * radius**2 / 2.0,
+                                          rel=1e-8)
 
 
 @pytest.mark.parametrize("z", [

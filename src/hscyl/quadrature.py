@@ -407,20 +407,24 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     flat_theta = (s == 0.0) or (xnorm == 0.0)
     theta_mean = sphere_measure(k) / sphere_measure(k - 1)
 
-    def kernel(th, c, four_ux):
-        """sin^(k-2)(theta) |x - w_x|^(-s), with |x - w_x|^2 written as
-        c^2 + 4 u |x| sin^2(theta/2) (exact, no cancellation)."""
-        kern = (c * c + four_ux * np.sin(0.5 * th) ** 2) ** (-0.5 * s)
+    def kernel(th, width):
+        """sin^(k-2)(theta) |x - w_x|^(-s) / c^(-s), with |x - w_x|^2
+        written as c^2 (1 + (2 sin(theta/2) / width)^2), width =
+        c/sqrt(u|x|) (exact, no cancellation)."""
+        kern = np.hypot(1.0, 2.0 * np.sin(0.5 * th) / width) ** -s
         return kern * np.sin(th) ** (k - 2) if k > 2 else kern
 
     def theta_integral(u, c):
-        """integral over (0, pi) of the kernel at each |w_x| = u, a
-        distance c = |u - |x|| from the slice, as (values, errors)."""
+        """integral over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s) at each
+        |w_x| = u, a distance c = |u - |x|| from the slice, as (values,
+        errors)."""
         if flat_theta:
             return np.full_like(u, theta_mean), np.zeros_like(u)
-        four_ux = 4.0 * u * xnorm
-        return _peaked(lambda th, j: kernel(th, c[j], four_ux[j]), c / np.sqrt(u * xnorm),
-                       np.full_like(u, math.pi), 0.1 * tol, counter)
+        width = c / np.sqrt(u * xnorm)
+        mean, err = _peaked(lambda th, j: kernel(th, width[j]), width,
+                            np.full_like(u, math.pi), 0.1 * tol, counter)
+        # times c^(-s), in an order in which a tiny c overflows nothing
+        return mean / c * c ** (1.0 - s), err / c * c ** (1.0 - s)
 
     def v_integral(u):
         """u^(k-2) times the integral of |w|^(2-n) v^(n-k-1) over v at

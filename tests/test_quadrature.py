@@ -299,11 +299,13 @@ def test_newtonian_slice_inside_ball(z, s, ref):
     assert res.error_estimate >= abs(res.value - ref)
 
 
+@pytest.mark.parametrize("s", [1.75, 1.98])
 @pytest.mark.parametrize("a", [0.1, 0.2, 0.3, 0.4])
-def test_newtonian_slice_pole_converges(a):
-    # s = 1.75 > k - 1: a |u - |x||^(-3/4) pole, resolved by c = d t^(1/(k-s))
+def test_newtonian_slice_pole_converges(a, s):
+    # s > k - 1: a |u - |x||^(1-s) pole, resolved by c = d t^(1/(k-s));
+    # at s = 1.98 that puts c near 1e-160, where c^(-s) alone overflows
     z = np.array([a, 0.0, 1.0])
-    res = singular_newtonian_integral(z, 3, 2, 1.75)
+    res = singular_newtonian_integral(z, 3, 2, s)
     assert math.isfinite(res.value) and res.value > 0.0
     assert res.error_estimate <= 1e-6 * res.value
 

@@ -407,13 +407,6 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     flat_theta = (s == 0.0) or (xnorm == 0.0)
     theta_mean = sphere_measure(k) / sphere_measure(k - 1)
 
-    def kernel(th, width):
-        """sin^(k-2)(theta) |x - w_x|^(-s) / c^(-s), with |x - w_x|^2
-        written as c^2 (1 + (2 sin(theta/2) / width)^2), width =
-        c/sqrt(u|x|) (exact, no cancellation)."""
-        kern = np.hypot(1.0, 2.0 * np.sin(0.5 * th) / width) ** -s
-        return kern * np.sin(th) ** (k - 2) if k > 2 else kern
-
     def theta_integral(u, c):
         """integral over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s) at each
         |w_x| = u, a distance c = |u - |x|| from the slice, as (values,
@@ -421,8 +414,13 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         if flat_theta:
             return np.full_like(u, theta_mean), np.zeros_like(u)
         width = c / np.sqrt(u * xnorm)
-        mean, err = _peaked(lambda th, j: kernel(th, width[j]), width,
-                            np.full_like(u, math.pi), 0.1 * tol, counter)
+
+        def kernel(th, j):
+            # |x - w_x|^(-s) / c^(-s), from the exact (no cancellation)
+            # |x - w_x|^2 = c^2 (1 + (2 sin(theta/2) / width)^2)
+            kern = np.hypot(1.0, 2.0 * np.sin(0.5 * th) / width[j]) ** -s
+            return kern * np.sin(th) ** (k - 2) if k > 2 else kern
+        mean, err = _peaked(kernel, width, np.full_like(u, math.pi), 0.1 * tol, counter)
         # times c^(-s), in an order in which a tiny c overflows nothing
         return mean / c * c ** (1.0 - s), err / c * c ** (1.0 - s)
 

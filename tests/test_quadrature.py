@@ -310,6 +310,45 @@ def test_newtonian_slice_pole_converges(a, s):
     assert res.error_estimate <= 1e-6 * res.value
 
 
+# ((n, k), z, s, tol-1e-10 reference): seeded points over all nine
+# splits, on the axis (x = 0), beside the slice (0 < |x| < |z|/2) and
+# with |x| >= |z|/2
+NEWTONIAN_REFERENCES = [
+    ((3, 2), (0.0, 0.0, 1.0792), 1.662, 108.67985457008632),  # axis
+    ((3, 2), (-0.5387, 0.2547, -1.376), 1.463, 14.365456269004405),  # slice
+    ((3, 2), (0.6004, -0.2404, 0.3463), 1.379, 1.6321510262237064),  # off
+    ((4, 2), (0.0, 0.0, 0.3242, -0.4327), 0.331, 1.5970019765495176),  # axis
+    ((4, 2), (0.0294, 0.0587, 0.749, -0.8234), 0.271, 4.739715780167767),  # slice
+    ((4, 2), (0.4321, 0.1719, 0.3447, -0.0298), 1.342, 2.4322976125786506),  # off
+    ((4, 3), (0.0, 0.0, 0.0, -1.2656), 1.642, 76.16756054095086),  # axis
+    ((4, 3), (0.132, -0.3527, 0.3784, 1.3556), 0.672, 7.596388895928383),  # slice
+    ((4, 3), (-0.4969, 0.844, -0.3878, 1.6856), 0.892, 9.246776553684914),  # off
+    ((5, 2), (0.0, 0.0, -0.738, -0.048, -0.4604), 1.06, 32.51151858221876),  # axis
+    ((5, 2), (0.1153, 0.027, -0.5345, -0.0273, 1.2367), 1.496, 118.1097288468639),  # slice
+    ((5, 2), (-1.1504, -0.7276, 0.306, 0.2128, 1.0528), 0.202, 9.591745786127289),  # off
+    ((5, 3), (0.0, 0.0, 0.0, 0.1297, -0.6839), 1.504, 63.041657469606335),  # axis
+    ((5, 3), (-0.0947, 0.1563, -0.0235, 1.4259, 0.6074), 0.75, 17.7404488813056),  # slice
+    ((5, 3), (0.6775, -0.2044, -0.2354, -0.5341, 0.0862), 1.72, 4.746314950558623),  # off
+    ((5, 4), (0.0, 0.0, 0.0, 0.0, -0.5837), 0.6, 3.675257007010758),  # axis
+    ((5, 4), (-0.0866, 0.0773, 0.0224, 0.1594, 1.9872), 1.036, 26.83424172061287),  # slice
+    ((5, 4), (-0.5013, 0.8534, -0.042, 0.216, 0.362), 1.848, 3.7015467633983836),  # off
+    ((3, 3), (-0.1982, -0.8845, 0.308), 1.511, 1.5644440855924724),  # off
+    ((3, 3), (0.6269, 0.1828, 0.3527), 1.53, 1.3903958045060227),  # off
+    ((4, 4), (-0.719, 0.7086, -0.5941, 0.0414), 0.055, 3.3544857828561105),  # off
+    ((4, 4), (0.306, -0.7207, -0.7817, 1.059), 1.888, 2.5790255524088375),  # off
+    ((5, 5), (-0.2442, -0.0481, 0.3887, -0.2595, 0.0653), 1.622, 2.520907996271988),  # off
+    ((5, 5), (0.7042, 0.3114, -1.0234, 0.3517, -0.7686), 1.337, 4.247604928703614),  # off
+]
+
+
+@pytest.mark.parametrize("split, z, s, ref", NEWTONIAN_REFERENCES)
+def test_newtonian_matches_references_over_splits(split, z, s, ref):
+    n, k = split
+    res = singular_newtonian_integral(np.array(z), n, k, s, tol=1e-6)
+    assert abs(res.value - ref) <= 1e-6 * ref
+    assert res.error_estimate >= abs(res.value - ref)
+
+
 def test_newtonian_validation():
     with pytest.raises(SingularityError):
         singular_newtonian_integral(np.zeros(3), 3, 2, 1.0)

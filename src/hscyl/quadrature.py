@@ -27,6 +27,9 @@ only scalars is detected by one probe and called point by point, at a
 cost.  Nested integrals run as batches: each pass of an outer integral
 computes the inner integrals at all of its new abscissae in one adaptive
 loop, in which every integral follows the refinement rule of a lone run.
+Each integral's first pass is small, four panels (two on a sinh-mapped
+peak), because a nested batch pays it once per outer node; refinement
+then splits only the panels that need it.
 """
 
 from __future__ import annotations
@@ -175,10 +178,16 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
     return i_k, err
 
 
-def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0):
+def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     """Globally adaptive GK15 on the independent intervals [a[i], b[i]],
     each integral to an error of ``tol`` times its own magnitude or its
     absolute ``floor[i]``, whichever is larger.
+
+    Each integral starts on ``first_panels`` equal panels and then splits its
+    worst ones until it meets its target.  The start is paid once per
+    outer node in a nested batch, so it is kept small: four panels, and
+    two on a sinh-mapped peak (``_peaked``), where the map has already
+    spread the peak evenly.
 
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     integral that abscissa x[j] belongs to; carried errors (e.g. from an
@@ -190,9 +199,9 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0):
     values, errors = np.zeros(a.size), np.zeros(a.size)
     floor = np.broadcast_to(floor, a.shape)
     min_width = 64.0 * np.finfo(float).eps * (b - a)
-    edges = np.linspace(a, b, 9, axis=-1)                   # 8 initial panels
+    edges = np.linspace(a, b, first_panels + 1, axis=-1)
     new_l, new_r = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    new_o = np.repeat(np.arange(a.size), 8)
+    new_o = np.repeat(np.arange(a.size), first_panels)
     panels, owner, partial = np.empty((4, 0)), new_o[:0], None
 
     while new_o.size:
@@ -254,7 +263,7 @@ def _peaked(f, width, upper, tol, budget: _Budget):
                                "underflows (an outer map underflowed)")
     return _adaptive(
         _exact(lambda xi, j: f(width[j] * np.sinh(xi), j) * (width[j] * np.cosh(xi))),
-        np.zeros_like(width), np.arcsinh(upper / width), tol, budget)
+        np.zeros_like(width), np.arcsinh(upper / width), tol, budget, first_panels=2)
 
 
 def _radial_segments(g2, weight_pow: float, upper: float):

@@ -276,10 +276,24 @@ def test_newtonian_axis_closed_form_over_splits(split, s):
     assert res.value == pytest.approx(axis_closed_form(n, k, s, 0.65), rel=1e-6)
 
 
-@pytest.mark.parametrize("split", AXIS_SPLITS)
+@pytest.mark.parametrize("split", [(4, 3), (5, 3)])
+def test_newtonian_axis_near_s_two_converges_for_k_three(split):
+    # s = 1.99 maps u = w^100; for k = 3 the head panel never splits,
+    # so its nodes stay above the underflow and the value meets the closed form
+    n, k = split
+    z = np.zeros(n)
+    z[-1] = 1.3
+    ref = axis_closed_form(n, k, 1.99, 0.65)
+    res = singular_newtonian_integral(z, n, k, 1.99)
+    assert res.value == pytest.approx(ref, rel=1e-6)
+    assert res.error_estimate >= abs(res.value - ref)
+
+
+@pytest.mark.parametrize("split", [(3, 2), (4, 2), (5, 2)])
 def test_newtonian_axis_near_s_two_fails_fast(split):
-    # s = 1.99 maps u = w^100, which underflows to 0 on the first pass:
-    # a typed failure at once, not a spent budget
+    # for k = 2 the v integral grows like log(R/u), the head panel splits
+    # and its nodes underflow in u = w^100: a typed failure at once, not
+    # a spent budget
     n, k = split
     z = np.zeros(n)
     z[-1] = 1.3

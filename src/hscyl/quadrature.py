@@ -24,7 +24,8 @@ outer weight.
 Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
 only scalars is detected by one probe and called point by point, at a
-cost.  Nested integrals run as batches: each pass of an outer integral
+cost.  A non-finite integrand value raises SingularityError; it is never
+replaced.  Nested integrals run as batches: each pass of an outer integral
 computes the inner integrals at all of its new abscissae in one adaptive
 loop, in which every integral follows the refinement rule of a lone run.
 Each integral's first pass is small, four panels (two on a sinh-mapped
@@ -158,23 +159,27 @@ def _exact(f):
 def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
     """Evaluate GK15 on panels [lefts[i], rights[i]] of the integrals
     owner[i] and spend the evaluations from ``budget``; returns per-panel
-    Kronrod values and error estimates (see _adaptive for fvec)."""
+    Kronrod values and error estimates (see _adaptive for fvec).
+
+    A non-finite integrand value raises SingularityError naming the first
+    abscissa that gave one, in the variable of the panels (after any map).
+    """
     h = 0.5 * (rights - lefts)
     c = 0.5 * (rights + lefts)
-    pts = c[:, None] + h[:, None] * _NODES[None, :]
-    vals, side = fvec(pts.ravel(), np.repeat(owner, _NODES.size))
+    pts = (c[:, None] + h[:, None] * _NODES[None, :]).ravel()
+    vals, side = fvec(pts, np.repeat(owner, _NODES.size))
     budget.spend(pts.size, partial=partial)
-    vals = vals.reshape(pts.shape)
-    side = side.reshape(pts.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        vals = np.where(bad, 0.0, vals)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise SingularityError(f"integrand is {float(vals[bad[0]])} at abscissa "
+                               f"{float(pts[bad[0]])!r}")
+    vals = vals.reshape(-1, _NODES.size)
+    side = side.reshape(-1, _NODES.size)
     # fixed-order row sums, not a matrix product: a BLAS product rounds a
     # row differently depending on the batch it sits in
     i_k = (vals * _W_K).sum(axis=1) * h
     i_g = (vals * _W_G).sum(axis=1) * h
     err = np.abs(i_k - i_g) + (np.abs(side) * _W_K).sum(axis=1) * np.abs(h)
-    err[np.any(bad, axis=1)] = math.inf
     return i_k, err
 
 
@@ -183,9 +188,9 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     each integral to an error of ``tol`` times its own magnitude or its
     absolute ``floor[i]``, whichever is larger.
 
-    Each integral starts on ``first_panels`` equal panels and then splits its
-    worst ones until it meets its target.  The start is paid once per
-    outer node in a nested batch, so it is kept small: four panels, and
+    Each integral starts on ``first_panels`` equal panels and then
+    splits its worst ones until it meets its target.  A nested batch pays
+    the start once per outer node, so it is kept small: four panels, and
     two on a sinh-mapped peak (``_peaked``), where the map has already
     spread the peak evenly.
 

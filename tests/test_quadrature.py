@@ -105,6 +105,23 @@ def test_batched_adaptive_matches_separate_runs():
         (math.atan(0.7 / 1e-6) + math.atan(1.3 / 1e-6)) / 1e-6, rel=1e-10)
 
 
+def test_non_finite_integrand_raises_with_its_abscissa():
+    # NaN beyond x = 0.6 is an error naming the first abscissa that gave
+    # one, not a value silently replaced by 0
+    seen = []
+
+    def f(x, _):
+        seen.extend(x[x > 0.6])
+        return np.where(x > 0.6, math.nan, 1.0)
+
+    with pytest.raises(SingularityError, match="nan at abscissa") as info:
+        _adaptive(_exact(f), np.array([0.0]), np.array([1.0]), 1e-10, _Budget(10**7))
+    assert repr(float(min(seen))) in str(info.value)
+    with pytest.raises(SingularityError):
+        integrate_radial(lambda rho: np.where(rho > 2.0, math.nan, 1.0 / (1.0 + rho**4)),
+                         2, 0.0)
+
+
 def test_radial_validation():
     with pytest.raises(ParameterDomainError):
         integrate_radial(lambda rho: rho, 2, 2.5)  # s >= k

@@ -35,21 +35,23 @@ def test_beta_identity_matches_quadrature(case):
     assert quad.value == pytest.approx(beta_integral_full(n, k, m, s), rel=1e-8)
 
 
-@fixed(20)
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4),
+                                  (3, 3), (4, 4), (5, 5)])
+@fixed(4)
 @given(
-    split=st.sampled_from([(3, 2), (4, 2), (4, 3), (5, 3), (3, 3), (4, 4)]),
     direction=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
     norm=st.floats(0.25, 4.0),
     s=st.floats(0.0, 1.0),
 )
-def test_newtonian_integral_is_homogeneous(split, direction, norm, s):
-    # I(z) scales like |z|^(2-s)
-    n, k = split
+def test_newtonian_integral_is_homogeneous(n, k, direction, norm, s):
+    # I(z) scales like |z|^(2-s).  Every map scales with z, and scaling by
+    # 2 is exact, so I(z) and I(2z) would make the same relative error;
+    # 1.7 is not exact.  The bound is 4 times the default tol
     z = np.array(direction[:n])
     length = float(np.linalg.norm(z))
     assume(length > 1e-3)
     z *= norm / length
     base = singular_newtonian_integral(z, n, k, s)
-    scaled = singular_newtonian_integral(2.0 * z, n, k, s)
+    scaled = singular_newtonian_integral(1.7 * z, n, k, s)
     assert math.isfinite(base.value) and base.value > 0.0
-    assert scaled.value / base.value == pytest.approx(2.0 ** (2.0 - s), rel=5e-5)
+    assert scaled.value / base.value == pytest.approx(1.7 ** (2.0 - s), rel=4e-6)

@@ -272,6 +272,13 @@ def test_newtonian_axis_case_has_closed_form():
 AXIS_SPLITS = [(3, 2), (4, 2), (4, 3), (5, 3), (5, 2)]
 
 
+def axis_splits_with_k(k):
+    # ids follow the position in AXIS_SPLITS, so a split keeps its id in
+    # whichever test it sits
+    return [pytest.param(sp, id=f"split{i}")
+            for i, sp in enumerate(AXIS_SPLITS) if sp[1] == k]
+
+
 def axis_closed_form(n, k, s, radius):
     # x = 0: I = R^(2-s)/(2-s) times the integral of |omega_x|^(-s) over
     # the unit sphere, sigma_k sigma_(n-k)/2 * B((k-s)/2, (n-k)/2)
@@ -293,7 +300,7 @@ def test_newtonian_axis_closed_form_over_splits(split, s):
     assert res.value == pytest.approx(axis_closed_form(n, k, s, 0.65), rel=1e-6)
 
 
-@pytest.mark.parametrize("split", [(4, 3), (5, 3)])
+@pytest.mark.parametrize("split", axis_splits_with_k(3))
 def test_newtonian_axis_near_s_two_converges_for_k_three(split):
     # s = 1.99 maps u = w^100; for k = 3 the head panel never splits,
     # so its nodes stay above the underflow and the value meets the closed form
@@ -306,7 +313,7 @@ def test_newtonian_axis_near_s_two_converges_for_k_three(split):
     assert res.error_estimate >= abs(res.value - ref)
 
 
-@pytest.mark.parametrize("split", [(3, 2), (4, 2), (5, 2)])
+@pytest.mark.parametrize("split", axis_splits_with_k(2))
 def test_newtonian_axis_near_s_two_fails_fast(split):
     # for k = 2 the v integral grows like log(R/u), the head panel splits
     # and its nodes underflow in u = w^100: a typed failure at once, not

@@ -25,10 +25,10 @@ one-dimensional, and the same loops run over the rho axis alone.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridError, ParameterDomainError, require_int, require_split
 from .exponents import hs_conjugate
@@ -191,17 +191,18 @@ def _fd_weights(x0: float, xs: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def axis_derivative_operators(nodes: np.ndarray,
-                              axis_ghost: bool = True) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """(D1, D2) for one radial direction: centred 3-point stencils inside,
-    one-sided 4-point at the outer edge, and at the inner edge either an
-    even-reflection ghost (axis-adjacent grids) or another one-sided
-    stencil (window grids).
+def axis_derivative_operators(nodes: np.ndarray, axis_ghost: bool = True) -> tuple:
+    """(D1, D2) as CSR matrices for one radial direction: centred 3-point
+    stencils inside, one-sided 4-point at the outer edge, and at the inner
+    edge either an even-reflection ghost (axis-adjacent grids) or another
+    one-sided stencil (window grids).
 
     The interior rows are the closed-form 3-point weights for the spacings
     h1 = x_i - x_(i-1), h2 = x_(i+1) - x_i (Fornberg, Math. Comp. 51, 1988),
     computed for all nodes at once; only the edge rows use _fd_weights.
     """
+    import scipy.sparse as sp
+
     x = np.asarray(nodes, dtype=float)
     m = x.size
     if m < 3:
@@ -241,11 +242,11 @@ def _axis_operators(grid: CylGrid) -> list:
 
 
 def _along(op, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 1-D operator along one axis of u: a sparse matrix acts on
-    that axis, a 1-D array of per-node coefficients multiplies along it."""
-    if sp.issparse(op):
-        return np.moveaxis(op @ np.moveaxis(u, axis, 0), 0, axis)
-    return np.moveaxis(np.moveaxis(u, axis, -1) * op, -1, axis)
+    """Apply a 1-D operator along one axis of u: a 1-D array of per-node
+    coefficients multiplies along it, a sparse matrix acts on that axis."""
+    if isinstance(op, np.ndarray):
+        return np.moveaxis(np.moveaxis(u, axis, -1) * op, -1, axis)
+    return np.moveaxis(op @ np.moveaxis(u, axis, 0), 0, axis)
 
 
 def _apply_reduced_laplacian(grid: CylGrid, ops) -> np.ndarray:
@@ -358,45 +359,58 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
 # Grid dumps
 # ---------------------------------------------------------------------------
 
+_DUMP_BLOCK_ROWS = 4096
+
+
 def dump_grid(grid: CylGrid, path) -> None:
     """Write the grid as a comma-separated table with header rho,r,value.
 
     Floats are printed with 17 significant digits so a reload is
     bit-exact; a leading comment line carries (n, k, grading).  A 1-D
-    grid's r column is 0.
+    grid's r column is 0.  The rows are the bytes ``np.savetxt`` writes
+    with fmt "%.17g" and delimiter ",", formatted a block at a time.
     """
     if grid.k == grid.n:
         rho, r = grid.rho_nodes, np.zeros_like(grid.rho_nodes)
     else:
         rho, r = np.meshgrid(grid.rho_nodes, grid.r_nodes, indexing="ij")
+    table = np.column_stack((rho.ravel(), r.ravel(), grid.values.ravel()))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# hscyl-grid n={grid.n} k={grid.k} grading={grid.grading:.17g} "
                  f"axis_ghost={int(grid.axis_ghost)}\n")
         fh.write("rho,r,value\n")
-        np.savetxt(fh, np.column_stack((rho.ravel(), r.ravel(), grid.values.ravel())),
-                   fmt="%.17g", delimiter=",")
+        # one format per block: the text of a whole large grid at once
+        # would raise the peak memory
+        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
+            block = table[start:start + _DUMP_BLOCK_ROWS]
+            fh.write("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def load_grid(path) -> CylGrid:
     """Read a grid written by :func:`dump_grid` (bit-exact round trip)."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh]
-    meta = dict(token.split("=", 1) for line in lines if line.startswith("#")
-                for token in line[1:].split() if "=" in token)
-    rows = [line for line in lines
-            if line and not line.startswith("#") and line != "rho,r,value"]
-    try:
-        n, k = int(meta["n"]), int(meta["k"])
-        grading = float(meta.get("grading", 1.0))
-        ghost = bool(int(meta.get("axis_ghost", 1)))
-    except (KeyError, ValueError):
-        raise GridError("grid dump has a missing or malformed metadata line") from None
-    if not rows:
+        first = fh.readline()
+        meta = (dict(token.split("=", 1) for token in first[1:].split() if "=" in token)
+                if first.startswith("#") else {})
+        try:
+            n, k = int(meta["n"]), int(meta["k"])
+            grading = float(meta.get("grading", 1.0))
+            ghost = bool(int(meta.get("axis_ghost", 1)))
+        except (KeyError, ValueError):
+            raise GridError("grid dump has a missing or malformed metadata line") from None
+        if fh.readline().strip() != "rho,r,value":
+            raise GridError("grid dump has no rho,r,value header line")
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns on a dump without rows, which is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise  # an unreadable file, not a malformed row
+        except ValueError as exc:
+            raise GridError(f"malformed grid row: {exc}") from None
+    if not table.size:
         raise GridError("grid dump has no rows")
-    try:
-        table = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise GridError(f"malformed grid row: {exc}") from None
     if table.shape[1:] != (3,):
         raise GridError(f"grid rows must hold rho,r,value, got {table.shape[1]} columns")
     rho, i = np.unique(table[:, 0], return_inverse=True)

@@ -63,8 +63,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import eigh, lapack
 
 from .asymptotics import estimate_core_scale
 from .cylgrid import CylGrid, GridSpec, build_grid, cell_volumes
@@ -145,6 +143,8 @@ class DiscreteRayleigh:
     """
 
     def __init__(self, n: int, k: int, s: float, grid: CylGrid):
+        import scipy.sparse as sp
+
         if (grid.n, grid.k) != (n, k):
             raise ParameterDomainError("grid does not match the requested (n, k)")
         if not grid.axis_ghost:
@@ -173,6 +173,8 @@ class DiscreteRayleigh:
     def _axis_matrix(nodes, weight_pow, vol):
         """Finite-volume 1-D operator: flux faces at midpoints, zero flux
         at the axis, Dirichlet pin at the outer node (row zeroed)."""
+        import scipy.sparse as sp
+
         x = np.asarray(nodes, dtype=float)
         m = x.size
         faces = 0.5 * (x[1:] + x[:-1])
@@ -256,6 +258,9 @@ class _AxisSolver:
     docstring).  Pinned outer nodes come out exactly 0."""
 
     def __init__(self, problem: DiscreteRayleigh, tau: float):
+        from scipy.linalg import eigh, lapack
+
+        self._gttrf, self._gttrs = lapack.dgttrf, lapack.dgttrs
         lead, *trailing = problem.axis_ops
         self.shape = problem.shape
         self._lead = (lead.diagonal(-1), lead.diagonal(), lead.diagonal(1))
@@ -277,16 +282,16 @@ class _AxisSolver:
         off = np.zeros((2, self._mu.size, main.size))
         off[0, :, :-1] = -tau * lower
         off[1, :, :-1] = -tau * upper
-        *self._lu, info = lapack.dgttrf(off[0].ravel()[:-1], diag, off[1].ravel()[:-1])
+        *self._lu, info = self._gttrf(off[0].ravel()[:-1], diag, off[1].ravel()[:-1])
         if info != 0:
             raise InternalConsistencyError(
                 f"flow matrix at step {tau} is singular (dgttrf info = {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self._basis is None:
-            return lapack.dgttrs(*self._lu, rhs)[0]
+            return self._gttrs(*self._lu, rhs)[0]
         coef = self._basis.T @ (rhs[:, :-1] * self._vol).T
-        coef = lapack.dgttrs(*self._lu, coef.ravel())[0].reshape(coef.shape)
+        coef = self._gttrs(*self._lu, coef.ravel())[0].reshape(coef.shape)
         u = np.zeros(self.shape)
         u[:, :-1] = (self._basis @ coef).T
         return u

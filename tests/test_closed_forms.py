@@ -270,16 +270,6 @@ def test_fundamental_solution_errors():
         fundamental_solution(2, 1.0)
 
 
-def test_kelvin_involution(rng):
-    def u(z):
-        return 1.0 / (1.0 + float(np.dot(z, z)))
-
-    double = kelvin_transform(kelvin_transform(u, 4), 4)
-    for _ in range(10):
-        z = rng.standard_normal(4)
-        assert double(z) == pytest.approx(u(z), rel=1e-12)
-
-
 def test_kelvin_fixes_fundamental_profile(rng):
     n = 3
     power = kelvin_transform(lambda z: float(np.dot(z, z)) ** (0.5 * (2 - n)), n)

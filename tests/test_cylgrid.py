@@ -309,6 +309,23 @@ def test_grid_dump_roundtrip_one_dimensional(tmp_path, rng):
     assert np.array_equal(back.values, g.values)
 
 
+@pytest.mark.parametrize("k, n_rho, n_r", [(2, 72, 64), (3, 10, 0)], ids=["2d", "1d"])
+def test_grid_dump_rows_are_savetxt_bytes(tmp_path, k, n_rho, n_r):
+    # the CLI's decay-fit --grid and plot readers parse these bytes; the
+    # 2-D grid spans more than one block of dump_grid's rows
+    g = build_grid(3, k, 7.3, 5.1, n_rho, n_r, grading=1.7)
+    draws = np.random.default_rng(5)
+    g = g.with_values(draws.standard_normal(g.values.shape)
+                      * 10.0 ** draws.integers(-300, 300, g.values.shape))
+    rho, r = (np.meshgrid(g.rho_nodes, g.r_nodes, indexing="ij") if n_r
+              else (g.rho_nodes, np.zeros(n_rho)))
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, np.column_stack((rho.ravel(), r.ravel(), g.values.ravel())),
+               fmt="%.17g", delimiter=",")
+    dump_grid(g, tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_bytes().split(b"\n", 2)[2] == expected.read_bytes()
+
+
 
 BAD_DUMPS = {
     "short row": lambda lines: lines[:2] + ["1.0,2.0"] + lines[3:],

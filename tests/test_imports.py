@@ -1,11 +1,14 @@
-"""Every imported name is used: an ``ast`` scan of the package and the tests.
+"""Imports: every imported name is used, and scipy loads only where it is used.
 
-Neither pyflakes nor ruff is a dependency, so this is the check for
-unused imports.  ``src/hscyl/__init__.py`` is exempt: its imports are the
-package's re-exports.
+The unused-import check is an ``ast`` scan of the package and the tests;
+neither pyflakes nor ruff is a dependency.  ``src/hscyl/__init__.py`` is
+exempt: its imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,3 +40,21 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): names for path in FILES
               if (names := _unused_imports(path.read_text(encoding="utf-8")))}
     assert not unused, f"unused imports: {unused}"
+
+
+def test_closed_form_subcommands_never_load_scipy(tmp_path):
+    # a fresh interpreter: this one has long since imported scipy
+    child = f"""
+import sys
+import hscyl
+from hscyl import cli
+for argv in (["constant", "--n", "3", "--k", "2"],
+             ["exponents", "--n", "3", "--k", "2", "--p", "2", "--s", "1"]):
+    assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + "/" + argv[0]]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 """Property tests over the admissible parameter space: each closed form
-against its quadrature oracle, on a fixed, bounded set of draws."""
+against its quadrature oracle, the exponent identities and the Kelvin
+involution, on a fixed, bounded set of draws."""
 
 import math
 
@@ -8,7 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hscyl import beta_integral_full, integrate_cylindrical, singular_newtonian_integral
+from hscyl import (
+    ExponentContext,
+    admissible,
+    aux_exponents,
+    beta_integral_full,
+    hs_conjugate,
+    integrate_cylindrical,
+    kelvin_transform,
+    singular_newtonian_integral,
+)
 
 
 def fixed(max_examples):
@@ -55,3 +65,54 @@ def test_newtonian_integral_is_homogeneous(n, k, direction, norm, s):
     scaled = singular_newtonian_integral(1.7 * z, n, k, s)
     assert math.isfinite(base.value) and base.value > 0.0
     assert scaled.value / base.value == pytest.approx(1.7 ** (2.0 - s), rel=4e-6)
+
+
+@st.composite
+def admissible_contexts(draw):
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(2, n))
+    p = draw(st.floats(1.0 + 1e-6, n - 1e-6))
+    s = draw(st.floats(0.0, p, exclude_max=True))
+    ctx = ExponentContext(n, k, p, s)
+    assume(admissible(ctx))
+    # the check below evaluates p*(t) at t = r s, whose condition number
+    # t / (n - t) equals s / (n - p): the rounding of r s alone costs about
+    # 1.5e-16 s / (n - p), which reaches the 1e-12 bound near s / (n - p) = 6e3
+    assume(s <= 1e3 * (n - p))
+    return ctx
+
+
+@fixed(100)
+@given(admissible_contexts())
+def test_exponent_identities(ctx):
+    rep = aux_exponents(ctx)
+    # r p = p*(r s)
+    lhs = rep.r * ctx.p
+    rhs = hs_conjugate(ctx.p, rep.r * ctx.s, ctx.n)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    # Hoelder conjugacy when finite
+    if math.isfinite(rep.r_prime):
+        assert abs(1.0 / rep.r + 1.0 / rep.r_prime - 1.0) <= 1e-12
+    # the admissibility window forces r s < k
+    assert rep.r * ctx.s < ctx.k
+    # p <= p*(s) <= p*(0)
+    assert ctx.p - 1e-12 <= rep.p_star_s <= hs_conjugate(ctx.p, 0.0, ctx.n) + 1e-12
+    assert 0.0 <= rep.sigma < 1.0
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@fixed(10)
+@given(
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    norm=st.floats(0.1, 10.0),
+)
+def test_kelvin_involution(n, direction, norm):
+    def u(z):
+        return 1.0 / (1.0 + float(np.dot(z, z)))
+
+    z = np.array(direction[:n])
+    length = float(np.linalg.norm(z))
+    assume(length > 1e-3)
+    z *= norm / length
+    double = kelvin_transform(kelvin_transform(u, n), n)
+    assert double(z) == pytest.approx(u(z), rel=1e-12)

@@ -68,8 +68,7 @@ def test_newtonian_integral_is_homogeneous(n, k, direction, norm, s):
 
 
 @st.composite
-def admissible_contexts(draw):
-    n = draw(st.integers(3, 8))
+def admissible_contexts(draw, n):
     k = draw(st.integers(2, n))
     p = draw(st.floats(1.0 + 1e-6, n - 1e-6))
     s = draw(st.floats(0.0, p, exclude_max=True))
@@ -82,9 +81,11 @@ def admissible_contexts(draw):
     return ctx
 
 
-@fixed(100)
-@given(admissible_contexts())
-def test_exponent_identities(ctx):
+@pytest.mark.parametrize("n", range(3, 9))
+@fixed(20)
+@given(data=st.data())
+def test_exponent_identities(n, data):
+    ctx = data.draw(admissible_contexts(n))
     rep = aux_exponents(ctx)
     # r p = p*(r s)
     lhs = rep.r * ctx.p

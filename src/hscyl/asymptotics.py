@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylgrid import CylGrid, cell_volumes
+from .cylgrid import CylGrid
 from .errors import FitDomainError, GridError, ParameterDomainError
 
 __all__ = [
@@ -224,7 +224,9 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
         raise ParameterDomainError(f"center_radius must be positive, got {center_radius}")
     c = center_radius / math.sqrt(2.0)
     ball_r = 0.5 * center_radius
-    if c + ball_r > grid.rho_nodes[-1] or c + ball_r > grid.r_nodes[-1]:
+    # an axis grid's cells reach the axis, a window grid's only its first node
+    inner = 0.0 if grid.axis_ghost else max(grid.rho_nodes[0], grid.r_nodes[0])
+    if c + ball_r > min(grid.rho_nodes[-1], grid.r_nodes[-1]) or c - ball_r < inner:
         raise GridError(
             f"ball of radius {ball_r:.3g} around ({c:.3g}, {c:.3g}) leaves the grid"
         )
@@ -234,8 +236,7 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
     in_half = dist_sq <= (0.5 * ball_r) ** 2
     if not np.any(in_half) or np.count_nonzero(in_ball) < 8:
         raise GridError("grid too coarse to resolve the ball at this centre")
-    measure = np.outer(cell_volumes(grid.rho_nodes, grid.a),
-                       cell_volumes(grid.r_nodes, grid.b))
+    measure = grid.measure()
     vals = grid.values
     mean_q = (np.sum(measure[in_ball] * np.abs(vals[in_ball]) ** q0)
               / np.sum(measure[in_ball])) ** (1.0 / q0)

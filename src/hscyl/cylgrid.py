@@ -16,14 +16,17 @@ The reduced Laplacian is
     a = k - 1,  b = n - k - 1,
 
 acting on U(rho, r).  Every operation is written once, as a loop over the
-grid's active axes (``CylGrid.axes``): a 1-D operator or coefficient is
-applied along one axis at a time, and the per-axis terms are summed or
-multiplied in.  For k = n the r direction is absent, grids are
-one-dimensional, and the same loops run over the rho axis alone.
+grid's active axes (``CylGrid.axes``): each axis keeps its first
+derivative D1 and its share of L, L_axis = D2 + diag(c/x) D1, as sparse
+1-D operators, applied along one axis at a time and summed in.  Sums over
+the grid weight each node by ``CylGrid.measure``.  For k = n the r
+direction is absent, grids are one-dimensional, and the same loops run
+over the rho axis alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -46,7 +49,6 @@ __all__ = [
     "dump_grid",
     "load_grid",
     "axis_derivative_operators",
-    "cell_volumes",
 ]
 
 
@@ -114,7 +116,25 @@ class CylGrid:
         return rho + ((self.r_nodes, self.b),) if self.k < self.n else rho
 
     def with_values(self, values) -> "CylGrid":
-        return replace(self, values=np.array(values, dtype=float))
+        return replace(self, values=values)
+
+    def cell_volumes(self) -> list:
+        """Exact moments of x^c over the cells of each active axis: faces
+        at the midpoints and the last node, and the first face at the axis
+        (at the first node on window grids)."""
+        vols = []
+        for nodes, c in self.axes:
+            start = 0.0 if self.axis_ghost else nodes[0]
+            faces = np.concatenate(([start], 0.5 * (nodes[1:] + nodes[:-1]), nodes[-1:]))
+            p = c + 1.0
+            vols.append((faces[1:] ** p - faces[:-1] ** p) / p)
+        return vols
+
+    def measure(self) -> np.ndarray:
+        """Node weights of sums over the grid: sigma_k sigma_(n-k) times
+        the cell moments of rho^a r^b."""
+        sigma = math.prod(sphere_measure(c + 1) for _, c in self.axes)
+        return sigma * functools.reduce(np.multiply.outer, self.cell_volumes())
 
     def sampled(self, profile) -> "CylGrid":
         """New grid with values = profile(rho, r) (profile(rho, 0) if k = n)."""
@@ -237,26 +257,31 @@ def axis_derivative_operators(nodes: np.ndarray, axis_ghost: bool = True) -> tup
 
 
 def _axis_operators(grid: CylGrid) -> list:
-    """(D1, D2) of each active axis."""
-    return [axis_derivative_operators(nodes, grid.axis_ghost) for nodes, _ in grid.axes]
+    """(D1, L_axis) of each active axis, L_axis = D2 + diag(c/x) D1 its
+    share of the reduced Laplacian (c = a on rho and b on r)."""
+    ops = []
+    for nodes, c in grid.axes:
+        d1, d2 = axis_derivative_operators(nodes, grid.axis_ghost)
+        ops.append((d1, d2 + d1.multiply((c / nodes)[:, None])))
+    return ops
 
 
 def _along(op, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a 1-D operator along one axis of u: a 1-D array of per-node
-    coefficients multiplies along it, a sparse matrix acts on that axis."""
-    if isinstance(op, np.ndarray):
-        return np.moveaxis(np.moveaxis(u, axis, -1) * op, -1, axis)
+    """Apply a sparse 1-D operator along one axis of u."""
     return np.moveaxis(op @ np.moveaxis(u, axis, 0), 0, axis)
 
 
+def _per_node(coef: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """A 1-D array of per-node coefficients along one axis, shaped to
+    broadcast against the grid's values."""
+    return coef.reshape((-1,) + (1,) * (ndim - 1 - axis))
+
+
 def _apply_reduced_laplacian(grid: CylGrid, ops) -> np.ndarray:
-    """Sum over the axes of D2 U + (c/x) D1 U, c = a on rho and b on r."""
-    u = grid.values
-    out = np.zeros_like(u)
-    for axis, ((d1, d2), (nodes, c)) in enumerate(zip(ops, grid.axes)):
-        out += _along(d2, u, axis)
-        if c:
-            out += _along(c / nodes, _along(d1, u, axis), axis)
+    """Sum over the axes of L_axis U."""
+    out = np.zeros_like(grid.values)
+    for axis, (_, lap) in enumerate(ops):
+        out += _along(lap, grid.values, axis)
     return out
 
 
@@ -270,47 +295,17 @@ def cyl_laplacian(grid: CylGrid) -> CylGrid:
     return grid.with_values(_apply_reduced_laplacian(grid, _axis_operators(grid)))
 
 
-def _trapezoid_weights(nodes: np.ndarray, vanishes_at_axis: bool,
-                       axis_cell: bool = True) -> np.ndarray:
-    """Trapezoid weights on [0, nodes[-1]] for integrands known at the
-    nodes.  The axis cell [0, nodes[0]] uses integrand 0 at the axis when
-    the measure factor vanishes there, and the even-symmetry value
-    (integrand(0) ~ integrand(nodes[0])) otherwise; window grids that do
-    not touch the axis drop that cell."""
-    x = nodes
-    w = np.zeros_like(x)
-    w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    w[0] = 0.5 * (x[1] - x[0])
-    w[-1] = 0.5 * (x[-1] - x[-2])
-    if axis_cell:
-        w[0] += 0.5 * x[0] if vanishes_at_axis else x[0]
-    return w
-
-
-def cell_volumes(nodes: np.ndarray, weight_pow: float) -> np.ndarray:
-    """Exact moments of x^weight_pow over the cells of a node-centred
-    partition of [0, x_last] (faces at 0, the midpoints, and the last node)."""
-    x = np.asarray(nodes, dtype=float)
-    faces = np.concatenate(([0.0], 0.5 * (x[1:] + x[:-1]), x[-1:]))
-    p = weight_pow + 1.0
-    return (faces[1:] ** p - faces[:-1] ** p) / p
-
-
 def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
     """Weighted Dirichlet energy
 
         sigma_k sigma_(n-k) * double sum of |grad U|^p rho^(k-1) r^(n-k-1)
 
-    with trapezoidal weights; |grad U|^2 = U_rho^2 + U_r^2.
+    over the grid's cell measure; |grad U|^2 = U_rho^2 + U_r^2.
     """
     if not p_exp >= 1.0:
         raise ParameterDomainError(f"need p_exp >= 1, got {p_exp}")
     weighted = _gradient_sq(grid, _axis_operators(grid)) ** (0.5 * p_exp)
-    for axis, (nodes, c) in enumerate(grid.axes):
-        w = _trapezoid_weights(nodes, vanishes_at_axis=c > 0, axis_cell=grid.axis_ghost)
-        weighted = _along(w * nodes ** float(c), weighted, axis)
-    sigma = math.prod(sphere_measure(c + 1) for _, c in grid.axes)
-    return float(sigma * np.sum(weighted))
+    return float(np.sum(grid.measure() * weighted))
 
 
 def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
@@ -325,8 +320,8 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
     lap = _apply_reduced_laplacian(grid, _axis_operators(grid))
-    source = _along(Lambda * grid.rho_nodes ** (-s), grid.values ** (q - 1.0), 0)
-    return grid.with_values(lap + source)
+    coef = _per_node(Lambda * grid.rho_nodes ** (-s), 0, lap.ndim)
+    return grid.with_values(lap + coef * grid.values ** (q - 1.0))
 
 
 def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
@@ -350,8 +345,7 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
     res = lap - 0.5 * params.n * _gradient_sq(phi_grid, ops) / phi_grid.values
     shifts = (params.alpha, params.beta)
     for axis, ((nodes, c), shift) in enumerate(zip(phi_grid.axes, shifts)):
-        drive = 2.0 * c * params.lam**2 * shift / nodes
-        res = np.moveaxis(np.moveaxis(res, axis, -1) - drive, -1, axis)
+        res -= _per_node(2.0 * c * params.lam**2 * shift / nodes, axis, res.ndim)
     return phi_grid.with_values(res)
 
 

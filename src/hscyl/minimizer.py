@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import estimate_core_scale
-from .cylgrid import CylGrid, GridSpec, build_grid, cell_volumes
+from .cylgrid import CylGrid, GridSpec, build_grid
 from .errors import (
     ConvergenceError,
     InternalConsistencyError,
@@ -111,6 +111,8 @@ class MinimizeOptions:
             raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0.0:
             raise ParameterDomainError(f"tol must be positive, got {self.tol}")
+        if self.init == "user-grid" and self.init_grid is None:
+            raise ParameterDomainError("init='user-grid' requires init_grid")
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,8 @@ class DiscreteRayleigh:
         self.q = hs_conjugate(2.0, s, n)
         self.grid = grid
         self.shape = tuple(nodes.size for nodes, _ in grid.axes)
-        self.axis_vols = [cell_volumes(nodes, c) for nodes, c in grid.axes]
-        sigma = math.prod(sphere_measure(c + 1) for _, c in grid.axes)
-        self.mass = sigma * functools.reduce(np.multiply.outer, self.axis_vols)
+        self.axis_vols = grid.cell_volumes()
+        self.mass = grid.measure()
         self.axis_ops = [self._axis_matrix(nodes, c, vol)
                          for (nodes, c), vol in zip(grid.axes, self.axis_vols)]
         # Kronecker sum: a on the leading axes plus b on the trailing one
@@ -231,8 +232,6 @@ class DiscreteRayleigh:
 def _initial_values(problem: DiscreteRayleigh, spec: GridSpec, opts: MinimizeOptions):
     grid = problem.grid
     if opts.init == "user-grid":
-        if opts.init_grid is None:
-            raise ParameterDomainError("init='user-grid' requires init_grid")
         if opts.init_grid.values.shape != problem.shape:
             raise ParameterDomainError("init_grid shape does not match the grid")
         u = np.array(opts.init_grid.values, dtype=float)

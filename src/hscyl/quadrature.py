@@ -355,6 +355,8 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     n, k = require_split(n, k)
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tol must be positive, got {tol}")
     if domain is None:
         domain = CylindricalDomain(r_max=None if k == n else math.inf)
     if k == n:
@@ -406,6 +408,8 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     n, k = require_split(n, k)
     if not (0.0 <= s < min(k, 2)):
         raise ParameterDomainError(f"need 0 <= s < min(k, 2), got s={s}")
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tol must be positive, got {tol}")
     z = np.asarray(z, dtype=float)
     if z.shape != (n,):
         raise ParameterDomainError(f"z must be a point in R^{n}, got shape {z.shape}")

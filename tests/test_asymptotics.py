@@ -14,6 +14,7 @@ from hscyl import (
     fit_decay,
     local_sup_ratio,
     sample_ray,
+    window_grid,
 )
 
 
@@ -128,3 +129,14 @@ def test_local_sup_ratio_validation(const32, extremal32):
         local_sup_ratio(grid, 4.0, 1.5)  # q0 below p = 2
     with pytest.raises(GridError):
         local_sup_ratio(grid, 40.0, 4.0)  # ball leaves the grid
+
+
+def test_local_sup_ratio_window_grid(const32, extremal32):
+    # the window's nodes and cells above 1 are the axis grid's; below its
+    # first node a window grid has no cells, so a ball reaching there is refused
+    axis = build_grid(3, 2, 20.0, 20.0, 640, 640, grading=1.0).sampled(extremal32)
+    window = window_grid(3, 2, 1.0, 20.0, 1.0, 20.0, 609, 609).sampled(extremal32)
+    with pytest.raises(GridError):
+        local_sup_ratio(window, 3.0, 4.0)  # the ball reaches down to 0.62
+    assert local_sup_ratio(window, 6.0, 4.0) == pytest.approx(
+        local_sup_ratio(axis, 6.0, 4.0), rel=1e-12)

@@ -16,6 +16,7 @@ from hscyl import (
     load_grid,
     shifted_power_profile,
     shifted_quadratic_residual,
+    sphere_measure,
     window_grid,
 )
 
@@ -146,18 +147,38 @@ def _loop_reference(x, axis_ghost, order):
 @pytest.mark.parametrize("axis_ghost", [True, False])
 def test_axis_operators_match_per_node_weights(nodes, layout, axis_ghost):
     # float64 bound fixed before measuring: 1e-14 of the row's largest weight
-    from hscyl.cylgrid import axis_derivative_operators
+    from hscyl.cylgrid import _axis_operators, axis_derivative_operators
 
     if layout == "window":
         x = window_grid(3, 2, 0.5, 4.0, 0.5, 4.0, nodes, nodes).rho_nodes
     else:
         grading = {"uniform": 1.0, "graded-1.5": 1.5, "graded-2": 2.0}[layout]
         x = build_grid(3, 2, 7.0, 7.0, nodes, nodes, grading).rho_nodes
-    ops = axis_derivative_operators(x, axis_ghost)
-    for order, op in zip((1, 2), ops):
-        ref = _loop_reference(x, axis_ghost, order)
+    d1_ref, d2_ref = (_loop_reference(x, axis_ghost, order) for order in (1, 2))
+    pairs = list(zip((d1_ref, d2_ref), axis_derivative_operators(x, axis_ghost)))
+    # L_axis = D2 + diag(c/x) D1 for c = a = 2 on rho and c = b = 1 on r
+    grid = CylGrid(5, 3, x, x, np.zeros((x.size, x.size)), axis_ghost=axis_ghost)
+    for (_, c), (_, lap) in zip(grid.axes, _axis_operators(grid)):
+        pairs.append((d2_ref + (c / x)[:, None] * d1_ref, lap))
+    for ref, op in pairs:
         row_scale = np.abs(ref).max(axis=1, keepdims=True)
         assert np.all(np.abs(op.toarray() - ref) <= 1e-14 * row_scale)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 3), (4, 4)])
+@pytest.mark.parametrize("layout", ["axis", "window"])
+def test_measure_sums_to_weighted_box_area(n, k, layout):
+    # sum of sigma_k sigma_(n-k) rho^a r^b over the box [lo, hi]^2 (or [lo, hi])
+    hi = 6.0
+    if layout == "axis":
+        lo, g = 0.0, build_grid(n, k, hi, hi, 40, 40, grading=1.5)
+    else:
+        lo, g = 0.5, window_grid(n, k, 0.5, hi, 0.5, hi, 40, 40)
+    exact = 1.0
+    for _, c in g.axes:
+        exact *= sphere_measure(c + 1) * (hi ** (c + 1) - lo ** (c + 1)) / (c + 1)
+    assert g.measure().shape == g.values.shape
+    assert g.measure().sum() == pytest.approx(exact, rel=1e-14)
 
 
 def test_gradient_energy_of_sobolev_bubble():

@@ -230,6 +230,8 @@ def test_inadmissible_parameters_rejected():
         MinimizeOptions(init="nonsense")
     with pytest.raises(ParameterDomainError):
         MinimizeOptions(step=-0.5)
+    with pytest.raises(ParameterDomainError, match="requires init_grid"):
+        MinimizeOptions(init="user-grid")
 
 
 def test_nonconvergence_carries_partial_result():

@@ -131,6 +131,24 @@ def test_radial_validation():
         integrate_radial(lambda rho: rho, 2, 0.0, tol=-1.0)
 
 
+ENTRY_POINTS = {
+    "radial": lambda tol: integrate_radial(lambda rho: (1.0 + rho**2) ** -2.0, 3, 0.0, tol),
+    "cylindrical": lambda tol: integrate_cylindrical(
+        lambda rho, r: (1.0 + rho**2 + r**2) ** -2.0, 3, 2, 0.0, tol=tol),
+    "newtonian": lambda tol: singular_newtonian_integral(np.array([1.0, 0.5, 0.5]),
+                                                         3, 2, 1.0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_tol_must_be_positive(entry, tol):
+    # rejected before any evaluation: a zero or negative tol would spend the
+    # whole budget, and nan would return the unrefined first pass
+    with pytest.raises(ParameterDomainError, match="tol must be positive"):
+        ENTRY_POINTS[entry](tol)
+
+
 def test_cylindrical_matches_closed_form():
     res = integrate_cylindrical(lambda rho, r: (1.0 + rho**2 + r**2) ** -2.0,
                                 3, 2, 1.0, tol=1e-10)

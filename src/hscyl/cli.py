@@ -339,6 +339,8 @@ def _run_minimize(p: dict, out: Path) -> list:
         ("E_min", result.E_min, "", "normalized gradient flow"),
         ("K_est", result.K_est, "", "E_min^(-1/2)"),
         ("iterations", result.iterations, "", ""),
+        ("rejected_steps", result.rejected_steps, "", "step halvings"),
+        ("extrapolated_steps", result.extrapolated_steps, "", "accepted mixed states"),
         ("truncation_estimate", result.truncation_estimate, "",
          "fundamental-decay tail model"),
         ("core_scale", result.core_scale, "", "half-peak radius"),

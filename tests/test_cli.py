@@ -176,6 +176,8 @@ def test_minimize_decay_fit_and_plot_pipeline(tmp_path):
     summary = _summary(out)
     assert summary["E_min"] == pytest.approx(math.pi / math.sqrt(2.0), rel=0.05)
     assert 0.0 < summary["stationarity"] <= math.sqrt(1e-10)
+    assert summary["rejected_steps"] == 0
+    assert 1 <= summary["extrapolated_steps"] <= summary["iterations"]
 
     # grid dump round-trips bit-exactly
     dumped = load_grid(out / "minimizer.csv")

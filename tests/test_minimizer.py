@@ -43,6 +43,37 @@ def test_small_run_recovers_energy(const32, small_run):
     assert recover_constant(small_run) == pytest.approx(small_run.K_est, rel=1e-12)
 
 
+def test_small_run_counters(small_run):
+    # the default step is never halved on SMALL, and the mixing is used
+    # (without it the same flow takes 68 steps)
+    assert small_run.rejected_steps == 0
+    assert small_run.extrapolated_steps >= 1
+    assert small_run.iterations <= 20
+    assert len(small_run.history) == small_run.iterations + 1
+
+
+def test_minimum_matches_the_plain_flow(small_run):
+    # the same flow without mixing, run test-locally from the same seed to
+    # residual 1e-8 with the flow's own solver and fused evaluation
+    problem = DiscreteRayleigh(3, 2, 1.0, build_grid(
+        3, 2, SMALL.rho_max, SMALL.r_max, SMALL.n_rho, SMALL.n_r, SMALL.grading))
+    seed = problem.grid.sampled(lambda rho, r: ((rho + 0.5) ** 2 + r**2) ** -0.5).values
+    u, energy, lu, weighted = problem.evaluate(np.where(problem.interior, seed, 0.0))
+    step = MinimizeOptions().step
+    solver = _AxisSolver(problem, step)
+    for _ in range(2000):
+        d = np.where(problem.interior, lu + energy * weighted, 0.0)
+        if math.sqrt(float(np.sum(problem.mass * d**2))) / energy <= 1e-8:
+            break
+        rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
+        previous = energy
+        u, energy, lu, weighted = problem.evaluate(np.clip(solver.solve(rhs), 0.0, None))
+        assert energy <= previous * (1.0 + 1e-14)
+    else:
+        pytest.fail("the plain flow did not reach residual 1e-8")
+    assert abs(small_run.E_min - energy) <= 1e-10 * energy
+
+
 def test_history_monotone_and_constraint_tight(small_run):
     energies = [row[1] for row in small_run.history]
     assert all(b <= a + 1e-12 * abs(a) for a, b in zip(energies, energies[1:]))
@@ -145,12 +176,17 @@ def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
     grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
     problem = DiscreteRayleigh(n, k, 1.0, grid)
     solver = _AxisSolver(problem, 2.0)
+    # the assembled Kronecker sum of the axis operators: the leading (rho)
+    # axis varies slowest in the raveled grid
+    op = problem.axis_ops[0]
+    if len(problem.axis_ops) == 2:
+        op = sp.kronsum(problem.axis_ops[1], op, format="csc")
     rng = np.random.default_rng(7)
     for tau in (2.0, 1.0, 1e4):
         if tau != 2.0:
             solver.factor(tau)
         rhs = np.where(problem.interior, rng.uniform(-1.0, 1.0, size=problem.shape), 0.0)
-        mat = sp.identity(problem.op.shape[0], format="csc") - tau * problem.op.tocsc()
+        mat = sp.identity(op.shape[0], format="csc") - tau * op.tocsc()
         ref = spsolve(mat, rhs.ravel()).reshape(problem.shape)
         u = solver.solve(rhs)
         assert u.shape == problem.shape
@@ -181,8 +217,8 @@ def test_one_dimensional_flows_are_stationary(n):
 
 def test_minimum_does_not_depend_on_the_step(small_run):
     # small_run takes the default step (its residual is gated above); the
-    # same flow at step 2 needs ten times the iterations and stops at the
-    # same minimum
+    # same flow at step 2 needs several times the iterations and stops at
+    # the same minimum
     opts = MinimizeOptions(init="analytic-extremal", init_scale=0.5, step=2.0, tol=1e-10)
     slow = minimize_rayleigh(3, 2, 1.0, SMALL, opts)
     assert slow.E_min == pytest.approx(small_run.E_min, rel=1e-6)
@@ -243,6 +279,7 @@ def test_nonconvergence_carries_partial_result():
     assert partial.E_min > 0.0
     assert partial.stationarity == pytest.approx(_residual(3, 2, 1.0, partial), rel=1e-9)
     assert partial.stationarity > math.sqrt(opts.tol)
+    assert (partial.rejected_steps, partial.extrapolated_steps) == (0, 0)
 
 
 def test_recover_constant_algebra(small_run):

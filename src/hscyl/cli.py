@@ -209,8 +209,7 @@ def _run_quadrature(p: dict, out: Path) -> list:
         z[0] = p["x-norm"]
         if k < n:
             z[k] = p["y-norm"]
-        quad = quadrature.singular_newtonian_integral(z, n, k, p["s"],
-                                                      tol=max(tol, 1e-7))
+        quad = quadrature.singular_newtonian_integral(z, n, k, p["s"], tol=tol)
         if p["s"] == 0.0:
             znorm = float(np.linalg.norm(z))
             closed = sphere_measure(n) * (0.5 * znorm) ** 2 / 2.0
@@ -235,15 +234,15 @@ def _run_quadrature(p: dict, out: Path) -> list:
 
 
 def _run_constant(p: dict, out: Path) -> list:
-    const = closed_forms.sharp_constant_K(p["n"], p["k"], tol=p["tol"])
+    const = closed_forms.sharp_constant_K(p["n"], p["k"])
     _write_csv(out / "constant.csv",
                ["n", "k", "K", "K_printed", "printed_discrepancy", "Lambda",
-                "mu", "attained_ratio", "normalization_integral"],
+                "mu", "attained_ratio"],
                [[const.n, const.k, const.K, const.K_printed,
                  const.printed_discrepancy, const.Lambda, const.mu,
-                 const.attained_ratio, const.normalization_integral]])
+                 const.attained_ratio]])
     return [
-        ("K", const.K, "", "quadrature of the normalization integral"),
+        ("K", const.K, "", "Beta composition of the normalization integral"),
         ("K_printed", const.K_printed, "", "literal published display"),
         ("printed_discrepancy", const.printed_discrepancy, "", "cross-check"),
         ("Lambda", const.Lambda, "", "K^(2(n-1)/(n-2))"),
@@ -254,7 +253,7 @@ def _run_constant(p: dict, out: Path) -> list:
 
 def _run_verify_extremal(p: dict, out: Path) -> list:
     n, k, lam, box = p["n"], p["k"], p["lam"], p["box"]
-    const = closed_forms.sharp_constant_K(n, k, tol=p["tol"])
+    const = closed_forms.sharp_constant_K(n, k)
     params = closed_forms.ExtremalParams(n=n, k=k, lam=lam)
     profile = closed_forms.extremal_profile(params, const)
 
@@ -438,7 +437,7 @@ _SUBCOMMANDS = {
         "tol": (float, 1e-10),
     }),
     "constant": _Subcommand(_run_constant, "closed_forms", {
-        "n": (int, _REQUIRED), "k": (int, _REQUIRED), "tol": (float, 1e-10),
+        "n": (int, _REQUIRED), "k": (int, _REQUIRED),
     }),
     "verify-extremal": _Subcommand(_run_verify_extremal, "closed_forms", {
         "n": (int, 3), "k": (int, 2), "lam": (float, 1.0),

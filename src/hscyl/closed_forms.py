@@ -10,9 +10,10 @@ therefore solve the normalisation identity
     K^(2(n-1)^2/(n-2)) = ((n-2)/2)^(2(n-1)) * J,
     J = integral of |x|^(-1) [ (|x| + shift)^2 + |y|^2 ]^(-(n-1)),
 
-with J obtained from adaptive quadrature (and cross-checked against the
-correct Beta composition), and we keep the literal published formula as a
-diagnostic value with its discrepancy reported, never averaged in.
+with J taken from its exact Beta composition, and we keep the literal
+published formula as a diagnostic value with its discrepancy reported,
+never averaged in.  This module imports no numerical route: the tests check
+J, like every other closed form here, against adaptive quadrature.
 
 In this normalisation the constrained minimum of the Dirichlet energy is
 Lambda = K^(2(n-1)/(n-2)) (the Euler-Lagrange multiplier); the best ratio
@@ -35,7 +36,6 @@ from .errors import (
     require_int,
     require_split,
 )
-from .quadrature import DEFAULT_TOL, integrate_cylindrical
 from .specfn import ball_volume, beta, sphere_measure
 
 __all__ = [
@@ -119,7 +119,7 @@ class SharpConstant:
     companions Lambda = K^(2(n-1)/(n-2)) and mu = 4 Lambda/(n-2)^2.
 
     ``K_printed`` is the literal published formula, retained as a diagnostic
-    together with its relative discrepancy from the quadrature-backed K.
+    together with its relative discrepancy from K.
     """
 
     n: int
@@ -129,7 +129,6 @@ class SharpConstant:
     mu: float
     K_printed: float = float("nan")
     printed_discrepancy: float = float("nan")
-    normalization_integral: float = float("nan")
 
     def __post_init__(self):
         if not self.K > 0.0:
@@ -156,7 +155,12 @@ class SharpConstant:
     @property
     def shift(self) -> float:
         """Axis shift (n-2)/(4a), a = k-1, of the unit-dilation extremal."""
-        return (self.n - 2) / (4.0 * (self.k - 1))
+        return _extremal_shift(self.n, self.k)
+
+
+def _extremal_shift(n: int, k: int, lam: float = 1.0) -> float:
+    """Axis shift (n-2)/(4 (k-1) lam^2) of the extremal with dilation lam."""
+    return (n - 2) / (4.0 * (k - 1) * lam**2)
 
 
 def _y_factor(n: int, k: int) -> float:
@@ -182,12 +186,11 @@ def _k_printed(n: int, k: int, shift: float) -> float:
     return rhs ** ((n - 2) / (2.0 * (n - 1) ** 2))
 
 
-def sharp_constant_K(n: int, k: int, tol: float = DEFAULT_TOL) -> SharpConstant:
+def sharp_constant_K(n: int, k: int) -> SharpConstant:
     """Compute K for the s = 1 extremal family on R^k x R^(n-k).
 
     The normalisation integral J (with unit dilation and shift (n-2)/(4a))
-    is evaluated by adaptive cylindrical quadrature, cross-checked against
-    its Beta composition, and K solves
+    is its Beta composition, and K solves
 
         K^(2(n-1)^2/(n-2)) = ((n-2)/2)^(2(n-1)) * J.
 
@@ -195,27 +198,15 @@ def sharp_constant_K(n: int, k: int, tol: float = DEFAULT_TOL) -> SharpConstant:
     discrepancy recorded.
     """
     n, k = require_split(n, k)
-    shift = (n - 2) / (4.0 * (k - 1))
-
-    def integrand(rho, r):
-        return ((rho + shift) ** 2 + r**2) ** (-(n - 1.0))
-
-    j_quad = integrate_cylindrical(integrand, n, k, s=1.0, tol=tol)
-    j_closed = _normalization_integral_closed(n, k, shift)
-    if abs(j_quad.value - j_closed) > 1e-7 * abs(j_closed):
-        raise InternalConsistencyError(
-            f"normalization integral mismatch: quadrature {j_quad.value!r} vs "
-            f"Beta composition {j_closed!r}"
-        )
-    exponent = (n - 2) / (2.0 * (n - 1) ** 2)
-    K = ((0.5 * (n - 2)) ** (2 * (n - 1)) * j_quad.value) ** exponent
+    shift = _extremal_shift(n, k)
+    j = _normalization_integral_closed(n, k, shift)
+    K = ((0.5 * (n - 2)) ** (2 * (n - 1)) * j) ** ((n - 2) / (2.0 * (n - 1) ** 2))
     lam = K ** (2.0 * (n - 1) / (n - 2))
     k_printed = _k_printed(n, k, shift)
     return SharpConstant(
         n=n, k=k, K=K, Lambda=lam, mu=4.0 * lam / (n - 2) ** 2,
         K_printed=k_printed,
         printed_discrepancy=abs(k_printed - K) / K,
-        normalization_integral=j_quad.value,
     )
 
 
@@ -274,7 +265,7 @@ def extremal_profile(params: ExtremalParams, constant: SharpConstant):
         raise InternalConsistencyError(
             f"extremal prefactor forms disagree: {pref_a!r}, {pref_b!r}, {pref_c!r}"
         )
-    shift = (n - 2) / (4.0 * params.a * lam**2)
+    shift = _extremal_shift(n, params.k, lam)
 
     def profile(rho, r):
         return pref_b * ((rho + shift) ** 2 + np.asarray(r) ** 2) ** (-0.5 * (n - 2))
@@ -427,7 +418,8 @@ def kelvin_transform(u, n: int):
     """Inversion (Ku)(z) = |z|^(2-n) u(z / |z|^2) as a function on points.
 
     An involution, and an isometry of the Dirichlet energy for functions
-    supported away from the puncture; evaluation at z = 0 is refused.
+    supported away from the puncture; evaluation at z = 0, or at a point
+    not in R^n, is refused.
     """
     n = require_int(n, "n")
     if n <= 2:
@@ -435,6 +427,8 @@ def kelvin_transform(u, n: int):
 
     def transformed(z):
         z = np.asarray(z, dtype=float)
+        if z.shape != (n,):
+            raise ParameterDomainError(f"z must be a point in R^{n}, got shape {z.shape}")
         norm_sq = float(np.dot(z, z))
         if norm_sq == 0.0:
             raise SingularityError("Kelvin transform is singular at z = 0")

@@ -19,7 +19,7 @@ def test_parse_args_basic():
     assert config.subcommand == "constant"
     assert config.parameters["n"] == 3
     assert config.parameters["k"] == 2
-    assert config.parameters["tol"] == 1e-10
+    assert set(config.parameters) == {"n", "k"}
 
 
 def test_parse_args_config_file_with_override(tmp_path):
@@ -55,6 +55,17 @@ def test_parse_args_usage_errors(tmp_path):
     cfg.write_text("unknown-key = 5\n")
     with pytest.raises(UsageError):
         parse_args(["constant", "--config", str(cfg), "--n", "3", "--k", "2"])
+
+
+def test_constant_takes_no_tol(tmp_path, capsys):
+    # the constant is a closed form: there is no quadrature for a tol to steer
+    with pytest.raises(UsageError, match="unknown key 'tol'"):
+        parse_args(["constant", "--n", "3", "--k", "2", "--tol", "1e-8"])
+    cfg = tmp_path / "constant.cfg"
+    cfg.write_text("n = 3\nk = 2\ntol = 1e-8\n")
+    assert main(["constant", "--config", str(cfg),
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():
@@ -154,7 +165,7 @@ def test_quadrature_newtonian_subcommand(tmp_path):
                  "--k", "2", "--s", "0", "--x-norm", "0.6", "--y-norm", "0.8",
                  "--output-dir", str(out)]) == 0
     summary = _summary(out)
-    assert summary["relative_error"] < 1e-6
+    assert summary["relative_error"] <= 1e-10
 
 
 def test_verify_prop4_subcommand(tmp_path):

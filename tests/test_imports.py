@@ -1,4 +1,5 @@
-"""Imports: every imported name is used, and scipy loads only where it is used.
+"""Imports: every imported name is used, the closed forms share no code with
+their numerical oracles, and scipy loads only where it is used.
 
 The unused-import check is an ``ast`` scan of the package and the tests;
 neither pyflakes nor ruff is a dependency.  ``src/hscyl/__init__.py`` is
@@ -12,7 +13,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = [path for path in sorted((ROOT / "src" / "hscyl").glob("*.py"))
+PACKAGE = ROOT / "src" / "hscyl"
+FILES = [path for path in sorted(PACKAGE.glob("*.py"))
          if path.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -40,6 +42,38 @@ def test_no_unused_imports():
     unused = {str(path.relative_to(ROOT)): names for path in FILES
               if (names := _unused_imports(path.read_text(encoding="utf-8")))}
     assert not unused, f"unused imports: {unused}"
+
+
+def _package_imports(module: str) -> set[str]:
+    """The hscyl modules that ``module`` imports by relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return {name for name in found if (PACKAGE / f"{name}.py").is_file()}
+
+
+def _reachable(module: str) -> set[str]:
+    """Every hscyl module that importing ``module`` imports."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in _package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+# the numerical routes that check the closed forms; specfn, exponents and
+# errors are leaves both sides may share, and cli and __init__ join the two
+ORACLES = ("quadrature", "cylgrid", "minimizer", "asymptotics")
+
+
+def test_closed_forms_share_no_code_with_the_oracles():
+    assert not _reachable("closed_forms") & set(ORACLES)
+    for oracle in ORACLES:
+        assert "closed_forms" not in _reachable(oracle), oracle
+    assert {"closed_forms", "quadrature"} <= _package_imports("cli")
 
 
 def test_closed_form_subcommands_never_load_scipy(tmp_path):

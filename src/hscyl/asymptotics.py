@@ -230,14 +230,19 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
         raise GridError(
             f"ball of radius {ball_r:.3g} around ({c:.3g}, {c:.3g}) leaves the grid"
         )
-    P, R = np.meshgrid(grid.rho_nodes, grid.r_nodes, indexing="ij")
-    dist_sq = (P - c) ** 2 + (R - c) ** 2
+    # the ball's bounding box, one node wider on each side so that rounding
+    # at its edges drops no node of the ball; masks keep row-major order
+    window = tuple(slice(max(np.searchsorted(nodes, c - ball_r) - 1, 0),
+                         np.searchsorted(nodes, c + ball_r, "right") + 1)
+                   for nodes in (grid.rho_nodes, grid.r_nodes))
+    rho, r = grid.rho_nodes[window[0]], grid.r_nodes[window[1]]
+    dist_sq = (rho[:, None] - c) ** 2 + (r[None, :] - c) ** 2
     in_ball = dist_sq <= ball_r**2
     in_half = dist_sq <= (0.5 * ball_r) ** 2
     if not np.any(in_half) or np.count_nonzero(in_ball) < 8:
         raise GridError("grid too coarse to resolve the ball at this centre")
-    measure = grid.measure()
-    vals = grid.values
+    measure = grid.measure()[window]
+    vals = grid.values[window]
     mean_q = (np.sum(measure[in_ball] * np.abs(vals[in_ball]) ** q0)
               / np.sum(measure[in_ball])) ** (1.0 / q0)
     sup_half = float(np.max(vals[in_half]))

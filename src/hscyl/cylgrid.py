@@ -17,11 +17,12 @@ The reduced Laplacian is
 
 acting on U(rho, r).  Every operation is written once, as a loop over the
 grid's active axes (``CylGrid.axes``): each axis keeps its first
-derivative D1 and its share of L, L_axis = D2 + diag(c/x) D1, as sparse
-1-D operators, applied along one axis at a time and summed in.  Sums over
-the grid weight each node by ``CylGrid.measure``.  For k = n the r
-direction is absent, grids are one-dimensional, and the same loops run
-over the rho axis alone.
+derivative D1 and its share of L, L_axis = D2 + diag(c/x) D1, as a
+stencil in difference form, applied by slicing to one block of whole rows
+at a time, so that D1, L and |grad U|^2 are formed while the block is in
+cache.  Sums over the grid weight each node by ``CylGrid.measure``.  For
+k = n the r direction is absent, grids are one-dimensional, and the same
+loops run over the rho axis alone.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "shifted_quadratic_residual",
     "dump_grid",
     "load_grid",
-    "axis_derivative_operators",
 ]
 
 
@@ -137,11 +137,12 @@ class CylGrid:
         return sigma * functools.reduce(np.multiply.outer, self.cell_volumes())
 
     def sampled(self, profile) -> "CylGrid":
-        """New grid with values = profile(rho, r) (profile(rho, 0) if k = n)."""
-        if self.k == self.n:
-            return self.with_values(profile(self.rho_nodes, 0.0))
-        P, R = np.meshgrid(self.rho_nodes, self.r_nodes, indexing="ij")
-        return self.with_values(profile(P, R))
+        """New grid with values = profile(rho, r) on the open mesh: rho is
+        the column rho_nodes[:, None] and r the row r_nodes[None, :] (rho_nodes
+        and the scalar 0.0 if k = n); the result is broadcast to the grid."""
+        rho, r = ((self.rho_nodes, 0.0) if self.k == self.n
+                  else (self.rho_nodes[:, None], self.r_nodes[None, :]))
+        return self.with_values(np.broadcast_to(profile(rho, r), self.values.shape))
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,12 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
 # Stencils
 # ---------------------------------------------------------------------------
 
+#: nodes per block of a stencil sweep, small enough to stay in cache
+_BLOCK_NODES = 2**15
+#: the terms a sweep sums over the axes, numbered as in (D1, L_axis)
+_GRAD_SQ, _LAP = 0, 1
+
+
 def _fd_weights(x0: float, xs: np.ndarray, order: int) -> np.ndarray:
     """Finite-difference weights for d^order/dx^order at x0 on nodes xs
     (exact for polynomials up to degree len(xs)-1)."""
@@ -211,64 +218,34 @@ def _fd_weights(x0: float, xs: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def axis_derivative_operators(nodes: np.ndarray, axis_ghost: bool = True) -> tuple:
-    """(D1, D2) as CSR matrices for one radial direction: centred 3-point
-    stencils inside, one-sided 4-point at the outer edge, and at the inner
-    edge either an even-reflection ghost (axis-adjacent grids) or another
-    one-sided stencil (window grids).
-
-    The interior rows are the closed-form 3-point weights for the spacings
-    h1 = x_i - x_(i-1), h2 = x_(i+1) - x_i (Fornberg, Math. Comp. 51, 1988),
-    computed for all nodes at once; only the edge rows use _fd_weights.
+def _axis_stencils(nodes: np.ndarray, c: float, axis_ghost: bool) -> tuple:
+    """(D1, L_axis) of one radial direction, L_axis = D2 + diag(c/x) D1
+    (c = a on rho and b on r), each as (p, q, head, tail): interior row i
+    is p[i-1] (u[i+1] - u[i]) + q[i-1] (u[i] - u[i-1]), the closed-form
+    3-point weights (Fornberg, Math. Comp. 51, 1988); row 0 weights the
+    first nodes by head, with an even-reflection ghost on axis-adjacent
+    grids and one-sided on window grids, and row m-1 the last four by tail.
     """
-    import scipy.sparse as sp
-
     x = np.asarray(nodes, dtype=float)
-    m = x.size
-    if m < 3:
+    if x.size < 3:
         raise GridError("need at least 3 nodes per active dimension")
-    h = np.diff(x)
-    h1, h2 = h[:-1], h[1:]
-    h12, hh = h1 + h2, h1 * h2
-    interior = {
-        1: (-h2 / (h1 * h12), (h2 - h1) / hh, h1 / (h2 * h12)),
-        2: (2.0 / (h1 * h12), -2.0 / hh, 2.0 / (h2 * h12)),
-    }
-    ops = []
-    for order, (lower, centre, upper) in interior.items():
-        # band k holds entry (i, i + k) at index min(i, i + k)
-        bands = {k: np.zeros(m - abs(k)) for k in range(-3, 4)}
-        bands[-1][:-1] = lower
-        bands[0][1:-1] = centre
-        bands[1][1:] = upper
+    h1, h2 = x[1:-1] - x[:-2], x[2:] - x[1:-1]
+    h12 = h1 + h2
+    edges = []
+    for order in (1, 2):
         if axis_ghost:
             # ghost at -x0 carries the value at x0
             w = _fd_weights(x[0], np.array([-x[0], x[0], x[1]]), order)
-            head = (w[0] + w[1], w[2])
+            head = np.array([w[0] + w[1], w[2]])
         else:
             head = _fd_weights(x[0], x[:4], order)
-        for k, w in enumerate(head):
-            bands[k][0] = w
-        tail = _fd_weights(x[-1], x[-4:], order)
-        for k, w in enumerate(tail, start=1 - len(tail)):
-            bands[k][-1] = w
-        ops.append(sp.diags(list(bands.values()), list(bands), format="csr"))
-    return ops[0], ops[1]
-
-
-def _axis_operators(grid: CylGrid) -> list:
-    """(D1, L_axis) of each active axis, L_axis = D2 + diag(c/x) D1 its
-    share of the reduced Laplacian (c = a on rho and b on r)."""
-    ops = []
-    for nodes, c in grid.axes:
-        d1, d2 = axis_derivative_operators(nodes, grid.axis_ghost)
-        ops.append((d1, d2 + d1.multiply((c / nodes)[:, None])))
-    return ops
-
-
-def _along(op, u: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a sparse 1-D operator along one axis of u."""
-    return np.moveaxis(op @ np.moveaxis(u, axis, 0), 0, axis)
+        edges.append((head, _fd_weights(x[-1], x[-4:], order)))
+    (head1, tail1), (head2, tail2) = edges
+    p1, q1 = h1 / (h2 * h12), h2 / (h1 * h12)
+    drift = c / x
+    return ((p1, q1, head1, tail1),
+            (2.0 / (h2 * h12) + drift[1:-1] * p1, -2.0 / (h1 * h12) + drift[1:-1] * q1,
+             head2 + drift[0] * head1, tail2 + drift[-1] * tail1))
 
 
 def _per_node(coef: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -277,22 +254,76 @@ def _per_node(coef: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return coef.reshape((-1,) + (1,) * (ndim - 1 - axis))
 
 
-def _apply_reduced_laplacian(grid: CylGrid, ops) -> np.ndarray:
-    """Sum over the axes of L_axis U."""
-    out = np.zeros_like(grid.values)
-    for axis, (_, lap) in enumerate(ops):
-        out += _along(lap, grid.values, axis)
-    return out
+def _lead_rows(stencils, u: np.ndarray, lo: int, hi: int, outs, work) -> None:
+    """Rows lo..hi-1 of each stencil along the leading axis of u, into
+    ``outs``; ``work`` holds two scratch arrays of hi - lo + 1 rows."""
+    m = u.shape[0]
+    a, b = max(lo - 1, 0), min(hi + 1, m)
+    i0, i1 = max(lo, 1), min(hi, m - 1)
+    diff = np.subtract(u[a + 1:b], u[a:b - 1], out=work[0][:b - a - 1])
+    for (p, q, head, tail), out in zip(stencils, outs):
+        interior = out[i0 - lo:i1 - lo]
+        np.multiply(_per_node(p[i0 - 1:i1 - 1], 0, u.ndim), diff[i0 - a:i1 - a], out=interior)
+        interior += np.multiply(_per_node(q[i0 - 1:i1 - 1], 0, u.ndim),
+                                diff[i0 - a - 1:i1 - a - 1], out=work[1][:i1 - i0])
+        if lo == 0:
+            out[0] = head @ u[:head.size]
+        if hi == m:
+            out[-1] = tail @ u[m - tail.size:]
 
 
-def _gradient_sq(grid: CylGrid, ops) -> np.ndarray:
-    """|grad U|^2: the squared D1 derivatives summed over the axes."""
-    return sum(_along(d1, grid.values, axis) ** 2 for axis, (d1, _) in enumerate(ops))
+def _trail_rows(stencils, tiled, block: np.ndarray, outs, work) -> None:
+    """Each stencil along the trailing axis of a block of rows, into
+    ``outs``.  The block is swept as one flat array, with each stencil's
+    (p, q) in ``tiled`` row after row, 0 at the row ends; the first and
+    last column, where the sweep mixes two rows, then get the edge rows."""
+    n = block.size
+    diff = work[0][:n + 1]
+    np.subtract(block.reshape(-1)[1:], block.reshape(-1)[:-1], out=diff[1:n])
+    diff[0] = diff[n] = 0.0
+    for (_, _, head, tail), (p, q), out in zip(stencils, tiled, outs):
+        flat = out.reshape(-1)
+        np.multiply(p[:n], diff[1:], out=flat)
+        flat += np.multiply(q[:n], diff[:-1], out=work[1][:n])
+        out[:, 0] = block[:, :head.size] @ head
+        out[:, -1] = block[:, -tail.size:] @ tail
+
+
+def _row_blocks(grid: CylGrid, terms: tuple):
+    """Yield (rows, sums) for blocks of whole leading-axis rows: sums[j]
+    is terms[j], (D1 U)^2 for _GRAD_SQ or L_axis U for _LAP, summed over
+    the active axes on those rows.  The sweep allocates its arrays once,
+    so each block overwrites the arrays yielded for the last one."""
+    u = grid.values
+    m, width = u.shape[0], u[0].size
+    step = min(m, max(1, _BLOCK_NODES // width))
+    lead, *trail = [[pair[t] for t in terms] for pair in
+                    (_axis_stencils(nodes, c, grid.axis_ghost) for nodes, c in grid.axes)]
+    sums = np.empty((1 + len(trail), len(terms), step) + u.shape[1:])
+    work = np.empty((2, (step + 1) * width + 1))
+    lead_work = work[:, :(step + 1) * width].reshape((2, step + 1) + u.shape[1:])
+    tiled = [[np.tile(np.pad(coef, 1), step) for coef in st[:2]]
+             for axis in trail for st in axis]
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        blocks = sums[:, :, :hi - lo]
+        _lead_rows(lead, u, lo, hi, blocks[0], lead_work)
+        if trail:
+            _trail_rows(trail[0], tiled, u[lo:hi], blocks[1], work)
+        if _GRAD_SQ in terms:
+            grad = blocks[:, terms.index(_GRAD_SQ)]
+            np.square(grad, out=grad)
+        for other in blocks[1:]:
+            blocks[0] += other
+        yield slice(lo, hi), blocks[0]
 
 
 def cyl_laplacian(grid: CylGrid) -> CylGrid:
     """Apply L = d_rho_rho + (a/rho) d_rho + d_rr + (b/r) d_r to the grid."""
-    return grid.with_values(_apply_reduced_laplacian(grid, _axis_operators(grid)))
+    out = np.empty_like(grid.values)
+    for rows, (lap,) in _row_blocks(grid, (_LAP,)):
+        out[rows] = lap
+    return grid.with_values(out)
 
 
 def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
@@ -304,8 +335,9 @@ def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
     """
     if not p_exp >= 1.0:
         raise ParameterDomainError(f"need p_exp >= 1, got {p_exp}")
-    weighted = _gradient_sq(grid, _axis_operators(grid)) ** (0.5 * p_exp)
-    return float(np.sum(grid.measure() * weighted))
+    measure = grid.measure()
+    return sum(float(np.sum(measure[rows] * grad_sq ** (0.5 * p_exp)))
+               for rows, (grad_sq,) in _row_blocks(grid, (_GRAD_SQ,)))
 
 
 def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
@@ -316,12 +348,15 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
     Vanishes (to truncation error) exactly when U solves
     Delta U = -Lambda |x|^(-s) U^(q-1).
     """
-    if np.any(grid.values <= 0.0):
+    u = grid.values
+    if np.any(u <= 0.0):
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
-    lap = _apply_reduced_laplacian(grid, _axis_operators(grid))
-    coef = _per_node(Lambda * grid.rho_nodes ** (-s), 0, lap.ndim)
-    return grid.with_values(lap + coef * grid.values ** (q - 1.0))
+    coef = _per_node(Lambda * grid.rho_nodes ** (-s), 0, u.ndim)
+    out = np.empty_like(u)
+    for rows, (lap,) in _row_blocks(grid, (_LAP,)):
+        out[rows] = lap + coef[rows] * u[rows] ** (q - 1.0)
+    return grid.with_values(out)
 
 
 def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
@@ -333,20 +368,25 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
     where L carries the drift coefficients a, b of ``params`` (the grid's
     split must agree with them) and n = a + b + 2.
     """
-    if np.any(phi_grid.values <= 0.0):
+    u = phi_grid.values
+    if np.any(u <= 0.0):
         raise ParameterDomainError("shifted_quadratic_residual requires strictly positive values")
     if (phi_grid.a, phi_grid.b) != (params.a, params.b):
         raise ParameterDomainError(
             f"grid split (a={phi_grid.a}, b={phi_grid.b}) does not match "
             f"params (a={params.a}, b={params.b})"
         )
-    ops = _axis_operators(phi_grid)
-    lap = _apply_reduced_laplacian(phi_grid, ops)
-    res = lap - 0.5 * params.n * _gradient_sq(phi_grid, ops) / phi_grid.values
-    shifts = (params.alpha, params.beta)
-    for axis, ((nodes, c), shift) in enumerate(zip(phi_grid.axes, shifts)):
-        res -= _per_node(2.0 * c * params.lam**2 * shift / nodes, axis, res.ndim)
-    return phi_grid.with_values(res)
+    shifts = [_per_node(2.0 * c * params.lam**2 * shift / nodes, axis, u.ndim)
+              for axis, ((nodes, c), shift)
+              in enumerate(zip(phi_grid.axes, (params.alpha, params.beta)))]
+    out = np.empty_like(u)
+    for rows, (grad_sq, lap) in _row_blocks(phi_grid, (_GRAD_SQ, _LAP)):
+        res = out[rows]
+        grad_sq *= 0.5 * params.n
+        np.subtract(lap, np.divide(grad_sq, u[rows], out=grad_sq), out=res)
+        for axis, shift in enumerate(shifts):
+            res -= shift[rows] if axis == 0 else shift
+    return phi_grid.with_values(out)
 
 
 # ---------------------------------------------------------------------------

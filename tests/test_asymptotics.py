@@ -140,3 +140,28 @@ def test_local_sup_ratio_window_grid(const32, extremal32):
         local_sup_ratio(window, 3.0, 4.0)  # the ball reaches down to 0.62
     assert local_sup_ratio(window, 6.0, 4.0) == pytest.approx(
         local_sup_ratio(axis, 6.0, 4.0), rel=1e-12)
+
+
+def _full_grid_sup_ratio(grid, center_radius, q0):
+    """local_sup_ratio evaluated over every node of the grid."""
+    c, ball_r = center_radius / math.sqrt(2.0), 0.5 * center_radius
+    P, R = np.meshgrid(grid.rho_nodes, grid.r_nodes, indexing="ij")
+    dist_sq = (P - c) ** 2 + (R - c) ** 2
+    in_ball, in_half = dist_sq <= ball_r**2, dist_sq <= (0.5 * ball_r) ** 2
+    measure, vals = grid.measure(), grid.values
+    mean_q = (np.sum(measure[in_ball] * np.abs(vals[in_ball]) ** q0)
+              / np.sum(measure[in_ball])) ** (1.0 / q0)
+    return float(np.max(vals[in_half])) / mean_q
+
+
+def test_local_sup_ratio_window_of_the_ball_is_bit_exact(extremal32):
+    # the ball's index window gathers its nodes in the full grid's order
+    axis = build_grid(3, 2, 48.0, 48.0, 200, 180, grading=1.3).sampled(extremal32)
+    window = window_grid(3, 2, 1.0, 20.0, 1.2, 21.0, 157, 171).sampled(extremal32)
+    for grid, centres in ((axis, (2.0, 4.0, 8.0, 16.0, 32.0, 37.0)),
+                          (window, (6.0, 7.3, 12.0, 16.5))):
+        for t in centres:
+            for q0 in (2.0, 4.0):
+                assert local_sup_ratio(grid, t, q0) == _full_grid_sup_ratio(grid, t, q0)
+    with pytest.raises(GridError):
+        local_sup_ratio(axis, 40.0, 4.0)  # the ball leaves the grid

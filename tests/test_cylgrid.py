@@ -13,6 +13,7 @@ from hscyl import (
     dump_grid,
     el_residual,
     gradient_energy,
+    hs_conjugate,
     load_grid,
     shifted_power_profile,
     shifted_quadratic_residual,
@@ -55,6 +56,45 @@ def test_grid_values_immutable():
     g = build_grid(3, 2, 10.0, 10.0, 16, 16)
     with pytest.raises(ValueError):
         g.values[0, 0] = 1.0
+
+
+def _meshgrid_sampled(grid, profile):
+    """Values of a profile evaluated on the full meshgrid of the nodes."""
+    if grid.k == grid.n:
+        return profile(grid.rho_nodes, 0.0)
+    P, R = np.meshgrid(grid.rho_nodes, grid.r_nodes, indexing="ij")
+    return profile(P, R)
+
+
+def test_sampled_open_mesh_matches_meshgrid(const32, monkeypatch):
+    # elementwise profiles give the same bits on the open mesh
+    from hscyl import ExtremalParams, GridSpec, MinimizeOptions, extremal_profile
+    from hscyl.minimizer import DiscreteRayleigh, _initial_values
+
+    axis = build_grid(3, 2, 30.0, 20.0, 40, 24, grading=1.5)
+    window = window_grid(4, 2, 1.0, 2.0, 1.5, 3.0, 33, 17)
+    profiles = [(axis, extremal_profile(ExtremalParams(n=3, k=2, lam=0.7), const32)),
+                (window, shifted_power_profile(
+                    ShiftedQuadraticParams(a=1, b=1, lam=1.3, alpha=0.4, beta=0.9)))]
+    for grid, profile in profiles:
+        assert np.array_equal(grid.sampled(profile).values, _meshgrid_sampled(grid, profile))
+
+    for n, k in [(3, 2), (3, 3)]:
+        spec = GridSpec(rho_max=40.0, r_max=40.0, n_rho=24, n_r=20, grading=1.5)
+        grid = build_grid(n, k, spec.rho_max, spec.r_max, spec.n_rho, spec.n_r, spec.grading)
+        problem = DiscreteRayleigh(n, k, 1.0, grid)
+        for opts in (MinimizeOptions(init="analytic-extremal", init_scale=0.6),
+                     MinimizeOptions(init="positive-bump")):
+            seed = _initial_values(problem, spec, opts)
+            with monkeypatch.context() as patch:
+                patch.setattr(CylGrid, "sampled", lambda g, prof: g.with_values(
+                    _meshgrid_sampled(g, prof)))
+                assert np.array_equal(seed, _initial_values(problem, spec, opts))
+
+    # a profile that ignores its arguments fills the grid
+    assert np.array_equal(axis.sampled(lambda rho, r: 2.5).values, np.full((40, 24), 2.5))
+    assert np.array_equal(build_grid(3, 3, 5.0, 5.0, 9, 9).sampled(lambda rho, r: -1.0).values,
+                          np.full(9, -1.0))
 
 
 def test_laplacian_exact_on_paraboloid():
@@ -142,12 +182,24 @@ def _loop_reference(x, axis_ghost, order):
     return ref
 
 
+def _dense(stencil, m):
+    """The dense matrix of a stencil in difference form: interior row i is
+    (-q, q - p, p) on nodes i-1, i, i+1."""
+    p, q, head, tail = stencil
+    dense = np.zeros((m, m))
+    dense[0, :head.size] = head
+    for i in range(1, m - 1):
+        dense[i, i - 1:i + 2] = -q[i - 1], q[i - 1] - p[i - 1], p[i - 1]
+    dense[-1, m - tail.size:] = tail
+    return dense
+
+
 @pytest.mark.parametrize("nodes", [8, 1024])
 @pytest.mark.parametrize("layout", ["uniform", "graded-1.5", "graded-2", "window"])
 @pytest.mark.parametrize("axis_ghost", [True, False])
 def test_axis_operators_match_per_node_weights(nodes, layout, axis_ghost):
     # float64 bound fixed before measuring: 1e-14 of the row's largest weight
-    from hscyl.cylgrid import _axis_operators, axis_derivative_operators
+    from hscyl.cylgrid import _axis_stencils
 
     if layout == "window":
         x = window_grid(3, 2, 0.5, 4.0, 0.5, 4.0, nodes, nodes).rho_nodes
@@ -155,14 +207,74 @@ def test_axis_operators_match_per_node_weights(nodes, layout, axis_ghost):
         grading = {"uniform": 1.0, "graded-1.5": 1.5, "graded-2": 2.0}[layout]
         x = build_grid(3, 2, 7.0, 7.0, nodes, nodes, grading).rho_nodes
     d1_ref, d2_ref = (_loop_reference(x, axis_ghost, order) for order in (1, 2))
-    pairs = list(zip((d1_ref, d2_ref), axis_derivative_operators(x, axis_ghost)))
-    # L_axis = D2 + diag(c/x) D1 for c = a = 2 on rho and c = b = 1 on r
+    # L_axis = D2 + diag(c/x) D1 for c = a = 2 on rho and c = b = 1 on r,
+    # and L_axis = D2 for c = 0
     grid = CylGrid(5, 3, x, x, np.zeros((x.size, x.size)), axis_ghost=axis_ghost)
-    for (_, c), (_, lap) in zip(grid.axes, _axis_operators(grid)):
-        pairs.append((d2_ref + (c / x)[:, None] * d1_ref, lap))
-    for ref, op in pairs:
-        row_scale = np.abs(ref).max(axis=1, keepdims=True)
-        assert np.all(np.abs(op.toarray() - ref) <= 1e-14 * row_scale)
+    for nodes_, c in grid.axes + ((x, 0),):
+        d1, lap = _axis_stencils(nodes_, c, grid.axis_ghost)
+        for ref, stencil in ((d1_ref, d1), (d2_ref + (c / x)[:, None] * d1_ref, lap)):
+            row_scale = np.abs(ref).max(axis=1, keepdims=True)
+            assert np.all(np.abs(_dense(stencil, x.size) - ref) <= 1e-14 * row_scale)
+
+
+def _along_axes(mats, u):
+    """Each dense 1-D operator applied along its own axis of u."""
+    return [np.moveaxis(np.tensordot(mat, u, axes=(1, axis)), 0, axis)
+            for axis, mat in enumerate(mats)]
+
+
+# the block seams against dense references: a bound fixed before the first
+# run, 1e-13 of the same sums taken over the absolute weights and values
+SEAM_REL = 1e-13
+
+
+@pytest.mark.parametrize("layout", ["axis", "window", "1d"])
+def test_row_block_seams_match_dense_operators(monkeypatch, layout):
+    from hscyl import cylgrid
+
+    # a small block puts several seams inside grids the dense references
+    # can hold; the sweep reads the constant on every call
+    monkeypatch.setattr(cylgrid, "_BLOCK_NODES", 64)
+    if layout == "axis":
+        g = build_grid(5, 3, 6.0, 5.0, 29, 11, grading=1.5)
+    elif layout == "window":
+        g = window_grid(5, 3, 0.5, 4.0, 0.7, 3.0, 23, 13)
+    else:
+        g = build_grid(4, 4, 6.0, 6.0, 211, 211, grading=1.5)
+    rows, width = g.values.shape[0], g.values[0].size
+    step = cylgrid._BLOCK_NODES // width
+    assert rows >= 3 * step and rows % step
+    g = g.sampled(lambda rho, r: 1.0 + np.exp(-0.3 * rho**2 - 0.5 * r**2) + 0.1 * rho)
+    u = g.values
+    d1_refs = [_loop_reference(nodes, g.axis_ghost, 1) for nodes, _ in g.axes]
+    lap_refs = [_loop_reference(nodes, g.axis_ghost, 2) + (c / nodes)[:, None] * d1
+                for (nodes, c), d1 in zip(g.axes, d1_refs)]
+    lap = sum(_along_axes(lap_refs, u))
+    lap_scale = sum(_along_axes([np.abs(m) for m in lap_refs], np.abs(u)))
+    d1s = _along_axes(d1_refs, u)
+    # (|D1 u| + |D1| |u|)^2 bounds (D1 u)^2 and its rounding alike
+    grad_scale = sum((np.abs(d) + s) ** 2 for d, s in
+                     zip(d1s, _along_axes([np.abs(m) for m in d1_refs], np.abs(u))))
+    assert np.all(np.abs(cyl_laplacian(g).values - lap) <= SEAM_REL * lap_scale)
+
+    coef = (0.7 / g.rho_nodes).reshape((-1,) + (1,) * (u.ndim - 1))
+    source = coef * u ** (hs_conjugate(2.0, 1.0, g.n) - 1.0)
+    assert np.all(np.abs(el_residual(g, 0.7, 1.0).values - (lap + source))
+                  <= SEAM_REL * (lap_scale + np.abs(source)))
+
+    energy = float(np.sum(g.measure() * sum(d**2 for d in d1s)))
+    assert abs(gradient_energy(g, 2.0) - energy) <= SEAM_REL * np.sum(g.measure() * grad_scale)
+
+    if u.ndim == 2:
+        params = ShiftedQuadraticParams(a=2, b=1, lam=1.3, alpha=0.4, beta=0.6)
+        shifts = [2.0 * c * params.lam**2 * s / nodes
+                  for (nodes, c), s in zip(g.axes, (params.alpha, params.beta))]
+        shift = shifts[0][:, None] + shifts[1][None, :]
+        grad_term = 0.5 * params.n * sum(d**2 for d in d1s) / u
+        reference = lap - grad_term - shift
+        scale = lap_scale + 0.5 * params.n * grad_scale / u + np.abs(shift)
+        assert np.all(np.abs(shifted_quadratic_residual(g, params).values - reference)
+                      <= SEAM_REL * scale)
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (5, 3), (4, 4)])

@@ -77,13 +77,17 @@ def test_closed_forms_share_no_code_with_the_oracles():
 
 
 def test_closed_form_subcommands_never_load_scipy(tmp_path):
-    # a fresh interpreter: this one has long since imported scipy
+    # a fresh interpreter: this one has long since imported scipy.  The
+    # finite-difference residuals of verify-prop4 and verify-extremal are
+    # numpy stencils; scipy.sparse belongs to the finite-volume flow alone
     child = f"""
 import sys
 import hscyl
 from hscyl import cli
 for argv in (["constant", "--n", "3", "--k", "2"],
-             ["exponents", "--n", "3", "--k", "2", "--p", "2", "--s", "1"]):
+             ["exponents", "--n", "3", "--k", "2", "--p", "2", "--s", "1"],
+             ["verify-prop4", "--nodes", "64"],
+             ["verify-extremal"]):
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + "/" + argv[0]]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded

@@ -325,6 +325,9 @@ def _run_verify_prop4(p: dict, out: Path) -> list:
 
 
 def _run_minimize(p: dict, out: Path) -> list:
+    if p["init"] == "user-grid":
+        raise UsageError("minimize --init must be positive-bump or analytic-extremal; "
+                         "user-grid needs an initial grid, which only the library takes")
     spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
                             n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
     opts = minimizer.MinimizeOptions(step=p["step"], max_iters=p["max-iters"],

@@ -32,16 +32,18 @@ not depend on the step.  Each step evaluates its candidate once: one
 power u^(q-1) and one operator product give the projected state's
 energy, its residual and the next right-hand side.
 
-Each step solves (1 - step L) u+ = rhs axis by axis, by fast
-diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964).  L is a
-Kronecker sum of one tridiagonal operator per grid axis.  The trailing (r)
-axis is diagonalised once per flow: its interior operator is -V^(-1) K
-with K the symmetric flux matrix and V the cell volumes, so the pencil
-K z = mu V z has a V-orthonormal eigenbasis.  In that basis the system
-splits into one tridiagonal rho-axis system per eigenvalue, and the
-stacked systems are one tridiagonal matrix, factorised and solved in O(N)
-by LAPACK.  Halving the step refactorises only that tridiagonal matrix.
-A k = n grid has no trailing axis, so each step is one tridiagonal solve.
+L is a Kronecker sum of one tridiagonal operator per grid axis, each held
+as two coefficient arrays in difference form.  Each step solves
+(1 - step L) u+ = rhs axis by axis, by fast diagonalisation (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964).  The trailing (r) axis is diagonalised once
+per flow: its interior operator is -V^(-1) K with K the symmetric flux
+matrix and V the cell volumes, so the eigenvectors Y of the tridiagonal
+V^(-1/2) K V^(-1/2) give a V-orthonormal eigenbasis Z = V^(-1/2) Y.  In
+that basis the system splits into one tridiagonal rho-axis system per
+eigenvalue, and the stacked systems are one tridiagonal matrix,
+factorised and solved in O(N) by LAPACK.  Halving the step refactorises
+only that tridiagonal matrix.  A k = n grid has no trailing axis, so each
+step is one tridiagonal solve.
 
 The plain step converges linearly, held back by one slow mode: the nearly
 neutral dilation direction.  Each accepted step is therefore followed by
@@ -81,6 +83,7 @@ from .errors import (
     ConvergenceError,
     InternalConsistencyError,
     ParameterDomainError,
+    require_int,
 )
 from .exponents import ExponentContext, admissible, hs_conjugate
 from .specfn import beta as beta_fn
@@ -119,6 +122,7 @@ class MinimizeOptions:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         if not self.step > 0.0:
             raise ParameterDomainError(f"step must be positive, got {self.step}")
+        self.max_iters = require_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0.0:
@@ -173,8 +177,14 @@ class DiscreteRayleigh:
         self.shape = tuple(nodes.size for nodes, _ in grid.axes)
         self.axis_vols = grid.cell_volumes()
         self.mass = grid.measure()
-        self.axis_ops = [self._axis_matrix(nodes, c, vol)
-                         for (nodes, c), vol in zip(grid.axes, self.axis_vols)]
+        # row i of an axis is p[i] (u[i+1] - u[i]) - q[i] (u[i] - u[i-1]),
+        # from the face conductances x_f^c / h over the cell volumes: no flux
+        # crosses the axis face (q[0] = 0), and the pinned outer row is 0
+        self.axis_coeffs = []
+        for (nodes, c), vol in zip(grid.axes, self.axis_vols):
+            conductance = (0.5 * (nodes[1:] + nodes[:-1])) ** c / np.diff(nodes)
+            self.axis_coeffs.append((conductance / vol[:-1],
+                                     np.append(0.0, conductance[:-1]) / vol[:-1]))
         self.interior = np.ones(self.shape, dtype=bool)
         for axis in range(len(self.shape)):
             np.moveaxis(self.interior, axis, 0)[-1] = False  # Dirichlet pin
@@ -182,32 +192,15 @@ class DiscreteRayleigh:
         self.weight_s = np.broadcast_to(w.reshape(w.shape + (1,) * (len(self.shape) - 1)),
                                         self.shape)
 
-    @staticmethod
-    def _axis_matrix(nodes, weight_pow, vol):
-        """Finite-volume 1-D operator: flux faces at midpoints, zero flux
-        at the axis, Dirichlet pin at the outer node (row zeroed)."""
-        import scipy.sparse as sp
-
-        x = np.asarray(nodes, dtype=float)
-        m = x.size
-        faces = 0.5 * (x[1:] + x[:-1])
-        wf = faces**weight_pow / np.diff(x)
-        main = np.zeros(m)
-        lower = np.zeros(m - 1)
-        upper = np.zeros(m - 1)
-        main[:-1] -= wf / vol[:-1]
-        upper[:] = wf / vol[:-1]
-        main[1:] -= wf / vol[1:]
-        lower[:] = wf / vol[1:]
-        main[-1] = lower[-1] = 0.0
-        return sp.diags([lower, main, upper], [-1, 0, 1], format="csr")
-
     def apply_op(self, u: np.ndarray) -> np.ndarray:
-        """L u: the Kronecker sum of the axis operators, one product per axis."""
-        lead, *trailing = self.axis_ops
-        lu = lead @ u
-        if trailing:
-            lu += (trailing[0] @ u.T).T
+        """L u: the Kronecker sum of the axis operators, as differences
+        along each axis in turn."""
+        lu = np.zeros(u.shape)
+        # each axis is the last axis of (u.T, lu.T) or of (u, lu)
+        for (p, q), v, out in zip(self.axis_coeffs, (u.T, u), (lu.T, lu)):
+            diff = v[..., 1:] - v[..., :-1]
+            out[..., :-1] += p * diff
+            out[..., 1:-1] -= q[1:] * diff[..., :-1]
         return lu
 
     def energy(self, u: np.ndarray) -> float:
@@ -274,18 +267,21 @@ class _AxisSolver:
     docstring).  Pinned outer nodes come out exactly 0."""
 
     def __init__(self, problem: DiscreteRayleigh, tau: float):
-        from scipy.linalg import eigh, lapack
+        from scipy.linalg import eigh_tridiagonal, lapack
 
         self._gttrf, self._gttrs = lapack.dgttrf, lapack.dgttrs
-        lead, *trailing = problem.axis_ops
+        (p, q), *trailing = problem.axis_coeffs
         self.shape = problem.shape
-        self._lead = (lead.diagonal(-1), lead.diagonal(), lead.diagonal(1))
+        self._lead = (np.append(q[1:], 0.0), np.append(-(p + q), 0.0), p)
         if trailing:
-            vol = problem.axis_vols[1]
-            flux = -(vol[:, None] * trailing[0].toarray())[:-1, :-1]
-            self._vol = vol[:-1]
-            # Z^T V Z = I, and A_int Z = -Z diag(mu)
-            self._mu, self._basis = eigh(flux, np.diag(self._vol))
+            (p, q), = trailing
+            self._vol = problem.axis_vols[1][:-1]
+            # the interior rows are -V^(-1) K with K the symmetric flux
+            # matrix; V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q
+            # and off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
+            # and Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu)
+            self._mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
+            self._basis = basis / np.sqrt(self._vol)[:, None]
         else:
             self._mu, self._basis = np.zeros(1), None
         self.factor(tau)

@@ -96,6 +96,15 @@ def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, ar
     assert "usage error" in capsys.readouterr().err
 
 
+def test_minimize_user_grid_init_is_usage_error(tmp_path, capsys):
+    # no flag or config key supplies the initial grid that init = user-grid needs
+    assert main(["minimize", "--init", "user-grid", "--n-rho", "16", "--n-r", "16",
+                 "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "positive-bump" in err and "analytic-extremal" in err
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["constant", "--n", "two"]) == 1
     assert main(["exponents", "--n", "2", "--k", "2",

@@ -76,11 +76,19 @@ def test_closed_forms_share_no_code_with_the_oracles():
     assert {"closed_forms", "quadrature"} <= _package_imports("cli")
 
 
+def _run_fresh(child: str, cwd: Path) -> None:
+    """Run ``child`` in a fresh interpreter: this one has long since
+    imported scipy."""
+    done = subprocess.run([sys.executable, "-c", child], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_closed_form_subcommands_never_load_scipy(tmp_path):
-    # a fresh interpreter: this one has long since imported scipy.  The
-    # finite-difference residuals of verify-prop4 and verify-extremal are
-    # numpy stencils; scipy.sparse belongs to the finite-volume flow alone
-    child = f"""
+    # the finite-difference residuals of verify-prop4 and verify-extremal
+    # are numpy stencils; scipy.linalg belongs to the flow's solver alone
+    _run_fresh(f"""
 import sys
 import hscyl
 from hscyl import cli
@@ -91,8 +99,20 @@ for argv in (["constant", "--n", "3", "--k", "2"],
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + "/" + argv[0]]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
-"""
-    done = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
+""", tmp_path)
+
+
+def test_minimize_never_loads_scipy_sparse(tmp_path):
+    # the flow's operator is per-axis difference coefficients, and its
+    # solver needs only scipy.linalg
+    _run_fresh(f"""
+import sys
+from hscyl import cli
+for n, k in ((3, 2), (3, 3)):
+    argv = ["minimize", "--n", str(n), "--k", str(k), "--n-rho", "24", "--n-r", "24",
+            "--rho-max", "30", "--r-max", "30", "--init", "analytic-extremal"]
+    assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + f"/{{n}}{{k}}"]) == 0
+assert "scipy.linalg" in sys.modules
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+assert not loaded, loaded
+""", tmp_path)

@@ -168,6 +168,34 @@ def test_gradient_direction_matches_fd_gradient(rng, n, k):
     assert num / den >= 0.999
 
 
+def _reference_operator(problem):
+    """L assembled as a sparse matrix, independently of DiscreteRayleigh's
+    coefficients: per axis, the finite-volume tridiagonal with flux faces
+    at the midpoints, zero flux at the axis and the outer row zeroed (the
+    Dirichlet pin); then their Kronecker sum, with the leading (rho) axis
+    varying slowest in the raveled grid."""
+    ops = []
+    for (x, c), vol in zip(problem.grid.axes, problem.axis_vols):
+        wf = (0.5 * (x[1:] + x[:-1])) ** c / np.diff(x)
+        main = np.zeros(x.size)
+        main[:-1] -= wf / vol[:-1]
+        main[1:] -= wf / vol[1:]
+        lower = wf / vol[1:]
+        main[-1] = lower[-1] = 0.0
+        ops.append(sp.diags([lower, main, wf / vol[:-1]], [-1, 0, 1], format="csc"))
+    return ops[0] if len(ops) == 1 else sp.kronsum(ops[1], ops[0], format="csc")
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3), (4, 4)])
+@pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
+def test_apply_op_matches_assembled_operator(n, k, grading):
+    grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
+    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    u = np.random.default_rng(7).uniform(-1.0, 1.0, size=problem.shape)
+    ref = (_reference_operator(problem) @ u.ravel()).reshape(problem.shape)
+    assert np.max(np.abs(problem.apply_op(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (3, 3), (4, 4)])
 @pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
 def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
@@ -176,17 +204,13 @@ def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
     grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
     problem = DiscreteRayleigh(n, k, 1.0, grid)
     solver = _AxisSolver(problem, 2.0)
-    # the assembled Kronecker sum of the axis operators: the leading (rho)
-    # axis varies slowest in the raveled grid
-    op = problem.axis_ops[0]
-    if len(problem.axis_ops) == 2:
-        op = sp.kronsum(problem.axis_ops[1], op, format="csc")
+    op = _reference_operator(problem)
     rng = np.random.default_rng(7)
     for tau in (2.0, 1.0, 1e4):
         if tau != 2.0:
             solver.factor(tau)
         rhs = np.where(problem.interior, rng.uniform(-1.0, 1.0, size=problem.shape), 0.0)
-        mat = sp.identity(op.shape[0], format="csc") - tau * op.tocsc()
+        mat = sp.identity(op.shape[0], format="csc") - tau * op
         ref = spsolve(mat, rhs.ravel()).reshape(problem.shape)
         u = solver.solve(rhs)
         assert u.shape == problem.shape
@@ -268,6 +292,9 @@ def test_inadmissible_parameters_rejected():
         MinimizeOptions(step=-0.5)
     with pytest.raises(ParameterDomainError, match="requires init_grid"):
         MinimizeOptions(init="user-grid")
+    for max_iters in (2.5, True, None):
+        with pytest.raises(ParameterDomainError, match="max_iters"):
+            MinimizeOptions(max_iters=max_iters)
 
 
 def test_nonconvergence_carries_partial_result():

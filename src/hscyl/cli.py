@@ -4,7 +4,7 @@ Each subcommand is one entry of ``_SUBCOMMANDS``: its runner, the module
 that owns it, and its parameter schema.  Flags take the form
 ``--key value``; ``--config FILE`` points at a plain key=value file whose
 entries the command-line flags override.  Unknown keys are rejected.
-Every run writes ``manifest.json`` echoing the fully resolved
+Every completed run writes ``manifest.json`` echoing the fully resolved
 configuration (that file alone reproduces the run), a ``summary.json`` of
 (key, value, units, oracle-provenance) records, and one or more
 comma-separated tables.  Numbers are printed with 17 significant digits
@@ -325,9 +325,6 @@ def _run_verify_prop4(p: dict, out: Path) -> list:
 
 
 def _run_minimize(p: dict, out: Path) -> list:
-    if p["init"] == "user-grid":
-        raise UsageError("minimize --init must be positive-bump or analytic-extremal; "
-                         "user-grid needs an initial grid, which only the library takes")
     spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
                             n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
     opts = minimizer.MinimizeOptions(step=p["step"], max_iters=p["max-iters"],
@@ -343,8 +340,6 @@ def _run_minimize(p: dict, out: Path) -> list:
         ("iterations", result.iterations, "", ""),
         ("rejected_steps", result.rejected_steps, "", "step halvings"),
         ("extrapolated_steps", result.extrapolated_steps, "", "accepted mixed states"),
-        ("truncation_estimate", result.truncation_estimate, "",
-         "fundamental-decay tail model"),
         ("core_scale", result.core_scale, "", "half-peak radius"),
         ("stationarity", result.stationarity, "", "||d||_M / E_min, stop at sqrt(tol)"),
     ]
@@ -479,16 +474,16 @@ _SUBCOMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Run a parsed configuration: manifest.json, the subcommand's tables,
-    then summary.json and one printed line per record.  Returns the exit
-    status."""
+    """Run a parsed configuration: the subcommand's tables, then
+    manifest.json, summary.json and one printed line per record.  Returns
+    the exit status."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
+    records = _SUBCOMMANDS[config.subcommand].runner(config.parameters, out)
     _write_json(out / "manifest.json", {
         "tool": "hscyl", "version": __version__, "subcommand": config.subcommand,
         "parameters": config.parameters, "output_dir": str(out),
     }, sort_keys=True)
-    records = _SUBCOMMANDS[config.subcommand].runner(config.parameters, out)
     _write_json(out / "summary.json", [
         {"key": key, "value": value, "units": units, "oracle": oracle}
         for key, value, units, oracle in records

@@ -12,43 +12,57 @@ project back onto N = 1 by rescaling.  At a stationary point the pairing
 are exactly the constrained critical points and the converged energy is
 the Euler-Lagrange multiplier.
 
-Discretisation: a finite-volume form of L (exact cell moments of the
-rho^a r^b measure, zero-flux axis faces, homogeneous Dirichlet at the
-outer boundary).  This makes mass * L exactly symmetric negative
+Discretisation for k < n: a finite-volume form of L (exact cell moments
+of the rho^a r^b measure, zero-flux axis faces, homogeneous Dirichlet at
+the outer boundary).  This makes mass * L exactly symmetric negative
 semidefinite, so the discrete energy -<u, L u> is a true quadratic form
 and d is its constrained gradient in the mass-weighted inner product.
 
+For k = n, w = |z|^c u with c = (n-2)/2 is P1 on the uniform axis
+t = log|z| in [-log rho_max, log rho_max] with n_rho cells, zero at both
+ends.  Then E = S int (w_t^2 + c^2 w^2) dt = S w.(K + c^2 M) w, with the
+P1 stiffness K and mass M and S = |S^(n-1)|, while N = S int |w|^q dt and
+the load b of |w|^(q-2) w take a 4-point Gauss rule per cell.  A dilation
+is a shift in t, and the Kelvin inversion, t -> -t, maps the box
+1/rho_max < |z| < rho_max onto itself; grading and r_max play no part.
+Every state is admissible, so E_min >= Lambda where that rule is exact
+(n = 3, 4 at s = 1).  E_min / Lambda - 1 reads 4.5e-2 (n = 3) and 1.3e-3
+(n = 4) at box 120 with 2048 cells, where the box dominates, and 1.8e-4
+and 2.4e-4 at box e^20 with 256 cells.
+
 Time stepping is semi-implicit, (1 - step L) u+ = u + step E rho^(-s)
 u^(q-1): the normalised gradient flow of Bao & Du (SIAM J. Sci. Comput.
-25, 2004).  It is unconditionally stable, so the pseudo-time step can be
-large even on graded grids whose smallest cells would force an explicit
-step below 1e-6.  The default step, 1e4, makes each step close to
-nonlinear inverse iteration; a step that would raise the energy is
-halved.  The flow stops on stationarity, not on the energy change: at
-the first state whose residual ||d||_M / E is at most sqrt(tol).  Near a
-nondegenerate minimum the energy error is quadratic in that residual, so
-tol reads as a relative energy accuracy, and where the flow stops does
-not depend on the step.  Each step evaluates its candidate once: one
-power u^(q-1) and one operator product give the projected state's
-energy, its residual and the next right-hand side.
+25, 2004); for k = n, (M + step (K + c^2 M)) w+ = M w + step E b.  It is
+unconditionally stable, so the pseudo-time step can be large even on
+graded grids whose smallest cells would force an explicit step below
+1e-6.  The default step, 1e4, makes each step close to nonlinear inverse
+iteration; a step that would raise the energy is halved.  The flow stops
+on stationarity, not on the energy change: at the first state whose
+residual ||d||_M / E is at most sqrt(tol).  Near a nondegenerate minimum
+the energy error is quadratic in that residual, so tol reads as a
+relative energy accuracy, and where the flow stops does not depend on
+the step.  Each step evaluates its candidate once: one power u^(q-1) and
+one operator product give the projected state's energy, its residual and
+the next right-hand side.
 
-L is a Kronecker sum of one tridiagonal operator per grid axis, each held
-as two coefficient arrays in difference form.  Each step solves
-(1 - step L) u+ = rhs axis by axis, by fast diagonalisation (Lynch, Rice &
-Thomas, Numer. Math. 6, 1964).  The trailing (r) axis is diagonalised once
-per flow: its interior operator is -V^(-1) K with K the symmetric flux
-matrix and V the cell volumes, so the eigenvectors Y of the tridiagonal
-V^(-1/2) K V^(-1/2) give a V-orthonormal eigenbasis Z = V^(-1/2) Y.  In
-that basis the system splits into one tridiagonal rho-axis system per
-eigenvalue, and the stacked systems are one tridiagonal matrix,
-factorised and solved in O(N) by LAPACK.  Halving the step refactorises
-only that tridiagonal matrix.  A k = n grid has no trailing axis, so each
-step is one tridiagonal solve.
+The finite-volume L is a Kronecker sum of one tridiagonal operator per
+grid axis, each held as two coefficient arrays in difference form.  Each
+step solves (1 - step L) u+ = rhs axis by axis, by fast diagonalisation
+(Lynch, Rice & Thomas, Numer. Math. 6, 1964).  The trailing (r) axis is
+diagonalised once per flow: its interior operator is -V^(-1) K with K
+the symmetric flux matrix and V the cell volumes, so the eigenvectors Y
+of the tridiagonal V^(-1/2) K V^(-1/2) give a V-orthonormal eigenbasis
+Z = V^(-1/2) Y.  In that basis the system splits into one tridiagonal
+rho-axis system per eigenvalue, and the stacked systems are one
+tridiagonal matrix, factorised and solved in O(N) by LAPACK.  Halving the
+step refactorises only that tridiagonal matrix.  For k = n a DST-I
+diagonalises M and K: a step is a DST, one divide and the DST back.
 
 The plain step converges linearly, held back by one slow mode: the nearly
-neutral dilation direction.  Each accepted step is therefore followed by
-Anderson extrapolation (type II, depth ANDERSON_DEPTH; Walker & Ni, SIAM
-J. Numer. Anal. 49, 2011) of the fixed-point map u -> G(u), the projected
+neutral dilation direction (for k = n, a seed off the centre of the t
+axis).  Each accepted step is therefore followed by Anderson
+extrapolation (type II, depth ANDERSON_DEPTH; Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) of the fixed-point map u -> G(u), the projected
 plain step: the last differences of states and of residuals G(u) - u give
 a mixed state, with coefficients from a least-squares fit in the mass
 inner product.  The mixed state is evaluated once and kept only if it is
@@ -64,9 +78,6 @@ the axis and the discrete energy dips below the continuum minimum.
 Grading 1.5, the GridSpec default, is the validated choice; the result
 carries a core-resolution diagnostic and a warning fires if the profile
 collapses.
-One-dimensional (k = n) flows collapse even at grading 1.0: the core
-shrinks with the spacing, and for n = 4 the energy lies about 6% below
-the continuum minimum on 256 and 512 nodes.
 """
 
 from __future__ import annotations
@@ -86,7 +97,6 @@ from .errors import (
     require_int,
 )
 from .exponents import ExponentContext, admissible, hs_conjugate
-from .specfn import beta as beta_fn
 from .specfn import sphere_measure
 
 __all__ = [
@@ -97,7 +107,7 @@ __all__ = [
     "recover_constant",
 ]
 
-INIT_MODES = ("positive-bump", "analytic-extremal", "user-grid")
+INIT_MODES = ("positive-bump", "analytic-extremal")
 ANDERSON_DEPTH = 2  # state and residual differences kept by the flow's mixing
 
 
@@ -114,28 +124,28 @@ class MinimizeOptions:
     max_iters: int = 4000
     tol: float = 1e-10
     init: str = "positive-bump"
-    init_grid: CylGrid | None = None
     init_scale: float | None = None  # core scale of the analytic-extremal seed
 
     def __post_init__(self):
         if self.init not in INIT_MODES:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if not self.step > 0.0:
-            raise ParameterDomainError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ParameterDomainError(f"step must be positive and finite, got {self.step}")
+        if self.init_scale is not None and not 0.0 < self.init_scale < math.inf:
+            raise ParameterDomainError(
+                f"init_scale must be positive and finite, got {self.init_scale}")
         self.max_iters = require_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0.0:
             raise ParameterDomainError(f"tol must be positive, got {self.tol}")
-        if self.init == "user-grid" and self.init_grid is None:
-            raise ParameterDomainError("init='user-grid' requires init_grid")
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
     """Converged minimum, the recovered constant estimate, the minimiser
-    itself, the accepted-step history, boundary-truncation diagnostics and
-    the final constrained-gradient residual ||d||_M / E (stationarity).
+    itself, the accepted-step history, its core scale and the final
+    constrained-gradient residual ||d||_M / E (stationarity).
 
     history rows are (iteration, energy, constraint_defect); energies are
     non-increasing and every defect is at (rescaling) rounding level.
@@ -149,7 +159,6 @@ class MinimizeResult:
     grid: CylGrid
     history: tuple
     iterations: int
-    truncation_estimate: float
     core_scale: float
     stationarity: float
     rejected_steps: int
@@ -203,6 +212,9 @@ class DiscreteRayleigh:
             out[..., 1:-1] -= q[1:] * diff[..., :-1]
         return lu
 
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        return self.mass * x  # states stacked on any leading axes
+
     def energy(self, u: np.ndarray) -> float:
         return float(-np.sum(self.mass * u * self.apply_op(u)))
 
@@ -239,25 +251,81 @@ class DiscreteRayleigh:
         return self.energy(u) / self.constraint(u) ** (2.0 / self.q)
 
 
-def _initial_values(problem: DiscreteRayleigh, spec: GridSpec, opts: MinimizeOptions):
+class _RadialRayleigh:
+    """The k = n problem on the t axis (module docstring): DiscreteRayleigh's
+    evaluate and a solver's factor and solve, for states u at rho_i =
+    exp(t_i), i = 1..cells, with w = dilation * u and the mass S M in w.  The
+    orthonormal DST-I diagonalises M (modal_mass) and M^(-1) (K + c^2 M)."""
+
+    def __init__(self, n: int, s: float, spec: GridSpec):
+        cells = require_int(spec.n_rho, "n_rho")
+        if cells < 8 or not spec.rho_max > 1.0:
+            raise ParameterDomainError("the t axis needs n_rho >= 8 and rho_max > 1")
+        self.s, self.q, self.c = float(s), hs_conjugate(2.0, s, n), 0.5 * (n - 2)
+        self.h = 2.0 * math.log(spec.rho_max) / cells
+        t = self.h * np.arange(1, cells + 1) - math.log(spec.rho_max)
+        self.grid = CylGrid(n, n, np.exp(t), np.empty(0), np.zeros(cells))
+        self.interior = np.arange(cells) < cells - 1
+        self.dilation, self.sigma = np.exp(self.c * t), sphere_measure(n)
+        cos = np.cos(np.pi * np.arange(1, cells) / cells)
+        self.modal_mass = self.h * (2.0 + cos) / 3.0
+        self.ratio = 2.0 * (1.0 - cos) / (self.h * self.modal_mass) + self.c**2
+        x, weights = np.polynomial.legendre.leggauss(4)
+        self._hats = 0.5 * np.array([1.0 - x, 1.0 + x])  # at a cell's Gauss points
+        self._weights = 0.5 * self.h * weights
+
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        """S M applied to states x (pinned entries 0) on any leading axes."""
+        w = x * self.dilation
+        out = 4.0 * w
+        out[..., 1:] += w[..., :-1]
+        out[..., :-1] += w[..., 1:]
+        return out * (self.sigma * self.h / 6.0 * self.dilation)
+
+    def evaluate(self, candidate: np.ndarray):
+        """As DiscreteRayleigh's, with L u and rho^(-s) u^(q-1) in w."""
+        from scipy.fft import dst
+
+        w = np.concatenate(([0.0], candidate * self.dilation))
+        at_points = np.stack((w[:-1], w[1:]), axis=1) @ self._hats
+        powered = self._weights * at_points ** (self.q - 1.0)
+        nval = self.sigma * float(np.vdot(powered, at_points))
+        if not nval > 0.0:
+            raise ConvergenceError("flow state has vanished (zero constraint norm)")
+        scale = nval ** (-1.0 / self.q)
+        ends = scale ** (self.q - 1.0) * (powered @ self._hats.T)
+        load = dst(ends[1:, 0] + ends[:-1, 1], 1, norm="ortho") / self.modal_mass
+        coef = scale * dst(w[1:-1], 1, norm="ortho")
+        energy = self.sigma * float(np.vdot(self.ratio * self.modal_mass * coef, coef))
+        lu = np.append(-dst(self.ratio * coef, 1, norm="ortho"), 0.0) / self.dilation
+        weighted = np.append(dst(load, 1, norm="ortho"), 0.0) / self.dilation
+        return candidate * scale, energy, lu, weighted
+
+    def factor(self, tau: float) -> None:
+        self._divisor = 1.0 + tau * self.ratio
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(M + tau (K + c^2 M)) w = M w_rhs; the pinned node comes out 0."""
+        from scipy.fft import dst
+
+        coef = dst(rhs[:-1] * self.dilation[:-1], 1, norm="ortho") / self._divisor
+        return np.append(dst(coef, 1, norm="ortho"), 0.0) / self.dilation
+
+
+def _initial_values(problem, spec: GridSpec, opts: MinimizeOptions):
     grid = problem.grid
-    if opts.init == "user-grid":
-        if opts.init_grid.values.shape != problem.shape:
-            raise ParameterDomainError("init_grid shape does not match the grid")
-        u = np.array(opts.init_grid.values, dtype=float)
-        if np.any(u < 0.0):
-            raise ParameterDomainError("user initial grid must be non-negative")
-    elif opts.init == "analytic-extremal":
+    if opts.init == "analytic-extremal":
         if problem.s != 1.0:
             raise ParameterDomainError("analytic-extremal seeding is calibrated "
                                        "for s = 1 only")
         core = opts.init_scale if opts.init_scale is not None else spec.rho_max / 200.0
-        u = grid.sampled(
-            lambda rho, r: ((rho + core) ** 2 + r**2) ** (-0.5 * (grid.n - 2))).values
-    else:  # positive-bump
+        profile = lambda rho, r: ((rho + core) ** 2 + r**2) ** (-0.5 * (grid.n - 2))
+    elif grid.k == grid.n:  # positive-bump: sech(t) in w
+        profile = lambda rho, r: 2.0 / ((rho + 1.0 / rho) * rho**problem.c)
+    else:
         width = spec.rho_max / 10.0
-        u = grid.sampled(lambda rho, r: np.exp(-(rho**2 + r**2) / width**2)).values
-    return np.where(problem.interior, u, 0.0)
+        profile = lambda rho, r: np.exp(-(rho**2 + r**2) / width**2)
+    return np.where(problem.interior, grid.sampled(profile).values, 0.0)
 
 
 class _AxisSolver:
@@ -270,20 +338,16 @@ class _AxisSolver:
         from scipy.linalg import eigh_tridiagonal, lapack
 
         self._gttrf, self._gttrs = lapack.dgttrf, lapack.dgttrs
-        (p, q), *trailing = problem.axis_coeffs
+        (p, q), (p_r, q_r) = problem.axis_coeffs
         self.shape = problem.shape
         self._lead = (np.append(q[1:], 0.0), np.append(-(p + q), 0.0), p)
-        if trailing:
-            (p, q), = trailing
-            self._vol = problem.axis_vols[1][:-1]
-            # the interior rows are -V^(-1) K with K the symmetric flux
-            # matrix; V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q
-            # and off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
-            # and Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu)
-            self._mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
-            self._basis = basis / np.sqrt(self._vol)[:, None]
-        else:
-            self._mu, self._basis = np.zeros(1), None
+        self._vol = problem.axis_vols[1][:-1]
+        # the interior rows are -V^(-1) K with K the symmetric flux
+        # matrix; V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q
+        # and off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
+        # and Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu)
+        self._mu, basis = eigh_tridiagonal(p_r + q_r, -np.sqrt(p_r[:-1] * q_r[1:]))
+        self._basis = basis / np.sqrt(self._vol)[:, None]
         self.factor(tau)
 
     def factor(self, tau: float) -> None:
@@ -300,8 +364,6 @@ class _AxisSolver:
                 f"flow matrix at step {tau} is singular (dgttrf info = {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._basis is None:
-            return self._gttrs(*self._lu, rhs)[0]
         coef = self._basis.T @ (rhs[:, :-1] * self._vol).T
         coef = self._gttrs(*self._lu, coef.ravel())[0].reshape(coef.shape)
         u = np.zeros(self.shape)
@@ -316,9 +378,9 @@ class _Mixer:
     gamma minimises ||f - dF gamma||_M in the mass-weighted norm.  The
     differences are kept in two preallocated (depth, *shape) rings."""
 
-    def __init__(self, mass: np.ndarray):
-        self._mass = mass
-        self._dx = np.empty((ANDERSON_DEPTH,) + mass.shape)
+    def __init__(self, problem):
+        self._apply_mass = problem.apply_mass
+        self._dx = np.empty((ANDERSON_DEPTH,) + problem.interior.shape)
         self._df = np.empty_like(self._dx)
         self.clear()
 
@@ -340,38 +402,13 @@ class _Mixer:
         if not self._count:
             return None
         dx, df = self._dx[:self._count], self._df[:self._count]
-        weighted = (df * self._mass).reshape(self._count, -1)
+        weighted = self._apply_mass(df).reshape(self._count, -1)
         gram = weighted @ df.reshape(self._count, -1).T
         gamma = np.linalg.lstsq(gram, weighted @ f.ravel(), rcond=None)[0]
         mixed = image.copy()
         for g, ddx, ddf in zip(gamma, dx, df):
             mixed -= g * (ddx + ddf)
         return mixed
-
-
-def _truncation_estimate(problem: DiscreteRayleigh, u: np.ndarray) -> float:
-    """Tail energy beyond the box, assuming fundamental-solution decay.
-
-    The amplitude is read off the profile at 45% of the box radius and
-    corrected for the first-order Dirichlet image term (the truncated
-    profile runs like A (zeta^(2-n) - R^(2-n)), so the raw ring amplitude
-    underestimates A by 1 - f^(n-2) at ring fraction f); the closed form
-    then integrates |grad(A zeta^(2-n))|^2 over zeta > R with the
-    cylindrical measure.
-    """
-    n, k = problem.n, problem.k
-    grid = problem.grid
-    box = grid.rho_nodes[-1]
-    fraction = 0.45
-    # the node nearest the diagonal at radius fraction * box, one index per axis
-    zc = fraction * box / math.sqrt(len(grid.axes))
-    idx = tuple(int(np.searchsorted(nodes, zc)) for nodes, _ in grid.axes)
-    radius_sq = sum(nodes[i] ** 2 for i, (nodes, _) in zip(idx, grid.axes))
-    amp = float(u[idx]) * radius_sq ** (0.5 * (n - 2))
-    amp /= 1.0 - fraction ** (n - 2.0)
-    sigma = math.prod(sphere_measure(c + 1) for _, c in grid.axes)
-    angular = 0.5 * beta_fn(0.5 * k, 0.5 * (n - k)) if k < n else 1.0
-    return sigma * angular * (n - 2.0) * amp**2 * box ** (2.0 - n)
 
 
 def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
@@ -389,21 +426,24 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     ctx = ExponentContext(n=n, k=k, p=2.0, s=s)
     if not admissible(ctx):
         raise ParameterDomainError(f"(n={n}, k={k}, p=2, s={s}) is not admissible")
-    grid = build_grid(n, k, grid_spec.rho_max, grid_spec.r_max,
-                      grid_spec.n_rho, grid_spec.n_r, grid_spec.grading)
-    problem = DiscreteRayleigh(n, k, s, grid)
-    u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
-
     step = float(opts.step)
-    solver = _AxisSolver(problem, step)
+    if k == n:
+        problem = solver = _RadialRayleigh(n, s, grid_spec)
+        solver.factor(step)
+    else:
+        problem = DiscreteRayleigh(n, k, s, build_grid(
+            n, k, grid_spec.rho_max, grid_spec.r_max, grid_spec.n_rho, grid_spec.n_r,
+            grid_spec.grading))
+        solver = _AxisSolver(problem, step)
+    u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
 
     def accepted(it):
         """Record the current state in the history; return its residual
         ||d||_M / E, with d the flow direction."""
-        defect = abs(float(np.vdot(problem.mass * u, weighted)) - 1.0)
+        defect = abs(float(np.vdot(problem.apply_mass(u), weighted)) - 1.0)
         history.append((it, energy, defect))
         d = np.where(problem.interior, lu + energy * weighted, 0.0)
-        return math.sqrt(float(np.vdot(problem.mass * d, d))) / energy
+        return math.sqrt(float(np.vdot(problem.apply_mass(d), d))) / energy
 
     def result():
         return _package(problem, u, energy, history, it, residual,
@@ -411,7 +451,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
 
     history = []
     it = rejected = extrapolated = 0
-    mixer = _Mixer(problem.mass)
+    mixer = _Mixer(problem)
     residual = accepted(it)
     while residual > math.sqrt(opts.tol):
         if it >= opts.max_iters:
@@ -457,11 +497,13 @@ def _package(problem, u, energy, history, iterations, stationarity,
              rejected_steps, extrapolated_steps) -> MinimizeResult:
     grid = problem.grid.with_values(u)
     profile = u.reshape(grid.rho_nodes.size, -1)[:, 0]
-    # a partial result may carry a vanished axis profile: no core scale then
-    core = (estimate_core_scale(grid.rho_nodes, profile) if profile[0] > 0.0
-            else float("nan"))
-    first_node = float(problem.grid.rho_nodes[0])
-    if math.isfinite(core) and core < 8.0 * first_node:
+    # from the peak, as u vanishes at the t axis's inner edge; a partial
+    # result may carry a vanished profile: no core scale then
+    peak = int(np.argmax(profile))
+    core = (estimate_core_scale(grid.rho_nodes[peak:], profile[peak:])
+            if profile[peak] > 0.0 else float("nan"))
+    first_node = float(grid.rho_nodes[0])
+    if grid.k < grid.n and math.isfinite(core) and core < 8.0 * first_node:
         warnings.warn(
             "minimiser core collapsed near the axis "
             f"(core scale {core:.3g} vs first node {first_node:.3g}); "
@@ -475,7 +517,6 @@ def _package(problem, u, energy, history, iterations, stationarity,
         grid=grid,
         history=tuple(history),
         iterations=iterations,
-        truncation_estimate=_truncation_estimate(problem, u),
         core_scale=core,
         stationarity=stationarity,
         rejected_steps=rejected_steps,

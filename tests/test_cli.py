@@ -96,13 +96,15 @@ def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, ar
     assert "usage error" in capsys.readouterr().err
 
 
-def test_minimize_user_grid_init_is_usage_error(tmp_path, capsys):
-    # no flag or config key supplies the initial grid that init = user-grid needs
-    assert main(["minimize", "--init", "user-grid", "--n-rho", "16", "--n-r", "16",
-                 "--output-dir", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "usage error" in err
-    assert "positive-bump" in err and "analytic-extremal" in err
+@pytest.mark.parametrize("args", [
+    ["decay-fit"],
+    ["quadrature", "--identity", "bogus"],
+], ids=["decay-fit-without-input", "quadrature-unknown-identity"])
+def test_rejected_parameters_leave_no_manifest(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(args + ["--output-dir", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -52,6 +52,18 @@ def test_build_grid_validation():
         CylGrid(3, 2, np.array([1.0, 0.5]), np.array([1.0]), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_rejects_non_finite_values(k, bad):
+    grid = build_grid(3, k, 10.0, 10.0, 8, 8)
+    values = np.ones(grid.values.shape)
+    values.flat[5] = bad
+    with pytest.raises(GridError, match="finite"):
+        grid.with_values(values)
+    with pytest.raises(GridError, match="finite"):
+        CylGrid(3, k, grid.rho_nodes, grid.r_nodes, values)
+
+
 def test_grid_values_immutable():
     g = build_grid(3, 2, 10.0, 10.0, 16, 16)
     with pytest.raises(ValueError):
@@ -69,7 +81,7 @@ def _meshgrid_sampled(grid, profile):
 def test_sampled_open_mesh_matches_meshgrid(const32, monkeypatch):
     # elementwise profiles give the same bits on the open mesh
     from hscyl import ExtremalParams, GridSpec, MinimizeOptions, extremal_profile
-    from hscyl.minimizer import DiscreteRayleigh, _initial_values
+    from hscyl.minimizer import DiscreteRayleigh, _initial_values, _RadialRayleigh
 
     axis = build_grid(3, 2, 30.0, 20.0, 40, 24, grading=1.5)
     window = window_grid(4, 2, 1.0, 2.0, 1.5, 3.0, 33, 17)
@@ -79,10 +91,10 @@ def test_sampled_open_mesh_matches_meshgrid(const32, monkeypatch):
     for grid, profile in profiles:
         assert np.array_equal(grid.sampled(profile).values, _meshgrid_sampled(grid, profile))
 
-    for n, k in [(3, 2), (3, 3)]:
-        spec = GridSpec(rho_max=40.0, r_max=40.0, n_rho=24, n_r=20, grading=1.5)
-        grid = build_grid(n, k, spec.rho_max, spec.r_max, spec.n_rho, spec.n_r, spec.grading)
-        problem = DiscreteRayleigh(n, k, 1.0, grid)
+    spec = GridSpec(rho_max=40.0, r_max=40.0, n_rho=24, n_r=20, grading=1.5)
+    grid = build_grid(3, 2, spec.rho_max, spec.r_max, spec.n_rho, spec.n_r, spec.grading)
+    # the k = n seeds live on the flow's t axis
+    for problem in (DiscreteRayleigh(3, 2, 1.0, grid), _RadialRayleigh(3, 1.0, spec)):
         for opts in (MinimizeOptions(init="analytic-extremal", init_scale=0.6),
                      MinimizeOptions(init="positive-bump")):
             seed = _initial_values(problem, spec, opts)

@@ -103,16 +103,24 @@ assert not loaded, loaded
 
 
 def test_minimize_never_loads_scipy_sparse(tmp_path):
-    # the flow's operator is per-axis difference coefficients, and its
-    # solver needs only scipy.linalg
+    # the k = n flow's step is a DST from scipy.fft; the k < n solver needs
+    # scipy.linalg; the flow's operators are per-axis arrays, never sparse
     _run_fresh(f"""
 import sys
+import hscyl
 from hscyl import cli
-for n, k in ((3, 2), (3, 3)):
+
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m == prefix or m.startswith(prefix + "."))
+
+assert not loaded("scipy"), loaded("scipy")
+for n, k in ((3, 3), (3, 2)):
     argv = ["minimize", "--n", str(n), "--k", str(k), "--n-rho", "24", "--n-r", "24",
             "--rho-max", "30", "--r-max", "30", "--init", "analytic-extremal"]
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + f"/{{n}}{{k}}"]) == 0
+    if k == n:
+        assert "scipy.fft" in sys.modules
+        assert not loaded("scipy.linalg"), loaded("scipy.linalg")
 assert "scipy.linalg" in sys.modules
-loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
-assert not loaded, loaded
+assert not loaded("scipy.sparse"), loaded("scipy.sparse")
 """, tmp_path)

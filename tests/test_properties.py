@@ -1,24 +1,30 @@
 """Property tests over the admissible parameter space: each closed form
-against its quadrature oracle, the exponent identities and the Kelvin
-involution, on a fixed, bounded set of draws."""
+against its quadrature oracle, the exponent identities, the Kelvin
+involution and the k = n flow against its ground state, on a fixed,
+bounded set of draws."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_minimizer import _p1_residual
 
 from hscyl import (
     ExponentContext,
+    GridSpec,
     admissible,
     aux_exponents,
     beta_integral_full,
     hs_conjugate,
     integrate_cylindrical,
     kelvin_transform,
+    minimize_rayleigh,
+    sharp_constant_K,
     singular_newtonian_integral,
 )
+from hscyl.specfn import beta, sphere_measure
 
 
 def fixed(max_examples):
@@ -117,3 +123,38 @@ def test_kelvin_involution(n, direction, norm):
     z *= norm / length
     double = kelvin_transform(kelvin_transform(u, n), n)
     assert double(z) == pytest.approx(u(z), rel=1e-12)
+
+
+def _ground_state_energy(n, s):
+    """E* = min of S int (w'^2 + c^2 w^2) dt over S int |w|^q dt = 1 on the
+    whole t line, c = (n-2)/2, q = 2(n-s)/(n-2): the energy of the k = n
+    problem's ground state w ~ sech^(2/(q-2))(c (q-2) t / 2), the classical
+    solution of -w'' + c^2 w = E w^(q-1) (cf. Lieb, Ann. Math. 118, 1983)."""
+    c, q = 0.5 * (n - 2), 2.0 * (n - s) / (n - 2)
+    a = q / (q - 2.0)
+    integral = (0.5 * q) ** a * beta(a, 0.5) / (0.5 * (q - 2.0))
+    return (sphere_measure(n) * integral) ** (1.0 - 2.0 / q) * c ** (1.0 + 2.0 / q)
+
+
+@fixed(20)
+@given(n=st.integers(3, 8), s=st.floats(0.0, 1.9))
+@example(n=8, s=1.9)
+def test_radial_flow_approaches_its_ground_state(n, s):
+    # at s = 1 the ground state is the extremal, and E* is Lambda
+    assert _ground_state_energy(n, 1.0) == pytest.approx(sharp_constant_K(n, n).Lambda,
+                                                         rel=1e-13)
+    # the ground state is sech^alpha(beta t); the box ends where it has
+    # fallen to 1e-7 of its peak, so it grows like the core width 1/beta =
+    # 2/(2-s), and its error (about 1e-14) is far below the grid's.  The
+    # bounds come from a sweep of n = 3..8 and 20 values of s, which read
+    # (E/E* - 1) / (beta h)^2 of 0.019-0.061 and 3-35 steps
+    alpha, core = (n - 2) / (2.0 - s), 2.0 / (2.0 - s)
+    half = core * math.acosh(1e7 ** (1.0 / alpha))
+    cells = 256
+    res = minimize_rayleigh(n, n, s, GridSpec(rho_max=math.exp(half), r_max=1.0,
+                                              n_rho=cells, n_r=8))
+    excess = res.E_min / _ground_state_energy(n, s) - 1.0
+    spacing = 2.0 * half / cells / core  # in core widths
+    assert 0.0 <= excess <= 0.1 * spacing**2
+    assert res.iterations <= 50
+    assert _p1_residual(n, s, res) <= 1e-5

@@ -21,6 +21,7 @@ import numpy as np
 
 from .cylgrid import CylGrid
 from .errors import FitDomainError, GridError, ParameterDomainError
+from .specfn import sphere_measure
 
 __all__ = [
     "RaySamples",
@@ -241,7 +242,10 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
     in_half = dist_sq <= (0.5 * ball_r) ** 2
     if not np.any(in_half) or np.count_nonzero(in_ball) < 8:
         raise GridError("grid too coarse to resolve the ball at this centre")
-    measure = grid.measure()[window]
+    # grid.measure() restricted to the window, built from the window alone
+    rho_vol, r_vol = (vol[w] for vol, w in zip(grid.cell_volumes(), window))
+    measure = (sphere_measure(grid.k) * sphere_measure(grid.n - grid.k)
+               * np.multiply.outer(rho_vol, r_vol))
     vals = grid.values[window]
     mean_q = (np.sum(measure[in_ball] * np.abs(vals[in_ball]) ** q0)
               / np.sum(measure[in_ball])) ** (1.0 / q0)

@@ -3,9 +3,12 @@
 Two broad families matter to callers: domain errors (bad inputs, shell exit
 code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
-The integer validators, :func:`require_int` and :func:`require_split`, live
-here too, so every module can import them without an import cycle.
+The validators, :func:`require_int`, :func:`require_positive` and
+:func:`require_split`, live here too, so every module can import them
+without an import cycle.
 """
+
+import math
 
 import numpy as np
 
@@ -73,6 +76,12 @@ def require_int(value, name: str) -> int:
             if as_int == value:
                 return as_int
     raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_positive(value, name: str) -> None:
+    """ParameterDomainError unless 0 < value < inf; nan fails too."""
+    if not 0.0 < value < math.inf:
+        raise ParameterDomainError(f"{name} must be positive and finite, got {value}")
 
 
 def require_split(n, k) -> tuple[int, int]:

@@ -47,16 +47,20 @@ the next right-hand side.
 
 The finite-volume L is a Kronecker sum of one tridiagonal operator per
 grid axis, each held as two coefficient arrays in difference form.  Each
-step solves (1 - step L) u+ = rhs axis by axis, by fast diagonalisation
-(Lynch, Rice & Thomas, Numer. Math. 6, 1964).  The trailing (r) axis is
-diagonalised once per flow: its interior operator is -V^(-1) K with K
-the symmetric flux matrix and V the cell volumes, so the eigenvectors Y
-of the tridiagonal V^(-1/2) K V^(-1/2) give a V-orthonormal eigenbasis
-Z = V^(-1/2) Y.  In that basis the system splits into one tridiagonal
-rho-axis system per eigenvalue, and the stacked systems are one
-tridiagonal matrix, factorised and solved in O(N) by LAPACK.  Halving the
-step refactorises only that tridiagonal matrix.  For k = n a DST-I
-diagonalises M and K: a step is a DST, one divide and the DST back.
+step solves (1 - step L) u+ = rhs by fast diagonalisation (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964), with both axes diagonalised once per flow.
+An axis's interior operator is -V^(-1) K with K the symmetric flux matrix
+and V the cell volumes, so the eigenvectors Y of the tridiagonal
+V^(-1/2) K V^(-1/2), with eigenvalues mu on the rho axis and nu on the r
+axis, give a V-orthonormal eigenbasis Z = V^(-1/2) Y.  A step maps rhs
+into both bases, Z_rho^T (V_rho rhs V_r) Z_r, divides by
+1 + step (mu_i + nu_j) and maps back with Z_rho and Z_r^T.  The basis
+change carries the spread of the cell volumes, so it loses digits where an
+axis weight exponent is large on a strongly graded grid: against a sparse
+direct solve, (8,7) at 160 nodes reads 5e-11 at grading 1.5 and 3e-9 at
+grading 2.  For k = n a DST-I diagonalises M and K: a step is a DST, one
+divide and the DST back.  Either way the step enters only the divide, so
+halving it costs nothing.
 
 The plain step converges linearly, held back by one slow mode: the nearly
 neutral dilation direction (for k = n, a seed off the centre of the t
@@ -95,6 +99,7 @@ from .errors import (
     InternalConsistencyError,
     ParameterDomainError,
     require_int,
+    require_positive,
 )
 from .exponents import ExponentContext, admissible, hs_conjugate
 from .specfn import sphere_measure
@@ -129,16 +134,13 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.init not in INIT_MODES:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if not 0.0 < self.step < math.inf:
-            raise ParameterDomainError(f"step must be positive and finite, got {self.step}")
-        if self.init_scale is not None and not 0.0 < self.init_scale < math.inf:
-            raise ParameterDomainError(
-                f"init_scale must be positive and finite, got {self.init_scale}")
+        require_positive(self.step, "step")
+        if self.init_scale is not None:
+            require_positive(self.init_scale, "init_scale")
         self.max_iters = require_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0.0:
-            raise ParameterDomainError(f"tol must be positive, got {self.tol}")
+        require_positive(self.tol, "tol")
 
 
 @dataclass(frozen=True)
@@ -253,8 +255,8 @@ class DiscreteRayleigh:
 
 class _RadialRayleigh:
     """The k = n problem on the t axis (module docstring): DiscreteRayleigh's
-    evaluate and a solver's factor and solve, for states u at rho_i =
-    exp(t_i), i = 1..cells, with w = dilation * u and the mass S M in w.  The
+    evaluate and a solver's solve, for states u at rho_i = exp(t_i),
+    i = 1..cells, with w = dilation * u and the mass S M in w.  The
     orthonormal DST-I diagonalises M (modal_mass) and M^(-1) (K + c^2 M)."""
 
     def __init__(self, n: int, s: float, spec: GridSpec):
@@ -301,14 +303,11 @@ class _RadialRayleigh:
         weighted = np.append(dst(load, 1, norm="ortho"), 0.0) / self.dilation
         return candidate * scale, energy, lu, weighted
 
-    def factor(self, tau: float) -> None:
-        self._divisor = 1.0 + tau * self.ratio
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
         """(M + tau (K + c^2 M)) w = M w_rhs; the pinned node comes out 0."""
         from scipy.fft import dst
 
-        coef = dst(rhs[:-1] * self.dilation[:-1], 1, norm="ortho") / self._divisor
+        coef = dst(rhs[:-1] * self.dilation[:-1], 1, norm="ortho") / (1.0 + tau * self.ratio)
         return np.append(dst(coef, 1, norm="ortho"), 0.0) / self.dilation
 
 
@@ -330,44 +329,32 @@ def _initial_values(problem, spec: GridSpec, opts: MinimizeOptions):
 
 class _AxisSolver:
     """Solver for (1 - tau L) u = rhs, with L the flow operator of a
-    DiscreteRayleigh: eigenbasis across the trailing axis, one stacked
-    tridiagonal LAPACK solve along the leading one (see the module
+    DiscreteRayleigh, by fast diagonalisation on both axes (see the module
     docstring).  Pinned outer nodes come out exactly 0."""
 
-    def __init__(self, problem: DiscreteRayleigh, tau: float):
-        from scipy.linalg import eigh_tridiagonal, lapack
+    def __init__(self, problem: DiscreteRayleigh):
+        from scipy.linalg import eigh_tridiagonal
 
-        self._gttrf, self._gttrs = lapack.dgttrf, lapack.dgttrs
-        (p, q), (p_r, q_r) = problem.axis_coeffs
         self.shape = problem.shape
-        self._lead = (np.append(q[1:], 0.0), np.append(-(p + q), 0.0), p)
-        self._vol = problem.axis_vols[1][:-1]
-        # the interior rows are -V^(-1) K with K the symmetric flux
+        # an axis's interior rows are -V^(-1) K with K the symmetric flux
         # matrix; V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q
         # and off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
-        # and Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu)
-        self._mu, basis = eigh_tridiagonal(p_r + q_r, -np.sqrt(p_r[:-1] * q_r[1:]))
-        self._basis = basis / np.sqrt(self._vol)[:, None]
-        self.factor(tau)
+        # so Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu);
+        # each axis keeps Z^T V = Y^T V^(1/2) (forward) and Z (back)
+        mus, self._forward, self._back = [], [], []
+        for (p, q), vol in zip(problem.axis_coeffs, problem.axis_vols):
+            mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
+            root = np.sqrt(vol[:-1])[:, None]
+            mus.append(mu)
+            self._forward.append((basis * root).T)
+            self._back.append(basis / root)
+        self._mu = mus[0][:, None] + mus[1]  # mu_i + nu_j
 
-    def factor(self, tau: float) -> None:
-        """LU-factorise the stacked systems (1 + tau mu_j) I - tau A_lead."""
-        lower, main, upper = self._lead
-        diag = ((1.0 + tau * self._mu)[:, None] - tau * main).ravel()
-        # no coupling between consecutive blocks
-        off = np.zeros((2, self._mu.size, main.size))
-        off[0, :, :-1] = -tau * lower
-        off[1, :, :-1] = -tau * upper
-        *self._lu, info = self._gttrf(off[0].ravel()[:-1], diag, off[1].ravel()[:-1])
-        if info != 0:
-            raise InternalConsistencyError(
-                f"flow matrix at step {tau} is singular (dgttrf info = {info})")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        coef = self._basis.T @ (rhs[:, :-1] * self._vol).T
-        coef = self._gttrs(*self._lu, coef.ravel())[0].reshape(coef.shape)
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        (fwd_rho, fwd_r), (back_rho, back_r) = self._forward, self._back
+        coef = fwd_rho @ rhs[:-1, :-1] @ fwd_r.T / (1.0 + tau * self._mu)
         u = np.zeros(self.shape)
-        u[:, :-1] = (self._basis @ coef).T
+        u[:-1, :-1] = back_rho @ coef @ back_r.T
         return u
 
 
@@ -429,12 +416,11 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     step = float(opts.step)
     if k == n:
         problem = solver = _RadialRayleigh(n, s, grid_spec)
-        solver.factor(step)
     else:
         problem = DiscreteRayleigh(n, k, s, build_grid(
             n, k, grid_spec.rho_max, grid_spec.r_max, grid_spec.n_rho, grid_spec.n_r,
             grid_spec.grading))
-        solver = _AxisSolver(problem, step)
+        solver = _AxisSolver(problem)
     u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
 
     def accepted(it):
@@ -461,7 +447,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
             )
         it += 1
         rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
-        candidate = problem.evaluate(np.clip(solver.solve(rhs), 0.0, None))
+        candidate = problem.evaluate(np.clip(solver.solve(rhs, step), 0.0, None))
         new_energy = candidate[1]
         if not math.isfinite(new_energy) or new_energy > energy + 1e-14 * abs(energy):
             step *= 0.5
@@ -471,7 +457,6 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
                     "flow step collapsed without reaching tolerance",
                     partial=result(),
                 )
-            solver.factor(step)
             mixer.clear()
             continue
         mixed = mixer.mix(u, candidate[0])

@@ -46,6 +46,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_positive,
     require_split,
 )
 from .specfn import sphere_measure
@@ -329,8 +330,7 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
         raise ParameterDomainError(f"k must be an integer >= 1, got {k}")
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
+    require_positive(tol, "tol")
     g = _vectorized(g)
     counter = _Budget(budget)
     pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
@@ -355,8 +355,7 @@ def integrate_cylindrical(f, n: int, k: int, s: float,
     n, k = require_split(n, k)
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
+    require_positive(tol, "tol")
     if domain is None:
         domain = CylindricalDomain(r_max=None if k == n else math.inf)
     if k == n:
@@ -408,8 +407,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     n, k = require_split(n, k)
     if not (0.0 <= s < min(k, 2)):
         raise ParameterDomainError(f"need 0 <= s < min(k, 2), got s={s}")
-    if not tol > 0.0:
-        raise ParameterDomainError(f"tol must be positive, got {tol}")
+    require_positive(tol, "tol")
     z = np.asarray(z, dtype=float)
     if z.shape != (n,):
         raise ParameterDomainError(f"z must be a point in R^{n}, got shape {z.shape}")

@@ -114,6 +114,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["minimize", "--n-rho", "32", "--n-r", "32", "--rho-max", "30",
                  "--r-max", "30", "--max-iters", "1",
                  "--output-dir", str(tmp_path / "b")]) == 3
+    assert main(["minimize", "--tol", "inf", "--output-dir", str(tmp_path / "c")]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err
     assert "domain error" in err

@@ -105,14 +105,14 @@ def test_minimum_matches_the_plain_flow(small_run):
     seed = problem.grid.sampled(lambda rho, r: ((rho + 0.5) ** 2 + r**2) ** -0.5).values
     u, energy, lu, weighted = problem.evaluate(np.where(problem.interior, seed, 0.0))
     step = MinimizeOptions().step
-    solver = _AxisSolver(problem, step)
+    solver = _AxisSolver(problem)
     for _ in range(2000):
         d = np.where(problem.interior, lu + energy * weighted, 0.0)
         if math.sqrt(float(np.sum(problem.mass * d**2))) / energy <= 1e-8:
             break
         rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
         previous = energy
-        u, energy, lu, weighted = problem.evaluate(np.clip(solver.solve(rhs), 0.0, None))
+        u, energy, lu, weighted = problem.evaluate(np.clip(solver.solve(rhs, step), 0.0, None))
         assert energy <= previous * (1.0 + 1e-14)
     else:
         pytest.fail("the plain flow did not reach residual 1e-8")
@@ -234,23 +234,21 @@ def test_apply_op_matches_assembled_operator(n, k, grading):
     assert np.max(np.abs(problem.apply_op(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n, k", [(3, 2), (4, 2)])
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (5, 3), (6, 2)])
 @pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
 def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
-    # the per-axis solve of (1 - tau L) u = rhs against a sparse direct
-    # solve; tau = 1 is the halved default step, refactorised in place
+    # the modal solve of (1 - tau L) u = rhs against a sparse direct solve,
+    # at the default step, halved, and at a small step, halved, from one solver
     grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
     problem = DiscreteRayleigh(n, k, 1.0, grid)
-    solver = _AxisSolver(problem, 2.0)
+    solver = _AxisSolver(problem)
     op = _reference_operator(problem)
     rng = np.random.default_rng(7)
-    for tau in (2.0, 1.0, 1e4):
-        if tau != 2.0:
-            solver.factor(tau)
+    for tau in (1e4, 5e3, 2.0, 1.0):
         rhs = np.where(problem.interior, rng.uniform(-1.0, 1.0, size=problem.shape), 0.0)
         mat = sp.identity(op.shape[0], format="csc") - tau * op
         ref = spsolve(mat, rhs.ravel()).reshape(problem.shape)
-        u = solver.solve(rhs)
+        u = solver.solve(rhs, tau)
         assert u.shape == problem.shape
         assert np.max(np.abs(u - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.all(u[~problem.interior] == 0.0)
@@ -352,10 +350,9 @@ def test_modal_step_matches_dense_p1_solve(rng, n):
     assert rel(weighted[:-1] * dilation, np.linalg.solve(mass, b)) <= 1e-10
     assert lu[-1] == weighted[-1] == 0.0
     for tau in (1e4, 5e3):
-        problem.factor(tau)
         rhs = np.where(problem.interior, rng.uniform(-1.0, 1.0, size=nodes.size), 0.0)
         ref = np.linalg.solve(mass + tau * a, mass @ (rhs[:-1] * dilation))
-        out = problem.solve(rhs)
+        out = problem.solve(rhs, tau)
         assert out[-1] == 0.0
         assert rel(out[:-1] * dilation, ref) <= 1e-10
 
@@ -376,6 +373,9 @@ def test_inadmissible_parameters_rejected():
     for max_iters in (2.5, True, None):
         with pytest.raises(ParameterDomainError, match="max_iters"):
             MinimizeOptions(max_iters=max_iters)
+    for tol in (0.0, -1.0, math.nan, math.inf):  # inf would stop at the seed
+        with pytest.raises(ParameterDomainError, match="tol"):
+            MinimizeOptions(tol=tol)
 
 
 def test_nonconvergence_carries_partial_result():

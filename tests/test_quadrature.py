@@ -140,11 +140,12 @@ ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_tol_must_be_positive(entry, tol):
     # rejected before any evaluation: a zero or negative tol would spend the
-    # whole budget, and nan would return the unrefined first pass
+    # whole budget, and nan or inf would return the unrefined first pass
     with pytest.raises(ParameterDomainError, match="tol must be positive"):
         ENTRY_POINTS[entry](tol)
 

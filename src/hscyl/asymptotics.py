@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylgrid import CylGrid
-from .errors import FitDomainError, GridError, ParameterDomainError
+from .errors import FitDomainError, GridError, ParameterDomainError, require_positive
 from .specfn import sphere_measure
 
 __all__ = [
@@ -58,8 +58,10 @@ class RaySamples:
         values = np.array(self.values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape:
             raise ParameterDomainError("radii and values must be 1-D and aligned")
-        if np.any(radii <= 0.0) or np.any(np.diff(radii) <= 0.0):
-            raise ParameterDomainError("radii must be positive and strictly increasing")
+        if not (np.all(np.isfinite(radii) & (radii > 0.0)) and np.all(np.diff(radii) > 0.0)):
+            raise ParameterDomainError("radii must be finite, positive and strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ParameterDomainError("values must be finite")
         radii.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "radii", radii)
@@ -127,6 +129,8 @@ def check_decay_bounds(fit: DecayFit, n: int, p: float, mode: str,
     solution-two-sided : |exponent - (n - 2)| <= tol      (p = 2)
     general-p          : exponent >= (n-p)/(p-1) - tol
     """
+    if not 0.0 <= tol < math.inf:
+        raise ParameterDomainError(f"need finite tol >= 0, got tol={tol}")
     if not fit.conclusive:
         raise FitDomainError(
             f"fit is inconclusive (r^2 = {fit.r_squared:.4f} < {CONCLUSIVE_R2})"
@@ -217,12 +221,11 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
     reduced coordinates with the cylindrical cell measure.  Bounded
     uniformly in the centre for solutions of the critical equation.
     """
-    if q0 < 2.0:
-        raise ParameterDomainError(f"need q0 >= 2, got q0={q0}")
+    if not 2.0 <= q0 < math.inf:
+        raise ParameterDomainError(f"need finite q0 >= 2, got q0={q0}")
     if grid.k == grid.n:
         raise GridError("local_sup_ratio needs a 2-D cylindrical grid")
-    if not center_radius > 0.0:
-        raise ParameterDomainError(f"center_radius must be positive, got {center_radius}")
+    require_positive(center_radius, "center_radius")
     c = center_radius / math.sqrt(2.0)
     ball_r = 0.5 * center_radius
     # an axis grid's cells reach the axis, a window grid's only its first node

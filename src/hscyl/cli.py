@@ -264,10 +264,10 @@ def _run_verify_extremal(p: dict, out: Path) -> list:
         grid = cylgrid.build_grid(n, k, box, box, nodes, nodes, grading=1.0)
         res = cylgrid.el_residual(grid.sampled(profile), const.Lambda, 1.0)
         lo, hi = box / 8.0, 0.75 * box
-        rho_win = (grid.rho_nodes >= lo) & (grid.rho_nodes <= hi)
-        r_win = (grid.r_nodes >= lo) & (grid.r_nodes <= hi)
-        window = np.abs(res.values[np.ix_(rho_win, r_win)])
-        worst = float(window.max())
+        window = res.values[(grid.rho_nodes >= lo) & (grid.rho_nodes <= hi)]
+        if k < n:  # a k = n residual is 1-D: the window is on rho alone
+            window = window[:, (grid.r_nodes >= lo) & (grid.r_nodes <= hi)]
+        worst = float(np.abs(window).max())
         rows.append([level, nodes, box / nodes, worst,
                      prev / worst if prev else float("nan")])
         prev = worst

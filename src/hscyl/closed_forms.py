@@ -34,6 +34,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_positive,
     require_split,
 )
 from .specfn import ball_volume, beta, sphere_measure
@@ -225,8 +226,7 @@ class ExtremalParams:
 
     def __post_init__(self):
         n, k = require_split(self.n, self.k)
-        if not self.lam > 0.0:
-            raise ParameterDomainError(f"lam must be positive, got {self.lam}")
+        require_positive(self.lam, "lam")
         y0 = np.zeros(n - k) if self.y0 is None else np.asarray(self.y0, dtype=float)
         if y0.shape != (n - k,):
             raise ParameterDomainError(
@@ -312,8 +312,7 @@ class ShiftedQuadraticParams:
         b = require_int(self.b, "b")
         if a < 1 or b < 1:
             raise ParameterDomainError(f"a, b must be positive integers, got {a}, {b}")
-        if not self.lam > 0.0:
-            raise ParameterDomainError(f"lam must be positive, got {self.lam}")
+        require_positive(self.lam, "lam")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", float(self.lam))
@@ -379,8 +378,7 @@ def multi_subspace_solution(dims, lam: float, offsets, radii):
     with the coefficients from :func:`multi_subspace_coefficients`.
     """
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
-    if not lam > 0.0:
-        raise ParameterDomainError(f"lam must be positive, got {lam}")
+    require_positive(lam, "lam")
     if not (len(offsets) == len(radii) == len(dims)):
         raise ParameterDomainError("dims, offsets and radii must align")
     n = sum(dims)

@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridError, ParameterDomainError, require_int, require_split
+from .errors import (GridError, ParameterDomainError, require_int, require_positive,
+                     require_split)
 from .exponents import hs_conjugate
 from .specfn import sphere_measure
 
@@ -77,8 +78,8 @@ class CylGrid:
         r = np.array(self.r_nodes, dtype=float)
         vals = np.array(self.values, dtype=float)
         for name, nodes in (("rho_nodes", rho), ("r_nodes", r)):
-            if nodes.size and (np.any(nodes <= 0.0) or np.any(np.diff(nodes) <= 0.0)):
-                raise GridError(f"{name} must be strictly increasing and positive")
+            if not (np.all(np.isfinite(nodes) & (nodes > 0.0)) and np.all(np.diff(nodes) > 0.0)):
+                raise GridError(f"{name} must be finite, strictly increasing and positive")
         if k == n:
             if r.size:
                 raise GridError("k = n grids carry no r nodes")
@@ -165,10 +166,11 @@ def build_grid(n: int, k: int, rho_max: float, r_max: float,
     n_r = require_int(n_r, "n_r")
     if n_rho < 8 or (k < n and n_r < 8):
         raise ParameterDomainError("need at least 8 nodes per active dimension")
-    if not grading >= 1.0:
-        raise ParameterDomainError(f"grading must be >= 1, got {grading}")
-    if not rho_max > 0.0 or (k < n and not r_max > 0.0):
-        raise ParameterDomainError("domain extents must be positive")
+    if not 1.0 <= grading < math.inf:
+        raise ParameterDomainError(f"grading must be finite and >= 1, got {grading}")
+    require_positive(rho_max, "rho_max")
+    if k < n:
+        require_positive(r_max, "r_max")
     rho = rho_max * (np.arange(1, n_rho + 1) / n_rho) ** grading
     if k == n:
         return CylGrid(n, k, rho, np.empty(0), np.zeros(n_rho), grading)
@@ -187,8 +189,8 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
     n, k = require_split(n, k)
     n_rho = require_int(n_rho, "n_rho")
     n_r = require_int(n_r, "n_r")
-    if not (0.0 < rho_lo < rho_hi) or (k < n and not (0.0 < r_lo < r_hi)):
-        raise ParameterDomainError("window bounds must satisfy 0 < lo < hi")
+    if not 0.0 < rho_lo < rho_hi < math.inf or (k < n and not 0.0 < r_lo < r_hi < math.inf):
+        raise ParameterDomainError("window bounds must satisfy 0 < lo < hi < inf")
     if n_rho < 8 or (k < n and n_r < 8):
         raise ParameterDomainError("need at least 8 nodes per active dimension")
     rho = np.linspace(rho_lo, rho_hi, n_rho)
@@ -333,8 +335,8 @@ def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
 
     over the grid's cell measure; |grad U|^2 = U_rho^2 + U_r^2.
     """
-    if not p_exp >= 1.0:
-        raise ParameterDomainError(f"need p_exp >= 1, got {p_exp}")
+    if not 1.0 <= p_exp < math.inf:
+        raise ParameterDomainError(f"need finite p_exp >= 1, got {p_exp}")
     measure = grid.measure()
     return sum(float(np.sum(measure[rows] * grad_sq ** (0.5 * p_exp)))
                for rows, (grad_sq,) in _row_blocks(grid, (_GRAD_SQ,)))

@@ -45,22 +45,25 @@ the step.  Each step evaluates its candidate once: one power u^(q-1) and
 one operator product give the projected state's energy, its residual and
 the next right-hand side.
 
-The finite-volume L is a Kronecker sum of one tridiagonal operator per
-grid axis, each held as two coefficient arrays in difference form.  Each
-step solves (1 - step L) u+ = rhs by fast diagonalisation (Lynch, Rice &
-Thomas, Numer. Math. 6, 1964), with both axes diagonalised once per flow.
-An axis's interior operator is -V^(-1) K with K the symmetric flux matrix
-and V the cell volumes, so the eigenvectors Y of the tridiagonal
-V^(-1/2) K V^(-1/2), with eigenvalues mu on the rho axis and nu on the r
-axis, give a V-orthonormal eigenbasis Z = V^(-1/2) Y.  A step maps rhs
-into both bases, Z_rho^T (V_rho rhs V_r) Z_r, divides by
-1 + step (mu_i + nu_j) and maps back with Z_rho and Z_r^T.  The basis
-change carries the spread of the cell volumes, so it loses digits where an
-axis weight exponent is large on a strongly graded grid: against a sparse
-direct solve, (8,7) at 160 nodes reads 5e-11 at grading 1.5 and 3e-9 at
-grading 2.  For k = n a DST-I diagonalises M and K: a step is a DST, one
-divide and the DST back.  Either way the step enters only the divide, so
-halving it costs nothing.
+Each flow holds one problem object, which both evaluates a state and
+takes the step's solve: DiscreteRayleigh for k < n, _RadialRayleigh for
+k = n.  The finite-volume L is a Kronecker sum of one tridiagonal
+operator per grid axis, each held as two coefficient arrays in
+difference form.  DiscreteRayleigh solves (1 - step L) u+ = rhs by fast
+diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with
+both axes diagonalised once, when the problem is built.  An axis's
+interior operator is -V^(-1) K with K the symmetric flux matrix and V
+the cell volumes, so the eigenvectors Y of the tridiagonal V^(-1/2) K
+V^(-1/2), with eigenvalues mu on the rho axis and nu on the r axis, give
+a V-orthonormal eigenbasis Z = V^(-1/2) Y.  A step maps rhs into both
+bases, Z_rho^T (V_rho rhs V_r) Z_r, divides by 1 + step (mu_i + nu_j)
+and maps back with Z_rho and Z_r^T.  The basis change carries the spread
+of the cell volumes, so it loses digits where an axis weight exponent is
+large on a strongly graded grid: against a sparse direct solve, (8,7) at
+160 nodes reads 5e-11 at grading 1.5 and 3e-9 at grading 2.  For k = n a
+DST-I diagonalises M and K: a step is a DST, one divide and the DST
+back.  Either way the step enters only the divide, so halving it costs
+nothing.
 
 The plain step converges linearly, held back by one slow mode: the nearly
 neutral dilation direction (for k = n, a seed off the centre of the t
@@ -168,40 +171,54 @@ class MinimizeResult:
 
 
 class DiscreteRayleigh:
-    """Discrete energy/constraint pair and the flow direction.
+    """The k < n flow problem: the discrete energy/constraint pair, the
+    flow direction and the step's solve.
 
     Exposes exactly the objects the flow uses so that the descent
     direction can be validated against a finite-difference gradient of
     rayleigh() (in the mass-weighted metric the direction is
-    -(1/2) grad of E/N^(2/q) on N = 1).
+    -(1/2) grad of E/N^(2/q) on N = 1).  Both axes are diagonalised once,
+    here, for solve (see the module docstring).
     """
 
     def __init__(self, n: int, k: int, s: float, grid: CylGrid):
+        from scipy.linalg import eigh_tridiagonal
+
         if (grid.n, grid.k) != (n, k):
             raise ParameterDomainError("grid does not match the requested (n, k)")
+        if k == n:
+            raise ParameterDomainError("the k = n flow runs on the t axis, not on a CylGrid")
         if not grid.axis_ghost:
             raise ParameterDomainError("the flow needs an axis-adjacent grid, "
                                        "not a window grid")
         self.n, self.k, self.s = n, k, float(s)
         self.q = hs_conjugate(2.0, s, n)
         self.grid = grid
-        self.shape = tuple(nodes.size for nodes, _ in grid.axes)
+        self.shape = grid.values.shape
         self.axis_vols = grid.cell_volumes()
         self.mass = grid.measure()
         # row i of an axis is p[i] (u[i+1] - u[i]) - q[i] (u[i] - u[i-1]),
         # from the face conductances x_f^c / h over the cell volumes: no flux
-        # crosses the axis face (q[0] = 0), and the pinned outer row is 0
-        self.axis_coeffs = []
+        # crosses the axis face (q[0] = 0), and the pinned outer row is 0.
+        # The interior rows are -V^(-1) K with K the symmetric flux matrix;
+        # V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q and
+        # off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
+        # so Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu);
+        # each axis keeps Z^T V = Y^T V^(1/2) (forward) and Z (back)
+        self.axis_coeffs, mus, self._forward, self._back = [], [], [], []
         for (nodes, c), vol in zip(grid.axes, self.axis_vols):
             conductance = (0.5 * (nodes[1:] + nodes[:-1])) ** c / np.diff(nodes)
-            self.axis_coeffs.append((conductance / vol[:-1],
-                                     np.append(0.0, conductance[:-1]) / vol[:-1]))
-        self.interior = np.ones(self.shape, dtype=bool)
-        for axis in range(len(self.shape)):
-            np.moveaxis(self.interior, axis, 0)[-1] = False  # Dirichlet pin
-        w = grid.rho_nodes ** (-self.s)
-        self.weight_s = np.broadcast_to(w.reshape(w.shape + (1,) * (len(self.shape) - 1)),
-                                        self.shape)
+            p, q = conductance / vol[:-1], np.append(0.0, conductance[:-1]) / vol[:-1]
+            mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
+            root = np.sqrt(vol[:-1])[:, None]
+            self.axis_coeffs.append((p, q))
+            mus.append(mu)
+            self._forward.append((basis * root).T)
+            self._back.append(basis / root)
+        self._mu = mus[0][:, None] + mus[1]  # mu_i + nu_j
+        self.interior = np.zeros(self.shape, dtype=bool)
+        self.interior[:-1, :-1] = True  # the outer rows are Dirichlet pins
+        self.weight_s = np.broadcast_to(grid.rho_nodes[:, None] ** (-self.s), self.shape)
 
     def apply_op(self, u: np.ndarray) -> np.ndarray:
         """L u: the Kronecker sum of the axis operators, as differences
@@ -252,17 +269,26 @@ class DiscreteRayleigh:
     def rayleigh(self, u: np.ndarray) -> float:
         return self.energy(u) / self.constraint(u) ** (2.0 / self.q)
 
+    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
+        """(1 - tau L) u = rhs by fast diagonalisation on both axes; the
+        pinned outer nodes come out exactly 0."""
+        (fwd_rho, fwd_r), (back_rho, back_r) = self._forward, self._back
+        coef = fwd_rho @ rhs[:-1, :-1] @ fwd_r.T / (1.0 + tau * self._mu)
+        u = np.zeros(self.shape)
+        u[:-1, :-1] = back_rho @ coef @ back_r.T
+        return u
+
 
 class _RadialRayleigh:
     """The k = n problem on the t axis (module docstring): DiscreteRayleigh's
-    evaluate and a solver's solve, for states u at rho_i = exp(t_i),
+    evaluate and solve, for states u at rho_i = exp(t_i),
     i = 1..cells, with w = dilation * u and the mass S M in w.  The
     orthonormal DST-I diagonalises M (modal_mass) and M^(-1) (K + c^2 M)."""
 
     def __init__(self, n: int, s: float, spec: GridSpec):
         cells = require_int(spec.n_rho, "n_rho")
-        if cells < 8 or not spec.rho_max > 1.0:
-            raise ParameterDomainError("the t axis needs n_rho >= 8 and rho_max > 1")
+        if cells < 8 or not 1.0 < spec.rho_max < math.inf:
+            raise ParameterDomainError("the t axis needs n_rho >= 8 and a finite rho_max > 1")
         self.s, self.q, self.c = float(s), hs_conjugate(2.0, s, n), 0.5 * (n - 2)
         self.h = 2.0 * math.log(spec.rho_max) / cells
         t = self.h * np.arange(1, cells + 1) - math.log(spec.rho_max)
@@ -327,37 +353,6 @@ def _initial_values(problem, spec: GridSpec, opts: MinimizeOptions):
     return np.where(problem.interior, grid.sampled(profile).values, 0.0)
 
 
-class _AxisSolver:
-    """Solver for (1 - tau L) u = rhs, with L the flow operator of a
-    DiscreteRayleigh, by fast diagonalisation on both axes (see the module
-    docstring).  Pinned outer nodes come out exactly 0."""
-
-    def __init__(self, problem: DiscreteRayleigh):
-        from scipy.linalg import eigh_tridiagonal
-
-        self.shape = problem.shape
-        # an axis's interior rows are -V^(-1) K with K the symmetric flux
-        # matrix; V^(-1/2) K V^(-1/2) = Y diag(mu) Y^T has diagonal p + q
-        # and off-diagonal -sqrt(p[i] q[i+1]) = K[i, i+1] / sqrt(V[i] V[i+1]),
-        # so Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu);
-        # each axis keeps Z^T V = Y^T V^(1/2) (forward) and Z (back)
-        mus, self._forward, self._back = [], [], []
-        for (p, q), vol in zip(problem.axis_coeffs, problem.axis_vols):
-            mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
-            root = np.sqrt(vol[:-1])[:, None]
-            mus.append(mu)
-            self._forward.append((basis * root).T)
-            self._back.append(basis / root)
-        self._mu = mus[0][:, None] + mus[1]  # mu_i + nu_j
-
-    def solve(self, rhs: np.ndarray, tau: float) -> np.ndarray:
-        (fwd_rho, fwd_r), (back_rho, back_r) = self._forward, self._back
-        coef = fwd_rho @ rhs[:-1, :-1] @ fwd_r.T / (1.0 + tau * self._mu)
-        u = np.zeros(self.shape)
-        u[:-1, :-1] = back_rho @ coef @ back_r.T
-        return u
-
-
 class _Mixer:
     """Anderson extrapolation (type II, depth ANDERSON_DEPTH) of the flow's
     fixed-point map u -> G(u).  From the last differences dX of states and
@@ -414,13 +409,9 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     if not admissible(ctx):
         raise ParameterDomainError(f"(n={n}, k={k}, p=2, s={s}) is not admissible")
     step = float(opts.step)
-    if k == n:
-        problem = solver = _RadialRayleigh(n, s, grid_spec)
-    else:
-        problem = DiscreteRayleigh(n, k, s, build_grid(
-            n, k, grid_spec.rho_max, grid_spec.r_max, grid_spec.n_rho, grid_spec.n_r,
-            grid_spec.grading))
-        solver = _AxisSolver(problem)
+    problem = (_RadialRayleigh(n, s, grid_spec) if k == n else DiscreteRayleigh(
+        n, k, s, build_grid(n, k, grid_spec.rho_max, grid_spec.r_max, grid_spec.n_rho,
+                            grid_spec.n_r, grid_spec.grading)))
     u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
 
     def accepted(it):
@@ -447,7 +438,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
             )
         it += 1
         rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
-        candidate = problem.evaluate(np.clip(solver.solve(rhs, step), 0.0, None))
+        candidate = problem.evaluate(np.clip(problem.solve(rhs, step), 0.0, None))
         new_energy = candidate[1]
         if not math.isfinite(new_energy) or new_energy > energy + 1e-14 * abs(energy):
             step *= 0.5

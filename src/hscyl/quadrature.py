@@ -330,6 +330,8 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
         raise ParameterDomainError(f"k must be an integer >= 1, got {k}")
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
+    if not upper > 0.0:
+        raise ParameterDomainError(f"upper must be positive, got {upper}")
     require_positive(tol, "tol")
     g = _vectorized(g)
     counter = _Budget(budget)

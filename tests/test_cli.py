@@ -115,6 +115,12 @@ def test_exit_codes(tmp_path, capsys):
                  "--r-max", "30", "--max-iters", "1",
                  "--output-dir", str(tmp_path / "b")]) == 3
     assert main(["minimize", "--tol", "inf", "--output-dir", str(tmp_path / "c")]) == 2
+    assert main(["minimize", "--k", "2", "--rho-max", "inf",
+                 "--output-dir", str(tmp_path / "d")]) == 2
+    samples = tmp_path / "nan-radius.csv"
+    samples.write_text("radius,value\n1,1\nnan,0.5\n4,0.25\n8,0.125\n16,0.0625\n")
+    assert main(["decay-fit", "--samples", str(samples),
+                 "--output-dir", str(tmp_path / "e")]) == 2
     err = capsys.readouterr().err
     assert "usage error" in err
     assert "domain error" in err
@@ -160,15 +166,17 @@ def test_quadrature_subcommand(tmp_path):
 
 
 def test_verify_extremal_subcommand(tmp_path):
-    out = tmp_path / "vx"
-    assert main(["verify-extremal", "--n", "3", "--k", "2", "--levels", "3",
-                 "--nodes", "24", "--output-dir", str(out)]) == 0
-    summary = _summary(out)
-    assert summary["residual_ratios_ok"] is True
-    assert summary["normalization_ok"] is True
-    rows = (out / "residuals.csv").read_text().splitlines()
-    assert rows[0] == "level,nodes,h,max_residual,ratio"
-    assert len(rows) == 5  # header + four levels
+    # k = 3 = n windows the 1-D residual on rho alone
+    for k in (2, 3):
+        out = tmp_path / f"vx{k}"
+        assert main(["verify-extremal", "--n", "3", "--k", str(k), "--levels", "3",
+                     "--nodes", "24", "--output-dir", str(out)]) == 0
+        summary = _summary(out)
+        assert summary["residual_ratios_ok"] is True
+        assert summary["normalization_ok"] is True
+        rows = (out / "residuals.csv").read_text().splitlines()
+        assert rows[0] == "level,nodes,h,max_residual,ratio"
+        assert len(rows) == 5  # header + four levels
 
 
 def test_quadrature_newtonian_subcommand(tmp_path):

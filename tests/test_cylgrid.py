@@ -481,6 +481,11 @@ BAD_DUMPS = {
     "missing row": lambda lines: lines[:-1],
     "no rows": lambda lines: lines[:2],
     "duplicate row in place of another": lambda lines: lines[:-1] + [lines[2]],
+    # every row of the outermost rho node reads nan there, so the table
+    # stays full and the node set gains a nan
+    "nan node": lambda lines: lines[:2] + [
+        "nan," + line.split(",", 1)[1]
+        if line.split(",")[0] == lines[-1].split(",")[0] else line for line in lines[2:]],
 }
 
 

@@ -6,15 +6,24 @@ import numpy as np
 
 from hscyl import (
     CylGrid,
+    DecayFit,
+    DomainError,
     ExponentContext,
     ExtremalParams,
     ParameterDomainError,
+    RaySamples,
+    ShiftedQuadraticParams,
     build_grid,
+    check_decay_bounds,
     fundamental_solution,
+    gradient_energy,
     integrate_cylindrical,
+    local_sup_ratio,
+    multi_subspace_solution,
     sharp_constant_K,
     singular_newtonian_integral,
     sphere_measure,
+    window_grid,
 )
 
 ENTRY_POINTS = {
@@ -30,6 +39,44 @@ ENTRY_POINTS = {
 def test_integer_parameters_reject_non_integers(entry, value):
     with pytest.raises(ParameterDomainError):
         ENTRY_POINTS[entry](value)
+
+
+_GRID = build_grid(3, 2, 40.0, 40.0, 64, 64, grading=1.0).sampled(
+    lambda rho, r: 1.0 / (1.0 + rho**2 + r**2))
+
+#: float parameters -> the values each must refuse with a DomainError
+#: (ParameterDomainError, or GridError for a CylGrid node)
+FLOAT_ENTRY_POINTS = {
+    "build_grid.rho_max": (lambda v: build_grid(3, 2, v, 10.0, 16, 16), [math.inf]),
+    "build_grid.r_max": (lambda v: build_grid(3, 2, 10.0, v, 16, 16), [math.inf]),
+    "window_grid.rho_hi": (lambda v: window_grid(3, 2, 1.0, v, 1.0, 2.0, 16, 16),
+                           [math.inf]),
+    "window_grid.r_hi": (lambda v: window_grid(3, 2, 1.0, 2.0, 1.0, v, 16, 16), [math.inf]),
+    "CylGrid.node": (lambda v: CylGrid(3, 3, [1.0, 3.0, v], [], np.zeros(3)),
+                     [math.nan, math.inf]),
+    "RaySamples.radius": (lambda v: RaySamples("rho-axis", [1.0, 2.0, v], [1.0, 0.5, 0.25]),
+                          [math.nan, math.inf]),
+    "RaySamples.value": (lambda v: RaySamples("rho-axis", [1.0, 2.0, 4.0], [1.0, v, 0.25]),
+                         [math.nan, math.inf]),
+    "ExtremalParams.lam": (lambda v: ExtremalParams(n=3, k=2, lam=v), [math.inf]),
+    "ShiftedQuadraticParams.lam": (lambda v: ShiftedQuadraticParams(a=1, b=1, lam=v),
+                                   [math.inf]),
+    "multi_subspace_solution.lam": (lambda v: multi_subspace_solution(
+        (2, 1), v, (1.0, 1.0), (1.0, 1.0)), [math.inf]),
+    "local_sup_ratio.q0": (lambda v: local_sup_ratio(_GRID, 4.0, q0=v), [math.nan, math.inf]),
+    "check_decay_bounds.tol": (lambda v: check_decay_bounds(
+        DecayFit(exponent=1.0, amplitude=1.0, r_squared=1.0), 3, 2.0,
+        "solution-two-sided", tol=v), [math.nan, -1.0, math.inf]),
+    "gradient_energy.p_exp": (lambda v: gradient_energy(_GRID, p_exp=v), [math.inf]),
+}
+
+
+@pytest.mark.parametrize("entry, value", [(entry, value)
+                                          for entry, (_, values) in FLOAT_ENTRY_POINTS.items()
+                                          for value in values])
+def test_float_parameters_reject_non_finite_and_out_of_range(entry, value):
+    with pytest.raises(DomainError):
+        FLOAT_ENTRY_POINTS[entry][0](value)
 
 
 SPLIT_ENTRY_POINTS = {

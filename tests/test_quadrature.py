@@ -129,6 +129,9 @@ def test_radial_validation():
         integrate_radial(lambda rho: rho, 0, 0.0)
     with pytest.raises(ParameterDomainError):
         integrate_radial(lambda rho: rho, 2, 0.0, tol=-1.0)
+    for upper in (math.nan, -1.0, 0.0):  # positive, inf allowed, as CylindricalDomain
+        with pytest.raises(ParameterDomainError, match="upper"):
+            integrate_radial(lambda rho: (1.0 + rho**2) ** -2.0, 3, 0.0, upper=upper)
 
 
 ENTRY_POINTS = {

@@ -69,7 +69,6 @@ from .minimizer import (
     MinimizeOptions,
     MinimizeResult,
     minimize_rayleigh,
-    recover_constant,
 )
 from .quadrature import (
     CylindricalDomain,

@@ -228,10 +228,8 @@ class ExtremalParams:
         n, k = require_split(self.n, self.k)
         require_positive(self.lam, "lam")
         y0 = np.zeros(n - k) if self.y0 is None else np.asarray(self.y0, dtype=float)
-        if y0.shape != (n - k,):
-            raise ParameterDomainError(
-                f"y0 must be a point in R^{n - k}, got shape {y0.shape}"
-            )
+        if y0.shape != (n - k,) or not np.all(np.isfinite(y0)):
+            raise ParameterDomainError(f"y0 must be a finite point in R^{n - k}, got {y0}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "lam", float(self.lam))
@@ -275,8 +273,8 @@ def extremal_profile(params: ExtremalParams, constant: SharpConstant):
 
 def extremal_v(params: ExtremalParams, constant: SharpConstant, x_norm: float, y) -> float:
     """Evaluate the extremal at (|x|, y); y lives in the R^(n-k) factor."""
-    if x_norm < 0.0:
-        raise ParameterDomainError(f"x_norm must be >= 0, got {x_norm}")
+    if not 0.0 <= x_norm < math.inf:
+        raise ParameterDomainError(f"x_norm must be finite and >= 0, got {x_norm}")
     if params.n == params.k:
         r = 0.0
     else:
@@ -313,11 +311,12 @@ class ShiftedQuadraticParams:
         if a < 1 or b < 1:
             raise ParameterDomainError(f"a, b must be positive integers, got {a}, {b}")
         require_positive(self.lam, "lam")
+        alpha, beta = _finite_offsets((self.alpha, self.beta))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", float(self.lam))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def n(self) -> int:
@@ -357,15 +356,25 @@ def shifted_power_solution(params: ShiftedQuadraticParams, x, y) -> float:
     return float(shifted_power_profile(params)(np.linalg.norm(x), np.linalg.norm(y)))
 
 
+def _finite_offsets(offsets) -> tuple[float, ...]:
+    """The offsets as floats, or ParameterDomainError if one is not finite."""
+    offsets = tuple(float(off) for off in offsets)
+    if not all(abs(off) < math.inf for off in offsets):
+        raise ParameterDomainError(f"offsets must be finite, got {offsets}")
+    return offsets
+
+
 def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:
     """Source coefficients alpha_i (n-2) lam^2 a_i for a multi-factor split."""
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if any(d < 1 for d in dims):
         raise ParameterDomainError(f"subspace dimensions must be >= 1, got {dims}")
+    require_positive(lam, "lam")
+    offsets = _finite_offsets(offsets)
     if len(offsets) != len(dims):
         raise ParameterDomainError("one offset per subspace is required")
     n = sum(dims)
-    return tuple(float(off) * (n - 2) * lam**2 * (d - 1) for off, d in zip(offsets, dims))
+    return tuple(off * (n - 2) * lam**2 * (d - 1) for off, d in zip(offsets, dims))
 
 
 def multi_subspace_solution(dims, lam: float, offsets, radii):
@@ -379,12 +388,13 @@ def multi_subspace_solution(dims, lam: float, offsets, radii):
     """
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
     require_positive(lam, "lam")
+    offsets = _finite_offsets(offsets)
     if not (len(offsets) == len(radii) == len(dims)):
         raise ParameterDomainError("dims, offsets and radii must align")
     n = sum(dims)
     if n < 3:
         raise ParameterDomainError(f"total dimension must exceed 2, got {n}")
-    squares = ((np.asarray(r, dtype=float) + float(off)) ** 2
+    squares = ((np.asarray(r, dtype=float) + off) ** 2
                for r, off in zip(radii, offsets))
     base = next(squares)
     for _ in dims[1:]:
@@ -407,8 +417,8 @@ def fundamental_solution(n: int, z_norm: float) -> float:
         raise ParameterDomainError(f"need n > 2, got n={n}")
     if z_norm == 0.0:
         raise SingularityError("fundamental solution is singular at z = 0")
-    if z_norm < 0.0:
-        raise ParameterDomainError(f"z_norm must be >= 0, got {z_norm}")
+    if not 0.0 <= z_norm < math.inf:
+        raise ParameterDomainError(f"z_norm must be finite and >= 0, got {z_norm}")
     return z_norm ** (2.0 - n) / (n * (n - 2) * ball_volume(n))
 
 

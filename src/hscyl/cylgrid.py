@@ -158,7 +158,7 @@ class GridSpec:
 
 
 def build_grid(n: int, k: int, rho_max: float, r_max: float,
-               n_rho: int, n_r: int, grading: float = 2.0) -> CylGrid:
+               n_rho: int, n_r: int, grading: float) -> CylGrid:
     """Graded tensor grid with nodes rho_i = rho_max (i/n_rho)^grading,
     i = 1..n_rho (never 0), and likewise in r.  Values start at zero."""
     n, k = require_split(n, k)

@@ -45,9 +45,10 @@ the step.  Each step evaluates its candidate once: one power u^(q-1) and
 one operator product give the projected state's energy, its residual and
 the next right-hand side.
 
-Each flow holds one problem object, which both evaluates a state and
-takes the step's solve: DiscreteRayleigh for k < n, _RadialRayleigh for
-k = n.  The finite-volume L is a Kronecker sum of one tridiagonal
+Each flow holds one problem object, built from the GridSpec, which both
+evaluates a state and takes the step's solve: DiscreteRayleigh(n, k, s,
+spec) on the spec's graded grid for k < n, _RadialRayleigh(n, s, spec)
+for k = n.  The finite-volume L is a Kronecker sum of one tridiagonal
 operator per grid axis, each held as two coefficient arrays in
 difference form.  DiscreteRayleigh solves (1 - step L) u+ = rhs by fast
 diagonalisation (Lynch, Rice & Thomas, Numer. Math. 6, 1964), with
@@ -70,13 +71,14 @@ neutral dilation direction (for k = n, a seed off the centre of the t
 axis).  Each accepted step is therefore followed by Anderson
 extrapolation (type II, depth ANDERSON_DEPTH; Walker & Ni, SIAM J.
 Numer. Anal. 49, 2011) of the fixed-point map u -> G(u), the projected
-plain step: the last differences of states and of residuals G(u) - u give
-a mixed state, with coefficients from a least-squares fit in the mass
-inner product.  The mixed state is evaluated once and kept only if it is
-finite, strictly positive in the interior and no higher in energy than
-the plain step's state; so the energy history stays non-increasing, and
-the flow stops by the same stationarity rule.  A halved step changes the
-map, so it clears the mixing history.
+plain step: the last ANDERSON_DEPTH differences of states and of
+residuals G(u) - u, kept in two lists, give a mixed state, with
+coefficients from a least-squares fit in the mass inner product.  The
+mixed state is evaluated once and kept only if it is finite, strictly
+positive in the interior and no higher in energy than the plain step's
+state; so the energy history stays non-increasing, and the flow stops
+by the same stationarity rule.  A halved step changes the map, so it
+clears the mixing history.
 
 Caution on grading: the continuum problem is dilation invariant, and on
 strongly graded grids (grading around 2 and above) the discretisation
@@ -99,7 +101,6 @@ from .asymptotics import estimate_core_scale
 from .cylgrid import CylGrid, GridSpec, build_grid
 from .errors import (
     ConvergenceError,
-    InternalConsistencyError,
     ParameterDomainError,
     require_int,
     require_positive,
@@ -112,7 +113,6 @@ __all__ = [
     "MinimizeResult",
     "DiscreteRayleigh",
     "minimize_rayleigh",
-    "recover_constant",
 ]
 
 INIT_MODES = ("positive-bump", "analytic-extremal")
@@ -139,6 +139,8 @@ class MinimizeOptions:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
         require_positive(self.step, "step")
         if self.init_scale is not None:
+            if self.init != "analytic-extremal":  # the bump seed has no core scale
+                raise ParameterDomainError("init_scale applies only to init='analytic-extremal'")
             require_positive(self.init_scale, "init_scale")
         self.max_iters = require_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
@@ -148,9 +150,10 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Converged minimum, the recovered constant estimate, the minimiser
-    itself, the accepted-step history, its core scale and the final
-    constrained-gradient residual ||d||_M / E (stationarity).
+    """Converged minimum, the constant estimate K_est = E_min^(-1/2) (nan
+    unless E_min > 0), the minimiser itself, the accepted-step history,
+    its core scale and the final constrained-gradient residual
+    ||d||_M / E (stationarity).
 
     history rows are (iteration, energy, constraint_defect); energies are
     non-increasing and every defect is at (rescaling) rounding level.
@@ -181,19 +184,15 @@ class DiscreteRayleigh:
     here, for solve (see the module docstring).
     """
 
-    def __init__(self, n: int, k: int, s: float, grid: CylGrid):
+    def __init__(self, n: int, k: int, s: float, spec: GridSpec):
         from scipy.linalg import eigh_tridiagonal
 
-        if (grid.n, grid.k) != (n, k):
-            raise ParameterDomainError("grid does not match the requested (n, k)")
         if k == n:
             raise ParameterDomainError("the k = n flow runs on the t axis, not on a CylGrid")
-        if not grid.axis_ghost:
-            raise ParameterDomainError("the flow needs an axis-adjacent grid, "
-                                       "not a window grid")
+        self.grid = grid = build_grid(n, k, spec.rho_max, spec.r_max, spec.n_rho, spec.n_r,
+                                      spec.grading)
         self.n, self.k, self.s = n, k, float(s)
         self.q = hs_conjugate(2.0, s, n)
-        self.grid = grid
         self.shape = grid.values.shape
         self.axis_vols = grid.cell_volumes()
         self.mass = grid.measure()
@@ -357,39 +356,34 @@ class _Mixer:
     """Anderson extrapolation (type II, depth ANDERSON_DEPTH) of the flow's
     fixed-point map u -> G(u).  From the last differences dX of states and
     dF of residuals f = G(u) - u it forms G(u) - (dX + dF) gamma, where
-    gamma minimises ||f - dF gamma||_M in the mass-weighted norm.  The
-    differences are kept in two preallocated (depth, *shape) rings."""
+    gamma minimises ||f - dF gamma||_M in the mass-weighted norm."""
 
     def __init__(self, problem):
         self._apply_mass = problem.apply_mass
-        self._dx = np.empty((ANDERSON_DEPTH,) + problem.interior.shape)
-        self._df = np.empty_like(self._dx)
         self.clear()
 
     def clear(self) -> None:
         """Forget the history (the map changes when the step is halved)."""
         self._prev = None
-        self._count = self._slot = 0
+        self._dx, self._df = [], []
 
     def mix(self, u: np.ndarray, image: np.ndarray) -> np.ndarray | None:
         """Record the state u and its image G(u); return the extrapolated
         state, or None while there is no difference to mix."""
         f = image - u
         if self._prev is not None:
-            np.subtract(u, self._prev[0], out=self._dx[self._slot])
-            np.subtract(f, self._prev[1], out=self._df[self._slot])
-            self._slot = (self._slot + 1) % ANDERSON_DEPTH
-            self._count = min(self._count + 1, ANDERSON_DEPTH)
+            self._dx.append(u - self._prev[0])
+            self._df.append(f - self._prev[1])
+            del self._dx[:-ANDERSON_DEPTH], self._df[:-ANDERSON_DEPTH]
         self._prev = (u, f)
-        if not self._count:
+        if not self._df:
             return None
-        dx, df = self._dx[:self._count], self._df[:self._count]
-        weighted = self._apply_mass(df).reshape(self._count, -1)
-        gram = weighted @ df.reshape(self._count, -1).T
-        gamma = np.linalg.lstsq(gram, weighted @ f.ravel(), rcond=None)[0]
+        weighted = [self._apply_mass(df) for df in self._df]
+        gram = [[np.vdot(w, df) for df in self._df] for w in weighted]
+        gamma = np.linalg.lstsq(gram, [np.vdot(w, f) for w in weighted], rcond=None)[0]
         mixed = image.copy()
-        for g, ddx, ddf in zip(gamma, dx, df):
-            mixed -= g * (ddx + ddf)
+        for g, dx, df in zip(gamma, self._dx, self._df):
+            mixed -= g * (dx + df)
         return mixed
 
 
@@ -409,9 +403,8 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     if not admissible(ctx):
         raise ParameterDomainError(f"(n={n}, k={k}, p=2, s={s}) is not admissible")
     step = float(opts.step)
-    problem = (_RadialRayleigh(n, s, grid_spec) if k == n else DiscreteRayleigh(
-        n, k, s, build_grid(n, k, grid_spec.rho_max, grid_spec.r_max, grid_spec.n_rho,
-                            grid_spec.n_r, grid_spec.grading)))
+    problem = (_RadialRayleigh(n, s, grid_spec) if k == n
+               else DiscreteRayleigh(n, k, s, grid_spec))
     u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))
 
     def accepted(it):
@@ -419,7 +412,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
         ||d||_M / E, with d the flow direction."""
         defect = abs(float(np.vdot(problem.apply_mass(u), weighted)) - 1.0)
         history.append((it, energy, defect))
-        d = np.where(problem.interior, lu + energy * weighted, 0.0)
+        d = lu + energy * weighted
         return math.sqrt(float(np.vdot(problem.apply_mass(d), d))) / energy
 
     def result():
@@ -437,7 +430,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
                 partial=result(),
             )
         it += 1
-        rhs = np.where(problem.interior, u + step * energy * weighted, 0.0)
+        rhs = u + step * energy * weighted
         candidate = problem.evaluate(np.clip(problem.solve(rhs, step), 0.0, None))
         new_energy = candidate[1]
         if not math.isfinite(new_energy) or new_energy > energy + 1e-14 * abs(energy):
@@ -498,14 +491,3 @@ def _package(problem, u, energy, history, iterations, stationarity,
         rejected_steps=rejected_steps,
         extrapolated_steps=extrapolated_steps,
     )
-
-
-def recover_constant(result: MinimizeResult) -> float:
-    """Constant estimate E_min^(-1/2): with N(u) = 1 the inequality forces
-    the gradient norm to be at least the reciprocal constant, with
-    equality exactly at extremals."""
-    if not result.E_min > 0.0:
-        raise InternalConsistencyError(
-            f"converged energy must be positive, got {result.E_min}"
-        )
-    return result.E_min ** -0.5

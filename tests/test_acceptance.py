@@ -261,8 +261,7 @@ def test_criterion_6_property_suite(rng, const32, flow_result):
     checks["quadrature factorization"] = abs(joint.value - product) <= 1e-8 * product
 
     # flow direction vs finite-difference Rayleigh gradient (mass metric)
-    grid = build_grid(3, 2, 20.0, 20.0, 12, 12, grading=1.5)
-    problem = DiscreteRayleigh(3, 2, 1.0, grid)
+    problem = DiscreteRayleigh(3, 2, 1.0, GridSpec(20.0, 20.0, 12, 12, grading=1.5))
     u = rng.uniform(0.2, 1.0, size=problem.shape)
     u = problem.project(np.where(problem.interior, u, 0.0))
     direction = problem.direction(u)

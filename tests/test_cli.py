@@ -115,6 +115,8 @@ def test_exit_codes(tmp_path, capsys):
                  "--r-max", "30", "--max-iters", "1",
                  "--output-dir", str(tmp_path / "b")]) == 3
     assert main(["minimize", "--tol", "inf", "--output-dir", str(tmp_path / "c")]) == 2
+    assert main(["minimize", "--init", "positive-bump", "--init-scale", "0.6",
+                 "--output-dir", str(tmp_path / "f")]) == 2
     assert main(["minimize", "--k", "2", "--rho-max", "inf",
                  "--output-dir", str(tmp_path / "d")]) == 2
     samples = tmp_path / "nan-radius.csv"

@@ -45,7 +45,7 @@ def test_build_grid_degenerate_k_equals_n():
 
 def test_build_grid_validation():
     with pytest.raises(ParameterDomainError):
-        build_grid(3, 2, 10.0, 10.0, 4, 16)
+        build_grid(3, 2, 10.0, 10.0, 4, 16, grading=2.0)
     with pytest.raises(ParameterDomainError):
         build_grid(3, 2, 10.0, 10.0, 16, 16, grading=0.5)
     with pytest.raises(GridError):
@@ -55,7 +55,7 @@ def test_build_grid_validation():
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_grid_rejects_non_finite_values(k, bad):
-    grid = build_grid(3, k, 10.0, 10.0, 8, 8)
+    grid = build_grid(3, k, 10.0, 10.0, 8, 8, grading=2.0)
     values = np.ones(grid.values.shape)
     values.flat[5] = bad
     with pytest.raises(GridError, match="finite"):
@@ -65,7 +65,7 @@ def test_grid_rejects_non_finite_values(k, bad):
 
 
 def test_grid_values_immutable():
-    g = build_grid(3, 2, 10.0, 10.0, 16, 16)
+    g = build_grid(3, 2, 10.0, 10.0, 16, 16, grading=2.0)
     with pytest.raises(ValueError):
         g.values[0, 0] = 1.0
 
@@ -92,9 +92,8 @@ def test_sampled_open_mesh_matches_meshgrid(const32, monkeypatch):
         assert np.array_equal(grid.sampled(profile).values, _meshgrid_sampled(grid, profile))
 
     spec = GridSpec(rho_max=40.0, r_max=40.0, n_rho=24, n_r=20, grading=1.5)
-    grid = build_grid(3, 2, spec.rho_max, spec.r_max, spec.n_rho, spec.n_r, spec.grading)
     # the k = n seeds live on the flow's t axis
-    for problem in (DiscreteRayleigh(3, 2, 1.0, grid), _RadialRayleigh(3, 1.0, spec)):
+    for problem in (DiscreteRayleigh(3, 2, 1.0, spec), _RadialRayleigh(3, 1.0, spec)):
         for opts in (MinimizeOptions(init="analytic-extremal", init_scale=0.6),
                      MinimizeOptions(init="positive-bump")):
             seed = _initial_values(problem, spec, opts)
@@ -105,8 +104,8 @@ def test_sampled_open_mesh_matches_meshgrid(const32, monkeypatch):
 
     # a profile that ignores its arguments fills the grid
     assert np.array_equal(axis.sampled(lambda rho, r: 2.5).values, np.full((40, 24), 2.5))
-    assert np.array_equal(build_grid(3, 3, 5.0, 5.0, 9, 9).sampled(lambda rho, r: -1.0).values,
-                          np.full(9, -1.0))
+    line = build_grid(3, 3, 5.0, 5.0, 9, 9, grading=2.0)
+    assert np.array_equal(line.sampled(lambda rho, r: -1.0).values, np.full(9, -1.0))
 
 
 def test_laplacian_exact_on_paraboloid():
@@ -312,7 +311,7 @@ def test_gradient_energy_of_sobolev_bubble():
 
 
 def test_gradient_energy_constant_zero():
-    g = build_grid(3, 2, 10.0, 10.0, 24, 24)
+    g = build_grid(3, 2, 10.0, 10.0, 24, 24, grading=2.0)
     g = g.sampled(lambda rho, r: np.full_like(rho + r, 3.7))
     assert gradient_energy(g, 2.0) == pytest.approx(0.0, abs=1e-18)
 
@@ -348,7 +347,7 @@ def test_gradient_energy_dilation_invariance():
 
 
 def test_gradient_energy_validation():
-    g = build_grid(3, 2, 10.0, 10.0, 24, 24)
+    g = build_grid(3, 2, 10.0, 10.0, 24, 24, grading=2.0)
     with pytest.raises(ParameterDomainError):
         gradient_energy(g, 0.5)
 
@@ -378,7 +377,7 @@ def test_el_residual_dilation_family(const32):
 
 
 def test_el_residual_rejects_nonpositive():
-    g = build_grid(3, 2, 4.0, 4.0, 16, 16)
+    g = build_grid(3, 2, 4.0, 4.0, 16, 16, grading=2.0)
     with pytest.raises(ParameterDomainError):
         el_residual(g, 1.0, 1.0)  # zero values
 
@@ -445,7 +444,7 @@ def test_grid_dump_roundtrip_bitexact(tmp_path, rng):
 
 
 def test_grid_dump_roundtrip_one_dimensional(tmp_path, rng):
-    g = build_grid(4, 4, 3.0, 3.0, 10, 10)
+    g = build_grid(4, 4, 3.0, 3.0, 10, 10, grading=2.0)
     g = g.with_values(np.exp(rng.standard_normal(10)))
     path = tmp_path / "grid1d.csv"
     dump_grid(g, path)
@@ -494,7 +493,7 @@ BAD_DUMPS = {
                                        # a complete dump of a shorter grid
                                        if (k, d) != (3, "missing row")])
 def test_load_grid_rejects_bad_dumps(tmp_path, k, defect):
-    g = build_grid(3, k, 5.0, 5.0, 8, 8)
+    g = build_grid(3, k, 5.0, 5.0, 8, 8, grading=2.0)
     path = tmp_path / "grid.csv"
     dump_grid(g.with_values(np.arange(g.values.size).reshape(g.values.shape)), path)
     path.write_text("\n".join(BAD_DUMPS[defect](path.read_text().splitlines())) + "\n")

@@ -15,10 +15,12 @@ from hscyl import (
     ShiftedQuadraticParams,
     build_grid,
     check_decay_bounds,
+    extremal_v,
     fundamental_solution,
     gradient_energy,
     integrate_cylindrical,
     local_sup_ratio,
+    multi_subspace_coefficients,
     multi_subspace_solution,
     sharp_constant_K,
     singular_newtonian_integral,
@@ -27,7 +29,7 @@ from hscyl import (
 )
 
 ENTRY_POINTS = {
-    "build_grid": lambda v: build_grid(v, 2, 10.0, 10.0, 16, 16),
+    "build_grid": lambda v: build_grid(v, 2, 10.0, 10.0, 16, 16, grading=2.0),
     "ExponentContext": lambda v: ExponentContext(n=v, k=2, p=2.0, s=1.0),
     "sphere_measure": sphere_measure,
     "fundamental_solution": lambda v: fundamental_solution(v, 1.0),
@@ -47,8 +49,8 @@ _GRID = build_grid(3, 2, 40.0, 40.0, 64, 64, grading=1.0).sampled(
 #: float parameters -> the values each must refuse with a DomainError
 #: (ParameterDomainError, or GridError for a CylGrid node)
 FLOAT_ENTRY_POINTS = {
-    "build_grid.rho_max": (lambda v: build_grid(3, 2, v, 10.0, 16, 16), [math.inf]),
-    "build_grid.r_max": (lambda v: build_grid(3, 2, 10.0, v, 16, 16), [math.inf]),
+    "build_grid.rho_max": (lambda v: build_grid(3, 2, v, 10.0, 16, 16, grading=2.0), [math.inf]),
+    "build_grid.r_max": (lambda v: build_grid(3, 2, 10.0, v, 16, 16, grading=2.0), [math.inf]),
     "window_grid.rho_hi": (lambda v: window_grid(3, 2, 1.0, v, 1.0, 2.0, 16, 16),
                            [math.inf]),
     "window_grid.r_hi": (lambda v: window_grid(3, 2, 1.0, 2.0, 1.0, v, 16, 16), [math.inf]),
@@ -59,10 +61,24 @@ FLOAT_ENTRY_POINTS = {
     "RaySamples.value": (lambda v: RaySamples("rho-axis", [1.0, 2.0, 4.0], [1.0, v, 0.25]),
                          [math.nan, math.inf]),
     "ExtremalParams.lam": (lambda v: ExtremalParams(n=3, k=2, lam=v), [math.inf]),
+    "ExtremalParams.y0": (lambda v: ExtremalParams(n=3, k=2, y0=[v]), [math.nan, math.inf]),
+    "extremal_v.x_norm": (lambda v: extremal_v(ExtremalParams(n=3, k=2), sharp_constant_K(3, 2),
+                                               v, [0.0]), [math.nan, math.inf]),
     "ShiftedQuadraticParams.lam": (lambda v: ShiftedQuadraticParams(a=1, b=1, lam=v),
                                    [math.inf]),
+    "ShiftedQuadraticParams.alpha": (lambda v: ShiftedQuadraticParams(a=1, b=1, alpha=v),
+                                     [math.nan, math.inf]),
+    "ShiftedQuadraticParams.beta": (lambda v: ShiftedQuadraticParams(a=1, b=1, beta=v),
+                                    [math.nan, -math.inf]),
+    "multi_subspace_coefficients.lam": (lambda v: multi_subspace_coefficients(
+        (2, 2), v, (1.0, 1.0)), [math.nan, math.inf]),
+    "multi_subspace_coefficients.offset": (lambda v: multi_subspace_coefficients(
+        (2, 2), 1.0, (1.0, v)), [math.nan, math.inf]),
     "multi_subspace_solution.lam": (lambda v: multi_subspace_solution(
         (2, 1), v, (1.0, 1.0), (1.0, 1.0)), [math.inf]),
+    "multi_subspace_solution.offset": (lambda v: multi_subspace_solution(
+        (2, 1), 1.0, (v, 1.0), (1.0, 1.0)), [math.nan, math.inf]),
+    "fundamental_solution.z_norm": (lambda v: fundamental_solution(3, v), [math.nan, math.inf]),
     "local_sup_ratio.q0": (lambda v: local_sup_ratio(_GRID, 4.0, q0=v), [math.nan, math.inf]),
     "check_decay_bounds.tol": (lambda v: check_decay_bounds(
         DecayFit(exponent=1.0, amplitude=1.0, r_squared=1.0), 3, 2.0,

@@ -1,6 +1,6 @@
-import dataclasses
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +11,10 @@ from hscyl import (
     ConvergenceError,
     DiscreteRayleigh,
     GridSpec,
-    InternalConsistencyError,
     MinimizeOptions,
     MinimizeResult,
     ParameterDomainError,
-    build_grid,
     minimize_rayleigh,
-    recover_constant,
     sharp_constant_K,
 )
 from hscyl.minimizer import _Mixer, _RadialRayleigh
@@ -26,12 +23,14 @@ from hscyl.specfn import sphere_measure
 SMALL = GridSpec(rho_max=60.0, r_max=60.0, n_rho=64, n_r=64, grading=1.5)
 #: the t axis [-20, 20] of the k = n flow
 WIDE = GridSpec(rho_max=math.exp(20.0), r_max=1.0, n_rho=256, n_r=8)
+#: the small grids of the k < n operator and gradient checks
+TINY = GridSpec(rho_max=20.0, r_max=20.0, n_rho=12, n_r=12, grading=1.5)
 
 
 def _residual(n, k, s, result):
-    """||d||_M / E_min of a returned k < n state, recomputed through
-    direction()."""
-    problem = DiscreteRayleigh(n, k, s, result.grid)
+    """||d||_M / E_min of a returned k < n state on SMALL, recomputed
+    through direction()."""
+    problem = DiscreteRayleigh(n, k, s, SMALL)
     d = problem.direction(result.grid.values)
     return math.sqrt(float(np.sum(problem.mass * d**2))) / result.E_min
 
@@ -85,7 +84,6 @@ def test_small_run_recovers_energy(const32, small_run):
     # the continuum minimum is Lambda; a 64^2 grid lands within a few percent
     assert small_run.E_min == pytest.approx(const32.Lambda, rel=0.05)
     assert small_run.K_est == pytest.approx(small_run.E_min**-0.5, rel=1e-12)
-    assert recover_constant(small_run) == pytest.approx(small_run.K_est, rel=1e-12)
 
 
 def test_small_run_counters(small_run):
@@ -100,8 +98,7 @@ def test_small_run_counters(small_run):
 def test_minimum_matches_the_plain_flow(small_run):
     # the same flow without mixing, run test-locally from the same seed to
     # residual 1e-8 with the flow's own solver and fused evaluation
-    problem = DiscreteRayleigh(3, 2, 1.0, build_grid(
-        3, 2, SMALL.rho_max, SMALL.r_max, SMALL.n_rho, SMALL.n_r, SMALL.grading))
+    problem = DiscreteRayleigh(3, 2, 1.0, SMALL)
     seed = problem.grid.sampled(lambda rho, r: ((rho + 0.5) ** 2 + r**2) ** -0.5).values
     u, energy, lu, weighted = problem.evaluate(np.where(problem.interior, seed, 0.0))
     step = MinimizeOptions().step
@@ -144,9 +141,7 @@ def test_bump_init_reaches_same_minimum_and_shape(const32, small_run):
     assert bump.E_min == pytest.approx(small_run.E_min, rel=0.02)
 
     grid = bump.grid
-    problem = DiscreteRayleigh(3, 2, 1.0, build_grid(
-        3, 2, SMALL.rho_max, SMALL.r_max, SMALL.n_rho, SMALL.n_r, SMALL.grading))
-    mass = problem.mass
+    mass = DiscreteRayleigh(3, 2, 1.0, SMALL).mass
 
     # unique discrete ground state: both seeds converge to the same profile
     # (profile agreement goes like the stationarity residual, the square
@@ -182,8 +177,7 @@ def test_dilation_invariance_of_minimum(small_run):
 def test_gradient_direction_matches_fd_gradient(rng, n, k):
     # cosine between the flow direction and the (mass-metric) gradient of
     # the discrete Rayleigh functional at a random positive state
-    grid = build_grid(n, k, 20.0, 20.0, 12, 12, grading=1.5)
-    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    problem = DiscreteRayleigh(n, k, 1.0, TINY)
     u = rng.uniform(0.2, 1.0, size=problem.shape)
     u = np.where(problem.interior, u, 0.0)
     u = problem.project(u)
@@ -226,8 +220,7 @@ def _reference_operator(problem):
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2)])
 @pytest.mark.parametrize("grading", [1.0, 1.5, 2.0])
 def test_apply_op_matches_assembled_operator(n, k, grading):
-    grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
-    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    problem = DiscreteRayleigh(n, k, 1.0, GridSpec(60.0, 60.0, 40, 36, grading))
     u = np.random.default_rng(7).uniform(-1.0, 1.0, size=problem.shape)
     ref = (_reference_operator(problem) @ u.ravel()).reshape(problem.shape)
     assert np.max(np.abs(problem.apply_op(u) - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -238,8 +231,7 @@ def test_apply_op_matches_assembled_operator(n, k, grading):
 def test_flow_solve_matches_sparse_direct_solve(n, k, grading):
     # the modal solve of (1 - tau L) u = rhs against a sparse direct solve,
     # at the default step, halved, and at a small step, halved, from one solver
-    grid = build_grid(n, k, 60.0, 60.0, 40, 36, grading=grading)
-    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    problem = DiscreteRayleigh(n, k, 1.0, GridSpec(60.0, 60.0, 40, 36, grading))
     op = _reference_operator(problem)
     rng = np.random.default_rng(7)
     for tau in (1e4, 5e3, 2.0, 1.0):
@@ -287,8 +279,7 @@ def test_minimum_does_not_depend_on_the_step(small_run):
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2)])
 def test_fused_evaluation_matches_the_separate_methods(rng, n, k):
-    grid = build_grid(n, k, 20.0, 20.0, 12, 12, grading=1.5)
-    problem = DiscreteRayleigh(n, k, 1.0, grid)
+    problem = DiscreteRayleigh(n, k, 1.0, TINY)
     candidate = np.where(problem.interior, rng.uniform(0.2, 1.0, size=problem.shape), 0.0)
     u, energy, lu, weighted = problem.evaluate(candidate)
 
@@ -355,11 +346,48 @@ def test_modal_step_matches_dense_p1_solve(rng, n):
         assert rel(out[:-1] * dilation, ref) <= 1e-10
 
 
+@pytest.mark.parametrize("make", [lambda: DiscreteRayleigh(3, 2, 1.0, TINY),
+                                  lambda: _RadialRayleigh(3, 1.0, WIDE)], ids=["k<n", "k=n"])
+def test_pinned_nodes_come_out_exactly_zero(rng, make):
+    # the flow masks neither its right-hand side nor its direction: a solve
+    # reads only the interior of rhs and returns 0 at the pins, and an
+    # evaluation of a state that is 0 at the pins returns L u and
+    # rho^(-s) u^(q-1) that are 0 there
+    problem = make()
+    pinned = ~problem.interior
+    rhs = rng.uniform(0.2, 1.0, size=pinned.shape)
+    interior_only = np.where(problem.interior, rhs, 0.0)
+    for tau in (1e4, 2.0):
+        out = problem.solve(rhs, tau)
+        assert np.all(out[pinned] == 0.0)
+        assert np.array_equal(out, problem.solve(interior_only, tau))
+    _, _, lu, weighted = problem.evaluate(interior_only)
+    assert np.all(lu[pinned] == 0.0) and np.all(weighted[pinned] == 0.0)
+
+
+def test_mixer_is_exact_for_an_affine_map_in_two_dimensions():
+    # depth-2 type-II Anderson fed the plain iterates of G(u) = A u + b in
+    # R^2 with identity mass: once two differences span R^2, the mixed
+    # state is the fixed point
+    a, b = np.array([[0.5, 0.2], [-0.1, 0.3]]), np.array([1.0, -2.0])
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    mixer = _Mixer(SimpleNamespace(apply_mass=lambda x: x))
+    u, mixed = np.array([3.0, 1.0]), []
+    for _ in range(4):
+        image = a @ u + b
+        mixed.append(mixer.mix(u, image))
+        u = image
+    assert mixed[0] is None
+    assert np.linalg.norm(mixed[1] - fixed) > 1e-3 * np.linalg.norm(fixed)
+    for state in mixed[2:]:  # the history keeps the last two differences
+        assert np.linalg.norm(state - fixed) <= 1e-12 * np.linalg.norm(fixed)
+
+
 def test_inadmissible_parameters_rejected():
     with pytest.raises(ParameterDomainError):
         minimize_rayleigh(3, 2, 2.0, SMALL)  # s = 2 >= k fails the window
     with pytest.raises(ParameterDomainError, match="t axis"):
-        DiscreteRayleigh(3, 3, 1.0, build_grid(3, 3, 20.0, 20.0, 12, 12))
+        DiscreteRayleigh(3, 3, 1.0, WIDE)
     with pytest.raises(ParameterDomainError):
         MinimizeOptions(init="nonsense")
     for step in (-0.5, math.inf, math.nan):
@@ -368,6 +396,8 @@ def test_inadmissible_parameters_rejected():
     for scale in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ParameterDomainError, match="init_scale"):
             MinimizeOptions(init="analytic-extremal", init_scale=scale)
+    with pytest.raises(ParameterDomainError, match="init_scale"):
+        MinimizeOptions(init="positive-bump", init_scale=0.6)  # the bump has no core scale
     with pytest.raises(ParameterDomainError):
         MinimizeOptions(init="user-grid")
     for max_iters in (2.5, True, None):
@@ -439,9 +469,3 @@ def test_a_step_that_never_lowers_the_energy_collapses(monkeypatch, problem_cls,
     assert len(partial.history) == 1  # the seed alone
     assert partial.E_min == partial.history[0][1] > 0.0
     assert partial.extrapolated_steps == 0
-
-
-def test_recover_constant_algebra(small_run):
-    assert recover_constant(dataclasses.replace(small_run, E_min=0.25)) == 2.0
-    with pytest.raises(InternalConsistencyError):
-        recover_constant(dataclasses.replace(small_run, E_min=0.0))

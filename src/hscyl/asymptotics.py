@@ -21,6 +21,7 @@ import numpy as np
 
 from .cylgrid import CylGrid
 from .errors import FitDomainError, GridError, ParameterDomainError, require_positive
+from .exponents import decay_bound
 from .specfn import sphere_measure
 
 __all__ = [
@@ -125,9 +126,11 @@ def check_decay_bounds(fit: DecayFit, n: int, p: float, mode: str,
                        tol: float = DEFAULT_BOUND_TOL) -> DecayVerdict:
     """Compare a conclusive fit against the theoretical rates.
 
-    subsolution-upper  : exponent >= n - 2 - tol          (p = 2)
-    solution-two-sided : |exponent - (n - 2)| <= tol      (p = 2)
-    general-p          : exponent >= (n-p)/(p-1) - tol
+    The bound is :func:`hscyl.exponents.decay_bound` (n - 2 at p = 2):
+
+    subsolution-upper  : exponent >= bound - tol          (p = 2)
+    solution-two-sided : |exponent - bound| <= tol        (p = 2)
+    general-p          : exponent >= bound - tol
     """
     if not 0.0 <= tol < math.inf:
         raise ParameterDomainError(f"need finite tol >= 0, got tol={tol}")
@@ -135,21 +138,15 @@ def check_decay_bounds(fit: DecayFit, n: int, p: float, mode: str,
         raise FitDomainError(
             f"fit is inconclusive (r^2 = {fit.r_squared:.4f} < {CONCLUSIVE_R2})"
         )
-    if mode in ("subsolution-upper", "solution-two-sided"):
-        if p != 2:
-            raise ParameterDomainError(f"mode {mode!r} applies to p = 2 only, got p={p}")
-        bound = float(n - 2)
-        if mode == "subsolution-upper":
-            passed = fit.exponent >= bound - tol
-        else:
-            passed = abs(fit.exponent - bound) <= tol
-    elif mode == "general-p":
-        if not 1.0 < p < n:
-            raise ParameterDomainError(f"need 1 < p < n, got p={p}, n={n}")
-        bound = (n - p) / (p - 1.0)
-        passed = fit.exponent >= bound - tol
-    else:
+    if mode not in ("subsolution-upper", "solution-two-sided", "general-p"):
         raise ParameterDomainError(f"unknown decay-check mode {mode!r}")
+    if mode != "general-p" and p != 2:
+        raise ParameterDomainError(f"mode {mode!r} applies to p = 2 only, got p={p}")
+    bound = decay_bound(n, p)
+    if mode == "solution-two-sided":
+        passed = abs(fit.exponent - bound) <= tol
+    else:
+        passed = fit.exponent >= bound - tol
     return DecayVerdict(mode=mode, exponent=fit.exponent, bound=bound,
                         tol=tol, passed=bool(passed))
 

@@ -147,6 +147,13 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_row(path: Path, records, lead=()) -> None:
+    """A one-row table: the (column, value) pairs of ``lead``, then the
+    key and value of each summary record."""
+    pairs = list(lead) + [(key, value) for key, value, _, _ in records]
+    _write_csv(path, [key for key, _ in pairs], [[value for _, value in pairs]])
+
+
 def _write_json(path: Path, payload, sort_keys: bool) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=sort_keys)
@@ -163,21 +170,13 @@ def _run_exponents(p: dict, out: Path) -> list:
     records = [("admissible", ok, "", "window predicate")]
     if ok:
         rep = expo.aux_exponents(ctx)
-        records += [
-            ("p_star_s", rep.p_star_s, "", "exponent algebra"),
-            ("p_prime", rep.p_prime, "", "exponent algebra"),
-            ("r", rep.r, "", "exponent algebra"),
-            ("r_prime", "inf" if math.isinf(rep.r_prime) else rep.r_prime, "",
-             "exponent algebra"),
-            ("sigma", rep.sigma, "", "exponent algebra"),
-            ("p_sigma", rep.p_sigma, "", "exponent algebra"),
-            ("decay_bound", rep.decay_bound, "", "exponent algebra"),
-        ]
-        _write_csv(out / "exponents.csv",
-                   ["n", "k", "p", "s", "p_star_s", "p_prime", "r", "r_prime",
-                    "sigma", "p_sigma", "decay_bound"],
-                   [[ctx.n, ctx.k, ctx.p, ctx.s, rep.p_star_s, rep.p_prime, rep.r,
-                     rep.r_prime, rep.sigma, rep.p_sigma, rep.decay_bound]])
+        for key in ("p_star_s", "p_prime", "r", "r_prime", "sigma", "p_sigma", "decay_bound"):
+            value = getattr(rep, key)
+            # JSON has no infinity: r' = inf (at s = p) is recorded as "inf"
+            records.append((key, "inf" if math.isinf(value) else value, "",
+                            "exponent algebra"))
+        _write_row(out / "exponents.csv", records[1:],
+                   lead=[("n", ctx.n), ("k", ctx.k), ("p", ctx.p), ("s", ctx.s)])
     if p["gamma"] is not None:
         low, high = expo.galaxy_mass_window(p["gamma"])
         records += [("mass_window_low", low, "", "exponent algebra"),
@@ -220,28 +219,21 @@ def _run_quadrature(p: dict, out: Path) -> list:
         raise UsageError(f"unknown identity {identity!r}; expected beta-full, "
                          f"beta-radial or newtonian-ball")
     rel = abs(quad.value - closed) / abs(closed) if math.isfinite(closed) else float("nan")
-    _write_csv(out / "comparison.csv",
-               ["identity", "closed_form", "quadrature", "relative_error",
-                "error_estimate", "evaluations"],
-               [[identity, closed, quad.value, rel, quad.error_estimate,
-                 quad.evaluations]])
-    return [
+    records = [
         ("identity", identity, "", ""),
         ("closed_form", closed, "", "Beta-function composition"),
         ("quadrature", quad.value, "", oracle),
         ("relative_error", rel, "", "cross-check"),
+        ("error_estimate", quad.error_estimate, "", oracle),
+        ("evaluations", quad.evaluations, "", "integrand evaluations"),
     ]
+    _write_row(out / "comparison.csv", records)
+    return records
 
 
 def _run_constant(p: dict, out: Path) -> list:
     const = closed_forms.sharp_constant_K(p["n"], p["k"])
-    _write_csv(out / "constant.csv",
-               ["n", "k", "K", "K_printed", "printed_discrepancy", "Lambda",
-                "mu", "attained_ratio"],
-               [[const.n, const.k, const.K, const.K_printed,
-                 const.printed_discrepancy, const.Lambda, const.mu,
-                 const.attained_ratio]])
-    return [
+    records = [
         ("K", const.K, "", "Beta composition of the normalization integral"),
         ("K_printed", const.K_printed, "", "literal published display"),
         ("printed_discrepancy", const.printed_discrepancy, "", "cross-check"),
@@ -249,6 +241,8 @@ def _run_constant(p: dict, out: Path) -> list:
         ("mu", const.mu, "", "4 Lambda / (n-2)^2"),
         ("attained_ratio", const.attained_ratio, "", "Lambda^(-1/2)"),
     ]
+    _write_row(out / "constant.csv", records, lead=[("n", const.n), ("k", const.k)])
+    return records
 
 
 def _run_verify_extremal(p: dict, out: Path) -> list:
@@ -370,9 +364,7 @@ def _run_decay_fit(p: dict, out: Path) -> list:
             ("bound", verdict.bound, "", "theoretical rate"),
             ("pass", verdict.passed, "", f"tolerance {verdict.tol}"),
         ]
-    _write_csv(out / "decay_fit.csv",
-               ["direction", "exponent", "amplitude", "r_squared"],
-               [[samples.direction, fit.exponent, fit.amplitude, fit.r_squared]])
+    _write_row(out / "decay_fit.csv", records[:3], lead=[("direction", samples.direction)])
     return records
 
 
@@ -432,7 +424,7 @@ _SUBCOMMANDS = {
         "n": (int, 3), "k": (int, 2), "m": (float, 2.0),
         "s": (float, 1.0), "a": (float, 2.0),
         "x-norm": (float, 1.0), "y-norm": (float, 0.0),
-        "tol": (float, 1e-10),
+        "tol": (float, quadrature.DEFAULT_TOL),
     }),
     "constant": _Subcommand(_run_constant, "closed_forms", {
         "n": (int, _REQUIRED), "k": (int, _REQUIRED),
@@ -440,7 +432,7 @@ _SUBCOMMANDS = {
     "verify-extremal": _Subcommand(_run_verify_extremal, "closed_forms", {
         "n": (int, 3), "k": (int, 2), "lam": (float, 1.0),
         "levels": (int, 3), "nodes": (int, 24), "box": (float, 4.0),
-        "tol": (float, 1e-10),
+        "tol": (float, quadrature.DEFAULT_TOL),
     }),
     "verify-prop4": _Subcommand(_run_verify_prop4, "cylgrid", {
         "a": (int, 1), "b": (int, 1), "lam": (float, 1.0),
@@ -463,7 +455,8 @@ _SUBCOMMANDS = {
         "direction": (str, "rho-axis"),
         "min-radius": (float, 0.0), "max-radius": (float, None),
         "n": (int, None), "p": (float, 2.0),
-        "mode": (str, "solution-two-sided"), "tol": (float, 0.1),
+        "mode": (str, "solution-two-sided"),
+        "tol": (float, asymptotics.DEFAULT_BOUND_TOL),
     }),
     "plot": _Subcommand(_run_plot, "cli", {
         "input": (str, _REQUIRED), "output": (str, _REQUIRED),

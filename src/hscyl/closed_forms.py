@@ -34,6 +34,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_point,
     require_positive,
     require_split,
 )
@@ -227,17 +228,11 @@ class ExtremalParams:
     def __post_init__(self):
         n, k = require_split(self.n, self.k)
         require_positive(self.lam, "lam")
-        y0 = np.zeros(n - k) if self.y0 is None else np.asarray(self.y0, dtype=float)
-        if y0.shape != (n - k,) or not np.all(np.isfinite(y0)):
-            raise ParameterDomainError(f"y0 must be a finite point in R^{n - k}, got {y0}")
+        y0 = require_point(np.zeros(n - k) if self.y0 is None else self.y0, n - k, "y0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "y0", y0)
-
-    @property
-    def a(self) -> int:
-        return self.k - 1
 
 
 def extremal_profile(params: ExtremalParams, constant: SharpConstant):
@@ -272,18 +267,12 @@ def extremal_profile(params: ExtremalParams, constant: SharpConstant):
 
 
 def extremal_v(params: ExtremalParams, constant: SharpConstant, x_norm: float, y) -> float:
-    """Evaluate the extremal at (|x|, y); y lives in the R^(n-k) factor."""
+    """Evaluate the extremal at (|x|, y); y lives in the R^(n-k) factor,
+    so it is an empty point when k = n."""
     if not 0.0 <= x_norm < math.inf:
         raise ParameterDomainError(f"x_norm must be finite and >= 0, got {x_norm}")
-    if params.n == params.k:
-        r = 0.0
-    else:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (params.n - params.k,):
-            raise ParameterDomainError(
-                f"y must lie in R^{params.n - params.k}, got shape {y.shape}"
-            )
-        r = float(np.linalg.norm(y - params.y0))
+    y = require_point(y, params.n - params.k, "y")
+    r = float(np.linalg.norm(y - params.y0))
     return float(extremal_profile(params, constant)(x_norm, r))
 
 
@@ -310,8 +299,7 @@ class ShiftedQuadraticParams:
         b = require_int(self.b, "b")
         if a < 1 or b < 1:
             raise ParameterDomainError(f"a, b must be positive integers, got {a}, {b}")
-        require_positive(self.lam, "lam")
-        alpha, beta = _finite_offsets((self.alpha, self.beta))
+        _, (alpha, beta) = _split_family((a + 1, b + 1), self.lam, (self.alpha, self.beta))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "lam", float(self.lam))
@@ -346,33 +334,30 @@ def shifted_power_profile(params: ShiftedQuadraticParams):
 
 def shifted_power_solution(params: ShiftedQuadraticParams, x, y) -> float:
     """Evaluate the explicit solution at x in R^(a+1), y in R^(b+1)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if x.shape != (params.a + 1,) or y.shape != (params.b + 1,):
-        raise ParameterDomainError(
-            f"expected x in R^{params.a + 1} and y in R^{params.b + 1}, "
-            f"got shapes {x.shape}, {y.shape}"
-        )
+    x = require_point(x, params.a + 1, "x")
+    y = require_point(y, params.b + 1, "y")
     return float(shifted_power_profile(params)(np.linalg.norm(x), np.linalg.norm(y)))
 
 
-def _finite_offsets(offsets) -> tuple[float, ...]:
-    """The offsets as floats, or ParameterDomainError if one is not finite."""
+def _split_family(dims, lam: float, offsets) -> tuple[tuple, tuple]:
+    """(dims, offsets) of a split of R^n into radial factors, as ints and
+    floats: integer dims >= 1 summing to n >= 3, a finite lam > 0 and one
+    finite offset per factor, or ParameterDomainError."""
+    dims = tuple(require_int(d, "subspace dimension") for d in dims)
+    if not dims or min(dims) < 1 or sum(dims) < 3:
+        raise ParameterDomainError(
+            f"need subspace dimensions >= 1 summing to n >= 3, got {dims}")
+    require_positive(lam, "lam")
     offsets = tuple(float(off) for off in offsets)
-    if not all(abs(off) < math.inf for off in offsets):
-        raise ParameterDomainError(f"offsets must be finite, got {offsets}")
-    return offsets
+    if len(offsets) != len(dims) or not all(abs(off) < math.inf for off in offsets):
+        raise ParameterDomainError(
+            f"need one finite offset per subspace, got {offsets} for dims {dims}")
+    return dims, offsets
 
 
 def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:
     """Source coefficients alpha_i (n-2) lam^2 a_i for a multi-factor split."""
-    dims = tuple(require_int(d, "subspace dimension") for d in dims)
-    if any(d < 1 for d in dims):
-        raise ParameterDomainError(f"subspace dimensions must be >= 1, got {dims}")
-    require_positive(lam, "lam")
-    offsets = _finite_offsets(offsets)
-    if len(offsets) != len(dims):
-        raise ParameterDomainError("one offset per subspace is required")
+    dims, offsets = _split_family(dims, lam, offsets)
     n = sum(dims)
     return tuple(off * (n - 2) * lam**2 * (d - 1) for off, d in zip(offsets, dims))
 
@@ -386,14 +371,10 @@ def multi_subspace_solution(dims, lam: float, offsets, radii):
     broadcast together.  Satisfies Delta v = -v^(n/(n-2)) sum_i coef_i / rho_i
     with the coefficients from :func:`multi_subspace_coefficients`.
     """
-    dims = tuple(require_int(d, "subspace dimension") for d in dims)
-    require_positive(lam, "lam")
-    offsets = _finite_offsets(offsets)
-    if not (len(offsets) == len(radii) == len(dims)):
-        raise ParameterDomainError("dims, offsets and radii must align")
+    dims, offsets = _split_family(dims, lam, offsets)
+    if len(radii) != len(dims):
+        raise ParameterDomainError("one radius per subspace is required")
     n = sum(dims)
-    if n < 3:
-        raise ParameterDomainError(f"total dimension must exceed 2, got {n}")
     squares = ((np.asarray(r, dtype=float) + off) ** 2
                for r, off in zip(radii, offsets))
     base = next(squares)
@@ -409,12 +390,18 @@ def multi_subspace_solution(dims, lam: float, offsets, radii):
 # Fundamental solution and Kelvin transform
 # ---------------------------------------------------------------------------
 
-def fundamental_solution(n: int, z_norm: float) -> float:
-    """Positive fundamental solution of the Laplacian,
-    (n(n-2) omega_n)^(-1) |z|^(2-n), omega_n the unit-ball volume."""
+def _ambient(n) -> int:
+    """n as an int, the dimension n >= 3 of R^n, or ParameterDomainError."""
     n = require_int(n, "n")
     if n <= 2:
         raise ParameterDomainError(f"need n > 2, got n={n}")
+    return n
+
+
+def fundamental_solution(n: int, z_norm: float) -> float:
+    """Positive fundamental solution of the Laplacian,
+    (n(n-2) omega_n)^(-1) |z|^(2-n), omega_n the unit-ball volume."""
+    n = _ambient(n)
     if z_norm == 0.0:
         raise SingularityError("fundamental solution is singular at z = 0")
     if not 0.0 <= z_norm < math.inf:
@@ -426,17 +413,13 @@ def kelvin_transform(u, n: int):
     """Inversion (Ku)(z) = |z|^(2-n) u(z / |z|^2) as a function on points.
 
     An involution, and an isometry of the Dirichlet energy for functions
-    supported away from the puncture; evaluation at z = 0, or at a point
-    not in R^n, is refused.
+    supported away from the puncture; evaluation at z = 0, or at anything
+    but a finite point of R^n, is refused.
     """
-    n = require_int(n, "n")
-    if n <= 2:
-        raise ParameterDomainError(f"need n > 2, got n={n}")
+    n = _ambient(n)
 
     def transformed(z):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (n,):
-            raise ParameterDomainError(f"z must be a point in R^{n}, got shape {z.shape}")
+        z = require_point(z, n, "z")
         norm_sq = float(np.dot(z, z))
         if norm_sq == 0.0:
             raise SingularityError("Kelvin transform is singular at z = 0")

@@ -157,25 +157,29 @@ class GridSpec:
     grading: float = 1.5
 
 
+def _node_counts(n: int, k: int, n_rho: int, n_r: int) -> tuple[int, int]:
+    """(n_rho, n_r) as ints, 8 or more on each active axis, or ParameterDomainError."""
+    n_rho = require_int(n_rho, "n_rho")
+    n_r = require_int(n_r, "n_r")
+    if n_rho < 8 or (k < n and n_r < 8):
+        raise ParameterDomainError("need at least 8 nodes per active dimension")
+    return n_rho, n_r
+
+
 def build_grid(n: int, k: int, rho_max: float, r_max: float,
                n_rho: int, n_r: int, grading: float) -> CylGrid:
     """Graded tensor grid with nodes rho_i = rho_max (i/n_rho)^grading,
     i = 1..n_rho (never 0), and likewise in r.  Values start at zero."""
     n, k = require_split(n, k)
-    n_rho = require_int(n_rho, "n_rho")
-    n_r = require_int(n_r, "n_r")
-    if n_rho < 8 or (k < n and n_r < 8):
-        raise ParameterDomainError("need at least 8 nodes per active dimension")
+    n_rho, n_r = _node_counts(n, k, n_rho, n_r)
     if not 1.0 <= grading < math.inf:
         raise ParameterDomainError(f"grading must be finite and >= 1, got {grading}")
     require_positive(rho_max, "rho_max")
     if k < n:
         require_positive(r_max, "r_max")
     rho = rho_max * (np.arange(1, n_rho + 1) / n_rho) ** grading
-    if k == n:
-        return CylGrid(n, k, rho, np.empty(0), np.zeros(n_rho), grading)
-    r = r_max * (np.arange(1, n_r + 1) / n_r) ** grading
-    return CylGrid(n, k, rho, r, np.zeros((n_rho, n_r)), grading)
+    r = np.empty(0) if k == n else r_max * (np.arange(1, n_r + 1) / n_r) ** grading
+    return CylGrid(n, k, rho, r, np.zeros((n_rho, n_r) if k < n else n_rho), grading)
 
 
 def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
@@ -187,17 +191,13 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
     explicit solutions on a fixed box.
     """
     n, k = require_split(n, k)
-    n_rho = require_int(n_rho, "n_rho")
-    n_r = require_int(n_r, "n_r")
+    n_rho, n_r = _node_counts(n, k, n_rho, n_r)
     if not 0.0 < rho_lo < rho_hi < math.inf or (k < n and not 0.0 < r_lo < r_hi < math.inf):
         raise ParameterDomainError("window bounds must satisfy 0 < lo < hi < inf")
-    if n_rho < 8 or (k < n and n_r < 8):
-        raise ParameterDomainError("need at least 8 nodes per active dimension")
     rho = np.linspace(rho_lo, rho_hi, n_rho)
-    if k == n:
-        return CylGrid(n, k, rho, np.empty(0), np.zeros(n_rho), 1.0, axis_ghost=False)
-    r = np.linspace(r_lo, r_hi, n_r)
-    return CylGrid(n, k, rho, r, np.zeros((n_rho, n_r)), 1.0, axis_ghost=False)
+    r = np.empty(0) if k == n else np.linspace(r_lo, r_hi, n_r)
+    return CylGrid(n, k, rho, r, np.zeros((n_rho, n_r) if k < n else n_rho), 1.0,
+                   axis_ghost=False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Two broad families matter to callers: domain errors (bad inputs, shell exit
 code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
-The validators, :func:`require_int`, :func:`require_positive` and
-:func:`require_split`, live here too, so every module can import them
-without an import cycle.
+The validators, :func:`require_int`, :func:`require_positive`,
+:func:`require_split` and :func:`require_point`, live here too, so every
+module can import them without an import cycle.
 """
 
 import math
@@ -91,3 +91,17 @@ def require_split(n, k) -> tuple[int, int]:
     if n < 3 or not (2 <= k <= n):
         raise ParameterDomainError(f"need n >= 3 and 2 <= k <= n, got n={n}, k={k}")
     return n, k
+
+
+def require_point(value, dim: int, name: str) -> np.ndarray:
+    """``value`` as a float array of shape (dim,) with finite entries (a
+    scalar counts as a point of R^1), or ParameterDomainError."""
+    try:
+        point = np.array(value, dtype=float, ndmin=1)
+    except (TypeError, ValueError):  # ragged or non-numeric input
+        pass
+    else:
+        if point.shape == (dim,) and np.isfinite(point).all():
+            return point
+    raise ParameterDomainError(f"{name} must be a point in R^{dim} with finite coordinates, "
+                               f"got {value!r}")

@@ -100,6 +100,16 @@ def critical_pair(p: float, s: float, n: int) -> tuple[float, float]:
     return r, n / (p - s)
 
 
+def decay_bound(n: int, p: float) -> float:
+    """(n-p)/(p-1), the supremum of the guaranteed decay rates of
+    finite-energy solutions; n - 2, the rate of |z|^(2-n), at p = 2.
+    Needs integer n and 1 < p < n."""
+    n = require_int(n, "n")
+    if not 1.0 < p < n:
+        raise ParameterDomainError(f"need 1 < p < n, got p={p}, n={n}")
+    return (n - p) / (p - 1.0)
+
+
 def admissible(ctx: ExponentContext) -> bool:
     """True iff 1<p<n, 0<=s<=p, s<k and s(n-k) < k(n-p) all hold.
 
@@ -119,8 +129,7 @@ def aux_exponents(ctx: ExponentContext) -> ExponentReport:
 
     sigma is s(n-p)/(2p(n-s)) and p_sigma is the critical exponent that
     appears when the inequality is rewritten with the weight split off as
-    |x|^(-sigma * p_sigma); decay_bound (n-p)/(p-1) is the supremum of the
-    guaranteed decay rates of finite-energy solutions.
+    |x|^(-sigma * p_sigma); decay_bound is :func:`decay_bound`.
     """
     if not admissible(ctx):
         raise ParameterDomainError(f"context {ctx} is not admissible")
@@ -142,7 +151,7 @@ def aux_exponents(ctx: ExponentContext) -> ExponentReport:
         r_prime=r_prime,
         sigma=s * (n - p) / (2.0 * p * (n - s)),
         p_sigma=hs_conjugate(p, s, n),
-        decay_bound=(n - p) / (p - 1.0),
+        decay_bound=decay_bound(n, p),
         kappa=kappa,
     )
 

@@ -46,6 +46,7 @@ from .errors import (
     ParameterDomainError,
     SingularityError,
     require_int,
+    require_point,
     require_positive,
     require_split,
 )
@@ -410,9 +411,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     if not (0.0 <= s < min(k, 2)):
         raise ParameterDomainError(f"need 0 <= s < min(k, 2), got s={s}")
     require_positive(tol, "tol")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (n,):
-        raise ParameterDomainError(f"z must be a point in R^{n}, got shape {z.shape}")
+    z = require_point(z, n, "z")
     znorm = float(np.linalg.norm(z))
     if znorm == 0.0:
         raise SingularityError("singular Newtonian integral undefined at z = 0")

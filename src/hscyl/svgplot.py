@@ -26,8 +26,6 @@ def _ticks(lo: float, hi: float, log: bool):
         hi_e = math.ceil(math.log10(hi))
         return [10.0**e for e in range(lo_e, hi_e + 1) if lo <= 10.0**e <= hi]
     span = hi - lo
-    if span <= 0:
-        return [lo]
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= 6:
@@ -40,6 +38,18 @@ def _ticks(lo: float, hi: float, log: bool):
         out.append(t)
         t += step
     return out
+
+
+def _axis_range(values, log: bool) -> tuple[float, float]:
+    """(min, max) of the values, a constant c widened to a positive length:
+    half a decade each way on a log axis, else max(0.5, 1e-6 |c|) each way."""
+    lo, hi = float(values.min()), float(values.max())
+    if lo < hi:
+        return lo, hi
+    if log:
+        return lo / math.sqrt(10.0), hi * math.sqrt(10.0)
+    pad = max(0.5, 1e-6 * abs(lo))
+    return lo - pad, hi + pad
 
 
 def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
@@ -62,12 +72,8 @@ def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
 
     all_x = np.concatenate([c[0] for c in cleaned])
     all_y = np.concatenate([c[1] for c in cleaned])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
-    if x_lo == x_hi:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_lo == y_hi:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _axis_range(all_x, log_x)
+    y_lo, y_hi = _axis_range(all_y, log_y)
 
     def to_px(x, y):
         if log_x:

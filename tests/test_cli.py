@@ -2,6 +2,7 @@ import json
 import math
 import shlex
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -38,6 +39,14 @@ def test_minimize_defaults_are_the_library_defaults():
                                       opts.init, opts.init_scale)
 
 
+def test_boolean_flags():
+    argv = ["plot", "--input", "t.csv", "--output", "t.svg"]
+    assert parse_args(argv + ["--log-y", "no"]).parameters["log-y"] is False
+    assert parse_args(argv + ["--log-y", "on"]).parameters["log-y"] is True
+    with pytest.raises(UsageError, match="expected a boolean"):
+        parse_args(argv + ["--log-y", "maybe"])
+
+
 def test_parse_args_usage_errors(tmp_path):
     with pytest.raises(UsageError):
         parse_args([])
@@ -68,14 +77,32 @@ def test_constant_takes_no_tol(tmp_path, capsys):
     assert "unknown key 'tol'" in capsys.readouterr().err
 
 
-def test_readme_command_lines_parse():
+def _readme_commands() -> list:
+    """The argv of each example line of the README's command-line section."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
-    examples = [shlex.split(line)[1:] for line in section.splitlines()
-                if line.startswith("hscyl ") and "SUBCOMMAND" not in line]
+    return [shlex.split(line)[1:] for line in section.splitlines()
+            if line.startswith("hscyl ") and "SUBCOMMAND" not in line]
+
+
+def test_readme_command_lines_parse():
+    examples = _readme_commands()
     for argv in examples:
         parse_args(argv)
     assert {argv[0] for argv in examples} == set(_SUBCOMMANDS)
+
+
+def test_readme_command_block_chains():
+    # run top to bottom, each line reads only what an earlier line wrote
+    written = []
+    for argv in _readme_commands():
+        config = parse_args(argv)
+        for key in ("grid", "input"):
+            path = config.parameters.get(key)
+            if path is not None:
+                assert any(out in Path(path).parents for out in written), (argv, path)
+        if "--output-dir" in argv:
+            written.append(config.output_dir)
 
 
 @pytest.mark.parametrize("args, table", [
@@ -166,6 +193,14 @@ def test_quadrature_subcommand(tmp_path):
                        "error_estimate,evaluations")
     assert len(rows) == 2
 
+    out = tmp_path / "radial"
+    assert main(["quadrature", "--identity", "beta-radial", "--k", "2", "--a", "2",
+                 "--s", "1", "--output-dir", str(out)]) == 0
+    summary = _summary(out)
+    assert summary["closed_form"] == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
+    assert summary["relative_error"] <= 1e-8
+    assert summary["evaluations"] > 0
+
 
 def test_verify_extremal_subcommand(tmp_path):
     # k = 3 = n windows the 1-D residual on rho alone
@@ -188,6 +223,17 @@ def test_quadrature_newtonian_subcommand(tmp_path):
                  "--output-dir", str(out)]) == 0
     summary = _summary(out)
     assert summary["relative_error"] <= 1e-10
+
+    # the ball integral has a closed form at s = 0 only
+    out = tmp_path / "newt-s"
+    assert main(["quadrature", "--identity", "newtonian-ball", "--n", "3", "--k", "2",
+                 "--s", "0.5", "--x-norm", "0.6", "--y-norm", "0.8",
+                 "--output-dir", str(out)]) == 0
+    summary = _summary(out)
+    assert math.isnan(summary["closed_form"]) and math.isnan(summary["relative_error"])
+    assert summary["quadrature"] > 0.0
+    row = (out / "comparison.csv").read_text().splitlines()[1].split(",")
+    assert row[1] == row[3] == "nan"
 
 
 def test_verify_prop4_subcommand(tmp_path):
@@ -265,3 +311,20 @@ def test_plot_grid_dump(tmp_path, const32, extremal32):
                "--log-y", "true", "--output-dir", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "g.svg").exists()
+
+
+def test_plot_title_and_constant_series(tmp_path):
+    table = tmp_path / "flat.csv"
+    table.write_text("step,value\n1,0.3\n2,0.3\n3,0.3\n")
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    for log_y in ("false", "true"):
+        svg = tmp_path / f"flat-{log_y}.svg"
+        assert main(["plot", "--input", str(table), "--output", str(svg), "--title", "flat",
+                     "--log-y", log_y, "--output-dir", str(tmp_path)]) == 0
+        root = ElementTree.parse(svg).getroot()
+        assert "flat" in [text.text for text in root.iterfind("svg:text", ns)]
+        # the constant is widened evenly around itself (by 0.5, or half a
+        # decade on a log axis): the line runs level through the middle of
+        # the frame, which spans y = 34 to 430
+        points = root.find("svg:polyline", ns).get("points").split()
+        assert {pair.split(",")[1] for pair in points} == {"232.00"}

@@ -475,6 +475,8 @@ BAD_DUMPS = {
     "short row": lambda lines: lines[:2] + ["1.0,2.0"] + lines[3:],
     "non-numeric row": lambda lines: lines[:2] + ["1.0,abc,3.0"] + lines[3:],
     "no metadata line": lambda lines: lines[1:],
+    "no rho,r,value header": lambda lines: lines[:1] + ["x,y,z"] + lines[2:],
+    "four columns in every row": lambda lines: lines[:2] + [line + ",0" for line in lines[2:]],
     "malformed metadata": lambda lines: [lines[0].replace("axis_ghost=1", "axis_ghost=yes")]
     + lines[1:],
     "missing row": lambda lines: lines[:-1],

@@ -19,10 +19,12 @@ from hscyl import (
     fundamental_solution,
     gradient_energy,
     integrate_cylindrical,
+    kelvin_transform,
     local_sup_ratio,
     multi_subspace_coefficients,
     multi_subspace_solution,
     sharp_constant_K,
+    shifted_power_solution,
     singular_newtonian_integral,
     sphere_measure,
     window_grid,
@@ -113,3 +115,33 @@ SPLIT_ENTRY_POINTS = {
 def test_split_parameters_reject_bad_splits(entry, n, k):
     with pytest.raises(ParameterDomainError):
         SPLIT_ENTRY_POINTS[entry](n, k)
+
+
+_KELVIN = kelvin_transform(lambda z: 1.0, 3)
+
+#: inputs outside a split, a decay bound or R^n -> ParameterDomainError
+MALFORMED_INPUTS = {
+    "multi_subspace_solution.negative_dim": lambda: multi_subspace_solution(
+        (-1, 4), 1.0, (0.0, 0.0), (1.0, 1.0)),
+    "multi_subspace_solution.zero_dim": lambda: multi_subspace_solution(
+        (0, 3), 1.0, (0.0, 0.0), (1.0, 1.0)),
+    "multi_subspace_coefficients.n_2": lambda: multi_subspace_coefficients(
+        (1, 1), 1.0, (0.0, 0.0)),
+    "multi_subspace_coefficients.no_dims": lambda: multi_subspace_coefficients((), 1.0, ()),
+    "check_decay_bounds.fractional_n": lambda: check_decay_bounds(
+        DecayFit(exponent=0.5, amplitude=1.0, r_squared=1.0), 2.5, 2.0, "solution-two-sided"),
+    "extremal_v.nan_y": lambda: extremal_v(ExtremalParams(n=3, k=2), sharp_constant_K(3, 2),
+                                           0.5, [math.nan]),
+    "shifted_power_solution.nan_x": lambda: shifted_power_solution(
+        ShiftedQuadraticParams(a=1, b=1), [math.nan, 0.0], [1.0, 0.0]),
+    "kelvin_transform.nan_z": lambda: _KELVIN([math.nan, 0.0, 0.0]),
+    "kelvin_transform.inf_z": lambda: _KELVIN([math.inf, 0.0, 0.0]),
+    "singular_newtonian_integral.nan_z": lambda: singular_newtonian_integral(
+        [math.nan, 0.0, 1.0], 3, 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED_INPUTS))
+def test_malformed_inputs_are_parameter_domain_errors(entry):
+    with pytest.raises(ParameterDomainError):
+        MALFORMED_INPUTS[entry]()

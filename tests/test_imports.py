@@ -124,3 +124,15 @@ for n, k in ((3, 3), (3, 2)):
 assert "scipy.linalg" in sys.modules
 assert not loaded("scipy.sparse"), loaded("scipy.sparse")
 """, tmp_path)
+
+
+def test_package_lists_only_the_error_classes():
+    # __init__ republishes each module's __all__; errors.py keeps none, so
+    # its classes are the one list of names there
+    from hscyl import errors
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    listed = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names} - {"*"}
+    assert listed == {name for name, obj in vars(errors).items()
+                      if isinstance(obj, type) and issubclass(obj, errors.HscylError)}

@@ -8,6 +8,7 @@ from hscyl import (
     CylindricalDomain,
     GridError,
     ParameterDomainError,
+    QuadratureResult,
     SingularityError,
     beta_integral_full,
     beta_integral_radial,
@@ -38,6 +39,17 @@ def test_radial_divergent_integrand_errors():
     with pytest.raises(ConvergenceError):
         integrate_radial(lambda rho: np.ones_like(rho), 2, 0.0, tol=1e-10,
                          budget=200_000)
+
+
+def test_budget_exhaustion_carries_the_partial_result():
+    # the kink at rho = 0.3 leaves the first four panels open, so the
+    # split spends past the budget with a partial sum in hand
+    with pytest.raises(ConvergenceError, match="budget") as info:
+        integrate_radial(lambda rho: np.abs(rho - 0.3), 1, 0.0, upper=1.0, budget=100)
+    partial = info.value.partial
+    assert isinstance(partial, QuadratureResult)
+    assert partial.evaluations <= 100
+    assert abs(partial.value - 0.29) <= partial.error_estimate
 
 
 def test_radial_scalar_callable_is_wrapped():

@@ -16,7 +16,6 @@ from .errors import (
     FitDomainError,
     GridError,
     HscylError,
-    InternalConsistencyError,
     ParameterDomainError,
     SingularityError,
     UsageError,

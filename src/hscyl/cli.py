@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__, asymptotics, closed_forms, cylgrid, minimizer, quadrature
 from . import exponents as expo
-from .errors import ConvergenceError, DomainError, HscylError, UsageError
+from .errors import ConvergenceError, DomainError, UsageError
 from .specfn import sphere_measure
 from .svgplot import render_line_plot
 
@@ -498,9 +498,6 @@ def main(argv=None) -> int:
         kind, code = ("convergence", 3) if isinstance(exc, ConvergenceError) else ("domain", 2)
         print(f"hscyl {_SUBCOMMANDS[argv[0]].owner}: {kind} error: {exc}", file=sys.stderr)
         return code
-    except HscylError as exc:
-        print(f"hscyl: error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,9 @@ J, like every other closed form here, against adaptive quadrature.
 In this normalisation the constrained minimum of the Dirichlet energy is
 Lambda = K^(2(n-1)/(n-2)) (the Euler-Lagrange multiplier); the best ratio
 of the weighted norm to the gradient norm is Lambda^(-1/2), not K itself.
-See SharpConstant.attained_ratio.
+See SharpConstant.attained_ratio.  SharpConstant stores K and K_printed
+only; Lambda, mu and the printed discrepancy are computed from them where
+they are read, so no closed form here re-checks another.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceDomainError,
-    InternalConsistencyError,
     ParameterDomainError,
     SingularityError,
     require_int,
@@ -56,9 +57,6 @@ __all__ = [
     "fundamental_solution",
     "kelvin_transform",
 ]
-
-_REL_TOL = 1e-12
-
 
 # ---------------------------------------------------------------------------
 # Beta-function integral identities
@@ -117,8 +115,8 @@ def beta_integral_radial(k: int, a: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class SharpConstant:
-    """Constant K for the s = 1, p = 2 inequality on R^k x R^(n-k), with its
-    companions Lambda = K^(2(n-1)/(n-2)) and mu = 4 Lambda/(n-2)^2.
+    """Constant K for the s = 1, p = 2 inequality on R^k x R^(n-k); its
+    companions Lambda and mu are computed from K where they are read.
 
     ``K_printed`` is the literal published formula, retained as a diagnostic
     together with its relative discrepancy from K.
@@ -127,25 +125,29 @@ class SharpConstant:
     n: int
     k: int
     K: float
-    Lambda: float
-    mu: float
     K_printed: float = float("nan")
-    printed_discrepancy: float = float("nan")
 
     def __post_init__(self):
-        if not self.K > 0.0:
-            raise ParameterDomainError(f"K must be positive, got {self.K}")
-        n = self.n
-        lam = self.K ** (2.0 * (n - 1) / (n - 2))
-        if abs(lam - self.Lambda) > _REL_TOL * abs(lam):
-            raise InternalConsistencyError(
-                f"Lambda={self.Lambda} violates Lambda = K^(2(n-1)/(n-2)) = {lam}"
-            )
-        mu = 4.0 * self.Lambda / (n - 2) ** 2
-        if abs(mu - self.mu) > _REL_TOL * abs(mu):
-            raise InternalConsistencyError(
-                f"mu={self.mu} violates mu = 4 Lambda/(n-2)^2 = {mu}"
-            )
+        n, k = require_split(self.n, self.k)
+        require_positive(self.K, "K")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+
+    @property
+    def Lambda(self) -> float:
+        """The Euler-Lagrange multiplier K^(2(n-1)/(n-2)), which is also the
+        constrained minimum of the Dirichlet energy."""
+        return self.K ** (2.0 * (self.n - 1) / (self.n - 2))
+
+    @property
+    def mu(self) -> float:
+        """4 Lambda/(n-2)^2."""
+        return 4.0 * self.Lambda / (self.n - 2) ** 2
+
+    @property
+    def printed_discrepancy(self) -> float:
+        """Relative discrepancy |K_printed - K| / K of the published display."""
+        return abs(self.K_printed - self.K) / self.K
 
     @property
     def attained_ratio(self) -> float:
@@ -203,13 +205,7 @@ def sharp_constant_K(n: int, k: int) -> SharpConstant:
     shift = _extremal_shift(n, k)
     j = _normalization_integral_closed(n, k, shift)
     K = ((0.5 * (n - 2)) ** (2 * (n - 1)) * j) ** ((n - 2) / (2.0 * (n - 1) ** 2))
-    lam = K ** (2.0 * (n - 1) / (n - 2))
-    k_printed = _k_printed(n, k, shift)
-    return SharpConstant(
-        n=n, k=k, K=K, Lambda=lam, mu=4.0 * lam / (n - 2) ** 2,
-        K_printed=k_printed,
-        printed_discrepancy=abs(k_printed - K) / K,
-    )
+    return SharpConstant(n=n, k=k, K=K, K_printed=_k_printed(n, k, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +232,13 @@ class ExtremalParams:
 
 
 def extremal_profile(params: ExtremalParams, constant: SharpConstant):
-    """Cylindrical profile (rho, r) -> v of the extremal, r = |y - y0|.
+    """Cylindrical profile (rho, r) -> v of the extremal, r = |y - y0|:
 
-    The prefactor appears in two printed shapes,
-    lam^-(n-2) (4/(n-2)^2)^(-(n-2)/2) K^-(n-1) and
-    lam^-(n-2) ((n-2)/2)^(n-2) K^-(n-1); their equality (and the equivalent
-    Lambda^(-(n-2)/2) form) is asserted here, once, before any evaluation.
+        v = lam^-(n-2) ((n-2)/2)^(n-2) K^-(n-1) ((rho + shift)^2 + r^2)^(-(n-2)/2),
+
+    with the shift of :func:`_extremal_shift`.  The paper also prints the
+    prefactor as lam^-(n-2) (4/(n-2)^2)^(-(n-2)/2) K^-(n-1); the tests check
+    that shape, and Lambda^(-(n-2)/2) in place of K^-(n-1), against this one.
     """
     if (params.n, params.k) != (constant.n, constant.k):
         raise ParameterDomainError(
@@ -249,19 +246,11 @@ def extremal_profile(params: ExtremalParams, constant: SharpConstant):
             f"constant (n={constant.n}, k={constant.k})"
         )
     n, lam = params.n, params.lam
-    scale = lam ** -(n - 2.0)
-    pref_a = scale * (4.0 / (n - 2) ** 2) ** (-0.5 * (n - 2)) * constant.K ** -(n - 1.0)
-    pref_b = scale * (0.5 * (n - 2)) ** (n - 2.0) * constant.K ** -(n - 1.0)
-    pref_c = scale * (4.0 / (n - 2) ** 2) ** (-0.5 * (n - 2)) * constant.Lambda ** (-0.5 * (n - 2))
-    if not (math.isclose(pref_a, pref_b, rel_tol=_REL_TOL)
-            and math.isclose(pref_a, pref_c, rel_tol=_REL_TOL)):
-        raise InternalConsistencyError(
-            f"extremal prefactor forms disagree: {pref_a!r}, {pref_b!r}, {pref_c!r}"
-        )
+    pref = lam ** -(n - 2.0) * (0.5 * (n - 2)) ** (n - 2.0) * constant.K ** -(n - 1.0)
     shift = _extremal_shift(n, params.k, lam)
 
     def profile(rho, r):
-        return pref_b * ((rho + shift) ** 2 + np.asarray(r) ** 2) ** (-0.5 * (n - 2))
+        return pref * ((rho + shift) ** 2 + np.asarray(r) ** 2) ** (-0.5 * (n - 2))
 
     return profile
 
@@ -342,17 +331,14 @@ def shifted_power_solution(params: ShiftedQuadraticParams, x, y) -> float:
 def _split_family(dims, lam: float, offsets) -> tuple[tuple, tuple]:
     """(dims, offsets) of a split of R^n into radial factors, as ints and
     floats: integer dims >= 1 summing to n >= 3, a finite lam > 0 and one
-    finite offset per factor, or ParameterDomainError."""
+    finite offset per factor (a point of R^len(dims)), or
+    ParameterDomainError."""
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if not dims or min(dims) < 1 or sum(dims) < 3:
         raise ParameterDomainError(
             f"need subspace dimensions >= 1 summing to n >= 3, got {dims}")
     require_positive(lam, "lam")
-    offsets = tuple(float(off) for off in offsets)
-    if len(offsets) != len(dims) or not all(abs(off) < math.inf for off in offsets):
-        raise ParameterDomainError(
-            f"need one finite offset per subspace, got {offsets} for dims {dims}")
-    return dims, offsets
+    return dims, tuple(require_point(offsets, len(dims), "offsets").tolist())
 
 
 def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:

@@ -3,9 +3,12 @@
 Two broad families matter to callers: domain errors (bad inputs, shell exit
 code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
+There is no error for two closed forms that disagree: a quantity that
+follows from another is computed from it, and the tests compare routes.
 The validators, :func:`require_int`, :func:`require_positive`,
 :func:`require_split` and :func:`require_point`, live here too, so every
-module can import them without an import cycle.
+module can import them without an import cycle, and no ValueError,
+TypeError or OverflowError escapes one of them.
 """
 
 import math
@@ -41,14 +44,13 @@ class GridError(DomainError):
     """Grid is unusable: too few nodes, degenerate ranges, ball off-grid."""
 
 
-class InternalConsistencyError(DomainError):
-    """Two quantities that must agree by construction do not."""
-
-
 class ConvergenceError(HscylError):
     """An iterative routine exhausted its budget before meeting tolerance.
 
-    ``partial`` carries the best value or result obtained before failing.
+    ``partial`` carries the best value or result obtained before failing:
+    a quadrature entry point gives the QuadratureResult of the whole
+    integral so far, whose error estimate covers any piece it never
+    reached (an infinite one when it could not bound that piece).
     """
 
     def __init__(self, message, partial=None):

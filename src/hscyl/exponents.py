@@ -111,17 +111,14 @@ def decay_bound(n: int, p: float) -> float:
 
 
 def admissible(ctx: ExponentContext) -> bool:
-    """True iff 1<p<n, 0<=s<=p, s<k and s(n-k) < k(n-p) all hold.
+    """True iff s<k and s(n-k) < k(n-p) both hold (the context itself
+    guarantees 1<p<n and 0<=s<=p).
 
     The last condition guarantees r*s < k, so the weighted embedding with
     exponent r*s is still available during iteration arguments.
     """
     n, k, p, s = ctx.n, ctx.k, ctx.p, ctx.s
-    if not (1.0 < p < n and 0.0 <= s <= p):
-        return False
-    if not s < k:
-        return False
-    return s * (n - k) < k * (n - p)
+    return s < k and s * (n - k) < k * (n - p)
 
 
 def aux_exponents(ctx: ExponentContext) -> ExponentReport:

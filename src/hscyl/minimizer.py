@@ -150,8 +150,7 @@ class MinimizeOptions:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Converged minimum, the constant estimate K_est = E_min^(-1/2) (nan
-    unless E_min > 0), the minimiser itself, the accepted-step history,
+    """Converged minimum, the minimiser itself, the accepted-step history,
     its core scale and the final constrained-gradient residual
     ||d||_M / E (stationarity).
 
@@ -163,7 +162,6 @@ class MinimizeResult:
     """
 
     E_min: float
-    K_est: float
     grid: CylGrid
     history: tuple
     iterations: int
@@ -171,6 +169,11 @@ class MinimizeResult:
     stationarity: float
     rejected_steps: int
     extrapolated_steps: int
+
+    @property
+    def K_est(self) -> float:
+        """The constant estimate E_min^(-1/2), nan unless E_min > 0."""
+        return self.E_min ** -0.5 if self.E_min > 0 else float("nan")
 
 
 class DiscreteRayleigh:
@@ -482,7 +485,6 @@ def _package(problem, u, energy, history, iterations, stationarity,
         )
     return MinimizeResult(
         E_min=energy,
-        K_est=energy ** -0.5 if energy > 0 else float("nan"),
         grid=grid,
         history=tuple(history),
         iterations=iterations,

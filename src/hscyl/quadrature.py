@@ -25,9 +25,12 @@ Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
 only scalars is detected by one probe and called point by point, at a
 cost.  A non-finite integrand value raises SingularityError; it is never
-replaced.  Nested integrals run as batches: each pass of an outer integral
-computes the inner integrals at all of its new abscissae in one adaptive
-loop, in which every integral follows the refinement rule of a lone run.
+replaced.  A ConvergenceError (an exhausted budget, an unresolvable
+integrand) carries the whole integral so far as its ``partial``, with an
+infinite error estimate while a piece of the range is still unreached.
+Nested integrals run as batches: each pass of an outer integral computes
+the inner integrals at all of its new abscissae in one adaptive loop, in
+which every integral follows the refinement rule of a lone run.
 Each integral's first pass is small, four panels (two on a sinh-mapped
 peak), because a nested batch pays it once per outer node; refinement
 then splits only the panels that need it.
@@ -54,7 +57,6 @@ from .specfn import sphere_measure
 
 __all__ = [
     "QuadratureResult",
-    "CylindricalDomain",
     "integrate_radial",
     "integrate_cylindrical",
     "singular_newtonian_integral",
@@ -97,42 +99,24 @@ class QuadratureResult:
     evaluations: int
 
 
-@dataclass(frozen=True)
-class CylindricalDomain:
-    """Integration ranges in (rho, r).
-
-    Semi-infinite ranges are the default.  Each range is split at 1 and
-    mapped by rho = w^2 below it (a higher power where that leaves a
-    singular integrand) and rho = u^(-2) on a semi-infinite tail (see the
-    module docstring).  ``r_max`` must be None when the
-    reduction has no second radial direction (k = n).
-    """
-
-    rho_max: float = math.inf
-    r_max: float | None = math.inf
-
-    def __post_init__(self):
-        if not self.rho_max > 0.0:
-            raise ParameterDomainError(f"rho_max must be positive, got {self.rho_max}")
-        if self.r_max is not None and not self.r_max > 0.0:
-            raise ParameterDomainError(f"r_max must be positive, got {self.r_max}")
-
-
 class _Budget:
-    """Shared evaluation counter for nested adaptive passes."""
+    """Shared evaluation counter for nested adaptive passes; ``limit`` is
+    an integer >= 1, or ParameterDomainError."""
 
     __slots__ = ("used", "limit")
 
     def __init__(self, limit: int):
         self.used = 0
-        self.limit = int(limit)
+        self.limit = require_int(limit, "budget")
+        if self.limit < 1:
+            raise ParameterDomainError(f"budget must be at least 1, got {self.limit}")
 
-    def spend(self, n: int, partial=None):
+    def spend(self, n: int):
+        """Count n evaluations, or raise before they are made if they would
+        pass the limit."""
+        if self.used + n > self.limit:
+            raise ConvergenceError(f"quadrature evaluation budget {self.limit} exhausted")
         self.used += n
-        if self.used > self.limit:
-            raise ConvergenceError(
-                f"quadrature evaluation budget {self.limit} exhausted", partial=partial
-            )
 
 
 def _vectorized(f, nargs: int = 1):
@@ -158,9 +142,9 @@ def _exact(f):
     return lambda x, owner: (np.asarray(f(x, owner), dtype=float), np.zeros_like(x))
 
 
-def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
-    """Evaluate GK15 on panels [lefts[i], rights[i]] of the integrals
-    owner[i] and spend the evaluations from ``budget``; returns per-panel
+def _panel_eval(fvec, lefts, rights, owner, budget: _Budget):
+    """Spend the evaluations from ``budget``, then evaluate GK15 on panels
+    [lefts[i], rights[i]] of the integrals owner[i]; returns per-panel
     Kronrod values and error estimates (see _adaptive for fvec).
 
     A non-finite integrand value raises SingularityError naming the first
@@ -169,8 +153,8 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget, partial):
     h = 0.5 * (rights - lefts)
     c = 0.5 * (rights + lefts)
     pts = (c[:, None] + h[:, None] * _NODES[None, :]).ravel()
+    budget.spend(pts.size)
     vals, side = fvec(pts, np.repeat(owner, _NODES.size))
-    budget.spend(pts.size, partial=partial)
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         raise SingularityError(f"integrand is {float(vals[bad[0]])} at abscissa "
@@ -202,17 +186,27 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     integral follows the refinement rule of a lone run, and each pass
     evaluates the new panels of all integrals still open in one call.
     Returns the arrays (values, error_estimates).
+
+    A ConvergenceError leaves with ``partial`` set to these arrays as they
+    stood after the last complete pass: an open integral holds the sum of
+    its panels then, and one not yet evaluated holds 0 with an infinite
+    error.  What an inner integral set is replaced, since the outer sum
+    covers the panels whose evaluation failed.
     """
-    values, errors = np.zeros(a.size), np.zeros(a.size)
+    values, errors = np.zeros(a.size), np.full(a.size, math.inf)
     floor = np.broadcast_to(floor, a.shape)
     min_width = 64.0 * np.finfo(float).eps * (b - a)
     edges = np.linspace(a, b, first_panels + 1, axis=-1)
     new_l, new_r = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     new_o = np.repeat(np.arange(a.size), first_panels)
-    panels, owner, partial = np.empty((4, 0)), new_o[:0], None
+    panels, owner = np.empty((4, 0)), new_o[:0]
 
     while new_o.size:
-        new_v, new_e = _panel_eval(fvec, new_l, new_r, new_o, budget, partial)
+        try:
+            new_v, new_e = _panel_eval(fvec, new_l, new_r, new_o, budget)
+        except ConvergenceError as exc:
+            exc.partial = values, errors
+            raise
         # per integral: its unsplit panels, then the left and right halves,
         # the order a lone run holds them in, so the sums below are its sums
         owner = np.concatenate((owner, new_o))
@@ -235,16 +229,12 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
                 & ~met[seg])
         worst = order[pick]
         splitting = np.bincount(seg[pick], minlength=ids.size) > 0
-        values[ids[~splitting]] = total[~splitting]
-        errors[ids[~splitting]] = total_err[~splitting]
-        # the open integrals' sums, for the errors below
-        partial = QuadratureResult(float(np.sum(total[splitting])),
-                                   float(np.sum(total_err[splitting])), budget.used)
+        # final for the integrals that met their target, partial for the rest
+        values[ids], errors[ids] = total, total_err
         if np.any((rights[worst] - lefts[worst]) < min_width[owner[worst]]):
             raise ConvergenceError(
-                "quadrature cannot resolve integrand (panel width underflow); "
-                f"partial value {partial.value!r} with error {partial.error_estimate!r}",
-                partial=partial)
+                "quadrature cannot resolve integrand (panel width underflow)",
+                partial=(values, errors))
         mids = 0.5 * (lefts[worst] + rights[worst])
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
@@ -307,14 +297,33 @@ def _integrate_segments(pieces, tol, counter, m: int = 1):
 
     A later piece is held to ``tol`` relative to the sum so far, not only
     to itself: a sliver piece whose value is rounding noise could never
-    meet a tolerance relative to that noise."""
+    meet a tolerance relative to that noise.  A ConvergenceError leaves
+    with ``partial`` set to the sum so far, the failed piece's partial
+    included, and an infinite error while a piece remains unreached."""
     value, err = np.zeros(m), np.zeros(m)
-    for fvec, a, b in pieces:
-        v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter,
-                         tol * np.abs(value))
+    for i, (fvec, a, b) in enumerate(pieces):
+        try:
+            v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter,
+                             tol * np.abs(value))
+        except ConvergenceError as exc:
+            v, e = exc.partial
+            exc.partial = value + v, err + e + (math.inf if i + 1 < len(pieces) else 0.0)
+            raise
         value += v
         err += e
     return value, err
+
+
+def _integrate(pieces, tol, counter, scale: float) -> QuadratureResult:
+    """``scale`` times the sum of the pieces for one integral; a
+    ConvergenceError leaves with the same form of the sum so far."""
+    def result(value, err):
+        return QuadratureResult(scale * float(value[0]), scale * float(err[0]), counter.used)
+    try:
+        return result(*_integrate_segments(pieces, tol, counter))
+    except ConvergenceError as exc:
+        exc.partial = result(*exc.partial)
+        raise
 
 
 def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
@@ -324,7 +333,8 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
 
     The weight exponent k-1-s stays above -1 because k > s, so the origin
     is integrable and is never sampled.  Divergent tails (or a genuinely
-    non-integrable g) exhaust the budget and raise ConvergenceError.
+    non-integrable g) exhaust the budget, an integer >= 1, and raise
+    ConvergenceError.
     """
     k = require_int(k, "k")
     if k < 1:
@@ -334,57 +344,52 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     if not upper > 0.0:
         raise ParameterDomainError(f"upper must be positive, got {upper}")
     require_positive(tol, "tol")
-    g = _vectorized(g)
     counter = _Budget(budget)
+    g = _vectorized(g)
     pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
-    value, err = _integrate_segments(pieces, 0.5 * tol, counter)
-    sigma = sphere_measure(k)
-    return QuadratureResult(sigma * float(value[0]), sigma * float(err[0]), counter.used)
+    return _integrate(pieces, 0.5 * tol, counter, sphere_measure(k))
 
 
-def integrate_cylindrical(f, n: int, k: int, s: float,
-                          domain: CylindricalDomain | None = None,
-                          tol: float = DEFAULT_TOL, *,
+def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL, *,
+                          rho_max: float = math.inf, r_max: float = math.inf,
                           budget: int = DEFAULT_BUDGET) -> QuadratureResult:
     """sigma_k sigma_(n-k) * double integral of
-    f(rho, r) rho^(k-1-s) r^(n-k-1) over the (rho, r) quadrant.
+    f(rho, r) rho^(k-1-s) r^(n-k-1) over 0 < rho < rho_max, 0 < r < r_max.
 
     Computed as an iterated integral, adaptively in both directions; inner
     (rho) errors ride along into the outer error estimate.  f receives
-    same-shape arrays of rho and r.  For k = n the second direction is
-    absent: f is evaluated as f(rho, 0.0) and only the sigma_k prefactor
-    applies.
+    same-shape arrays of rho and r.  Each range is split and mapped as in
+    :func:`integrate_radial`, and either bound may be inf.  For k = n the
+    second direction is absent: f is evaluated as f(rho, 0.0), only the
+    sigma_k prefactor applies, and a finite r_max is a GridError.
     """
     n, k = require_split(n, k)
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
     require_positive(tol, "tol")
-    if domain is None:
-        domain = CylindricalDomain(r_max=None if k == n else math.inf)
+    for name, bound in (("rho_max", rho_max), ("r_max", r_max)):
+        if not bound > 0.0:
+            raise ParameterDomainError(f"{name} must be positive, got {bound}")
     if k == n:
-        if domain.r_max is not None:
-            raise GridError("k = n leaves no second radial direction, but an "
-                            "r range was supplied")
+        if r_max < math.inf:
+            raise GridError("k = n leaves no second radial direction, but a finite "
+                            "r_max was supplied")
         return integrate_radial(lambda rho: f(rho, 0.0), k, s, tol,
-                                upper=domain.rho_max, budget=budget)
-    if domain.r_max is None:
-        raise GridError(f"k = {k} < n = {n} requires an r range")
-    f = _vectorized(f, 2)
-
+                                upper=rho_max, budget=budget)
     counter = _Budget(budget)
+    f = _vectorized(f, 2)
 
     def inner(r, _):
         """The rho integrals at every outer node r, as one batch."""
         pieces = _radial_segments(_exact(lambda rho, j: f(rho, r[j])),
-                                  k - 1.0 - s, domain.rho_max)
+                                  k - 1.0 - s, rho_max)
         return _integrate_segments(pieces, 0.25 * tol, counter, r.size)
 
     # reuse the radial segment maps for the outer direction: the inner
     # value plays the role of g(r) and the r measure is the weight
-    outer_pieces = _radial_segments(inner, n - k - 1.0, domain.r_max)
-    value, err = _integrate_segments(outer_pieces, 0.25 * tol, counter)
-    sigma = sphere_measure(k) * sphere_measure(n - k)
-    return QuadratureResult(sigma * float(value[0]), sigma * float(err[0]), counter.used)
+    outer_pieces = _radial_segments(inner, n - k - 1.0, r_max)
+    return _integrate(outer_pieces, 0.25 * tol, counter,
+                      sphere_measure(k) * sphere_measure(n - k))
 
 
 def singular_newtonian_integral(z, n: int, k: int, s: float,
@@ -482,6 +487,5 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             return fvec, 0.0, 1.0
 
         pieces = [side(xnorm, -1.0), side(radius - xnorm, 1.0)]
-    val, err = _integrate_segments(pieces, tol / 3.0, counter)
-    pref = sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0)
-    return QuadratureResult(pref * float(val[0]), pref * float(err[0]), counter.used)
+    return _integrate(pieces, tol / 3.0, counter,
+                      sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0))

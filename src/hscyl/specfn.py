@@ -33,7 +33,10 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 def log_gamma(x):
     """Natural log of Gamma(x) for x > 0.  Accepts scalars or arrays."""
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric: refused below, as nan is
+        arr = np.array(math.nan)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ParameterDomainError(f"log_gamma requires x > 0, got {x}")
     if np.ndim(x) == 0:

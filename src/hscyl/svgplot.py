@@ -21,10 +21,14 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
 def _ticks(lo: float, hi: float, log: bool):
+    """Tick values in [lo, hi]: the powers of ten on a log axis that holds
+    two or more, else 1-2-5 steps of at most six intervals."""
     if log:
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
-        return [10.0**e for e in range(lo_e, hi_e + 1) if lo <= 10.0**e <= hi]
+        decades = [10.0**e for e in range(lo_e, hi_e + 1) if lo <= 10.0**e <= hi]
+        if len(decades) >= 2:
+            return decades
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):

@@ -18,7 +18,6 @@ import pytest
 
 import hscyl
 from hscyl import (
-    CylindricalDomain,
     DiscreteRayleigh,
     GridSpec,
     MinimizeOptions,
@@ -251,8 +250,7 @@ def test_criterion_6_property_suite(rng, const32, flow_result):
 
     # cylindrical quadrature factorises for rho-only integrands
     joint = integrate_cylindrical(lambda rho, r: (1.0 + rho**2) ** -3.0,
-                                  4, 2, 0.5, domain=CylindricalDomain(r_max=5.0),
-                                  tol=1e-10)
+                                  4, 2, 0.5, tol=1e-10, r_max=5.0)
     rho_part = integrate_radial(lambda rho: (1.0 + rho**2) ** -3.0, 2, 0.5,
                                 tol=1e-11)
     r_part = integrate_radial(lambda r: np.ones_like(r), 2, 0.0, tol=1e-11,

@@ -109,6 +109,8 @@ def test_estimate_core_scale():
     values = (1.0 + radii**2) ** -0.5
     # value halves where 1 + rho^2 = 4
     assert estimate_core_scale(radii, values) == pytest.approx(math.sqrt(3.0), rel=0.05)
+    # a profile that never halves reports the outermost radius
+    assert estimate_core_scale(radii[:10], values[:10]) == radii[9]
 
 
 def test_local_sup_ratio_constant_field():

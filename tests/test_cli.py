@@ -66,6 +66,23 @@ def test_parse_args_usage_errors(tmp_path):
         parse_args(["constant", "--config", str(cfg), "--n", "3", "--k", "2"])
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["constant", "--config", "missing.cfg"], None),
+    (["constant", "--config", "run.cfg"], "n = 3\nk\n"),
+    (["constant", "n", "3", "--k", "2"], None),
+    (["plot", "--input", "table.csv", "--output", "x.svg", "--y-col", "nope"], None),
+], ids=["config-missing", "config-line-without-equals", "token-not-a-flag",
+        "plot-unknown-column"])
+def test_malformed_command_lines_exit_1(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    Path("table.csv").write_text("x,y\n1,2\n3,4\n")
+    if config is not None:
+        Path("run.cfg").write_text(config)
+    assert main(argv + ["--output-dir", "out"]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not Path("out", "manifest.json").exists()
+
+
 def test_constant_takes_no_tol(tmp_path, capsys):
     # the constant is a closed form: there is no quadrature for a tol to steer
     with pytest.raises(UsageError, match="unknown key 'tol'"):
@@ -328,3 +345,24 @@ def test_plot_title_and_constant_series(tmp_path):
         # the frame, which spans y = 34 to 430
         points = root.find("svg:polyline", ns).get("points").split()
         assert {pair.split(",")[1] for pair in points} == {"232.00"}
+
+
+@pytest.mark.parametrize("ys", [(2, 5, 8), (2.23, 3.0, 3.76), (0.5, 20, 300)])
+def test_log_axis_without_a_power_of_ten_gets_ticks(tmp_path, ys):
+    # a log y range holding no power of ten is labelled by linear steps
+    # inside it, as the README's energy history (2.23 to 3.76) needs; one
+    # holding two or more is labelled at those powers alone
+    table = tmp_path / "decade.csv"
+    table.write_text("step,value\n" + "".join(f"{i},{y}\n" for i, y in enumerate(ys)))
+    svg = tmp_path / "decade.svg"
+    assert main(["plot", "--input", str(table), "--output", str(svg), "--log-y", "true",
+                 "--output-dir", str(tmp_path)]) == 0
+    ns = {"svg": "http://www.w3.org/2000/svg"}
+    y_labels = [text for text in ElementTree.parse(svg).getroot().iterfind("svg:text", ns)
+                if text.get("text-anchor") == "end"]
+    assert len(y_labels) >= 2
+    if max(ys) > 100:
+        assert [label.text for label in y_labels] == ["1", "10", "100"]
+    for label in y_labels:
+        assert min(ys) <= float(label.text) <= max(ys)
+        assert 34.0 <= float(label.get("y")) - 4.0 <= 430.0

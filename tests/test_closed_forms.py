@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hscyl import (
     ConvergenceDomainError,
     ExtremalParams,
     ParameterDomainError,
+    SharpConstant,
     ShiftedQuadraticParams,
     SingularityError,
     beta_integral_full,
@@ -23,6 +25,7 @@ from hscyl import (
     shifted_power_solution,
     sharp_constant_K,
 )
+from hscyl.closed_forms import _extremal_shift
 
 PI = math.pi
 PI2 = math.pi**2
@@ -160,16 +163,40 @@ def test_extremal_translation_and_validation(const32):
         extremal_v(centered, const32, -0.5, np.zeros(1))
 
 
-def test_extremal_prefactor_forms_asserted(const32):
-    # the profile factory checks the two printed prefactor shapes agree;
-    # feed it an inconsistent constant and it must refuse
-    from hscyl import InternalConsistencyError, SharpConstant
+def test_extremal_prefactor_forms_asserted():
+    # the profile uses lam^-(n-2) ((n-2)/2)^(n-2) K^-(n-1); the paper's
+    # other shape (4/(n-2)^2)^(-(n-2)/2), and Lambda^(-(n-2)/2) in place of
+    # K^-(n-1), must give the same profile on every split
+    lam, rho, r = 2.0, 0.3, 0.4
+    for n in range(3, 9):
+        for k in range(2, n + 1):
+            const = sharp_constant_K(n, k)
+            profile = extremal_profile(ExtremalParams(n=n, k=k, lam=lam), const)
+            base = ((rho + _extremal_shift(n, k, lam)) ** 2 + r**2) ** (-0.5 * (n - 2))
+            printed = lam ** -(n - 2.0) * (4.0 / (n - 2) ** 2) ** (-0.5 * (n - 2))
+            for amplitude in (const.K ** -(n - 1.0), const.Lambda ** (-0.5 * (n - 2))):
+                assert profile(rho, r) == pytest.approx(printed * amplitude * base,
+                                                        rel=1e-12)
 
-    with pytest.raises(InternalConsistencyError):
-        SharpConstant(n=3, k=2, K=const32.K, Lambda=const32.Lambda * 1.01,
-                      mu=const32.mu)
-    profile = extremal_profile(ExtremalParams(n=3, k=2, lam=2.0), const32)
-    assert profile(0.3, 0.4) > 0.0
+
+@pytest.mark.parametrize("n, k, K", [(2, 2, 1.0), (3, 1, 1.0), (3, 4, 1.0), (3.5, 2, 1.0),
+                                     (3, 2, 0.0), (3, 2, -1.0), (3, 2, math.nan),
+                                     (3, 2, math.inf)])
+def test_sharp_constant_rejects_bad_fields(n, k, K):
+    # checked when built: n = 2 used to escape as ZeroDivisionError
+    with pytest.raises(ParameterDomainError):
+        SharpConstant(n=n, k=k, K=K)
+
+
+def test_sharp_constant_derives_its_companions():
+    # Lambda, mu and the discrepancy are read from K and K_printed, so a
+    # constant built by hand carries the same companions
+    const = SharpConstant(n=4, k=3, K=1.5, K_printed=1.2)
+    assert const.Lambda == 1.5 ** 3.0
+    assert const.mu == const.Lambda
+    assert const.printed_discrepancy == pytest.approx(0.2, rel=1e-15)
+    assert math.isnan(SharpConstant(n=3, k=2, K=1.0).printed_discrepancy)
+    assert [f.name for f in dataclasses.fields(SharpConstant)] == ["n", "k", "K", "K_printed"]
 
 
 # ---------------------------------------------------------------------------

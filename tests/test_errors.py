@@ -5,30 +5,47 @@ import pytest
 import numpy as np
 
 from hscyl import (
+    ConvergenceDomainError,
     CylGrid,
     DecayFit,
     DomainError,
     ExponentContext,
     ExtremalParams,
+    FitDomainError,
+    GridError,
+    GridSpec,
+    MinimizeOptions,
     ParameterDomainError,
     RaySamples,
     ShiftedQuadraticParams,
+    beta_integral_full,
     build_grid,
     check_decay_bounds,
+    cyl_laplacian,
+    estimate_core_scale,
     extremal_v,
+    fit_decay,
     fundamental_solution,
     gradient_energy,
     integrate_cylindrical,
+    integrate_radial,
     kelvin_transform,
     local_sup_ratio,
+    log_gamma,
+    minimize_rayleigh,
     multi_subspace_coefficients,
     multi_subspace_solution,
+    sample_ray,
     sharp_constant_K,
     shifted_power_solution,
+    shifted_quadratic_residual,
     singular_newtonian_integral,
     sphere_measure,
     window_grid,
 )
+from hscyl.errors import require_point
+from hscyl.exponents import decay_bound
+from hscyl.svgplot import render_line_plot
 
 ENTRY_POINTS = {
     "build_grid": lambda v: build_grid(v, 2, 10.0, 10.0, 16, 16, grading=2.0),
@@ -138,6 +155,19 @@ MALFORMED_INPUTS = {
     "kelvin_transform.inf_z": lambda: _KELVIN([math.inf, 0.0, 0.0]),
     "singular_newtonian_integral.nan_z": lambda: singular_newtonian_integral(
         [math.nan, 0.0, 1.0], 3, 2, 0.5),
+    "multi_subspace_solution.text_offset": lambda: multi_subspace_solution(
+        (2, 2), 1.0, ("a", 0.0), (1.0, 1.0)),
+    "log_gamma.text": lambda: log_gamma("a"),
+    **{f"{name}.budget_{label}": (lambda run=run, budget=budget: run(budget))
+       for name, run in [
+           ("integrate_radial", lambda b: integrate_radial(
+               lambda rho: np.exp(-rho), 1, 0.0, budget=b)),
+           ("integrate_cylindrical", lambda b: integrate_cylindrical(
+               lambda rho, r: np.exp(-rho - r), 3, 2, 0.5, budget=b)),
+           ("singular_newtonian_integral", lambda b: singular_newtonian_integral(
+               [1.0, 0.5, 0.5], 3, 2, 1.0, budget=b))]
+       for label, budget in [("negative", -1), ("zero", 0), ("nan", math.nan),
+                             ("fractional", 2.5)]},
 }
 
 
@@ -145,3 +175,71 @@ MALFORMED_INPUTS = {
 def test_malformed_inputs_are_parameter_domain_errors(entry):
     with pytest.raises(ParameterDomainError):
         MALFORMED_INPUTS[entry]()
+
+
+_FLAT = build_grid(3, 2, 40.0, 40.0, 8, 8, grading=1.0).sampled(lambda rho, r: 1.0 + 0.0 * rho)
+_SMALL_FLOW = GridSpec(20.0, 20.0, 12, 12, grading=1.5)
+
+#: raise sites of input checks, each pinned by its message: (error, match, call)
+RAISE_SITES = {
+    "RaySamples.misaligned": (ParameterDomainError, "aligned", lambda: RaySamples(
+        "rho-axis", [1.0, 2.0, 4.0], [1.0, 0.5])),
+    "fit_decay.non_positive": (FitDomainError, "positive", lambda: fit_decay(RaySamples(
+        "rho-axis", [1.0, 2.0, 4.0, 8.0, 16.0], [1.0, 0.5, 0.0, 0.1, 0.01]))),
+    "sample_ray.no_usable_samples": (FitDomainError, "fewer than 2", lambda: sample_ray(
+        _FLAT.with_values(np.zeros((8, 8))), "rho-axis")),
+    "estimate_core_scale.empty": (FitDomainError, "core scale", lambda: estimate_core_scale(
+        [], [])),
+    "estimate_core_scale.non_positive_peak": (FitDomainError, "core scale",
+                                              lambda: estimate_core_scale([1.0, 2.0],
+                                                                          [0.0, 1.0])),
+    "local_sup_ratio.k_equals_n": (GridError, "2-D", lambda: local_sup_ratio(
+        build_grid(3, 3, 40.0, 40.0, 16, 16, grading=1.0), 8.0, 4.0)),
+    "local_sup_ratio.coarse": (GridError, "too coarse", lambda: local_sup_ratio(
+        _FLAT, 10.0, 4.0)),
+    "local_sup_ratio.vanishing": (FitDomainError, "vanishes", lambda: local_sup_ratio(
+        _GRID.with_values(np.zeros(_GRID.values.shape)), 8.0, 4.0)),
+    "beta_integral_full.second_divergence": (ConvergenceDomainError, "second",
+                                             lambda: beta_integral_full(4, 2, 1.5, 0.0)),
+    "multi_subspace_solution.radii_count": (ParameterDomainError, "one radius",
+                                            lambda: multi_subspace_solution(
+                                                (2, 2), 1.0, (0.0, 0.0), (1.0,))),
+    "CylGrid.r_nodes_for_k_equals_n": (GridError, "no r nodes", lambda: CylGrid(
+        3, 3, [1.0, 2.0, 3.0], [1.0, 2.0], np.zeros(3))),
+    "CylGrid.shape_1d": (GridError, "1-D grid", lambda: CylGrid(
+        3, 3, [1.0, 2.0, 3.0], [], np.zeros(2))),
+    "CylGrid.shape_2d": (GridError, r"grid \(3, 2\)", lambda: CylGrid(
+        3, 2, [1.0, 2.0, 3.0], [1.0, 2.0], np.zeros((2, 3)))),
+    "cyl_laplacian.two_node_axis": (GridError, "at least 3 nodes", lambda: cyl_laplacian(
+        CylGrid(3, 2, [1.0, 2.0], [1.0, 2.0, 3.0], np.ones((2, 3))))),
+    "shifted_quadratic_residual.non_positive": (
+        ParameterDomainError, "strictly positive", lambda: shifted_quadratic_residual(
+            window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 16, 16).sampled(lambda rho, r: rho - 1.5),
+            ShiftedQuadraticParams(a=1, b=1))),
+    "require_point.ragged": (ParameterDomainError, "point in R\\^2", lambda: require_point(
+        [[1.0], [1.0, 2.0]], 2, "z")),
+    "decay_bound.p_at_n": (ParameterDomainError, "1 < p < n", lambda: decay_bound(3, 3.0)),
+    "decay_bound.p_at_1": (ParameterDomainError, "1 < p < n", lambda: decay_bound(3, 1.0)),
+    "MinimizeOptions.max_iters_0": (ParameterDomainError, "max_iters", lambda: MinimizeOptions(
+        max_iters=0)),
+    "minimize_rayleigh.t_axis_cells": (ParameterDomainError, "t axis", lambda: minimize_rayleigh(
+        3, 3, 1.0, GridSpec(120.0, 120.0, 4, 4))),
+    "minimize_rayleigh.t_axis_box": (ParameterDomainError, "t axis", lambda: minimize_rayleigh(
+        3, 3, 1.0, GridSpec(1.0, 1.0, 64, 64))),
+    "minimize_rayleigh.analytic_seed_off_s_1": (
+        ParameterDomainError, "s = 1 only", lambda: minimize_rayleigh(
+            3, 2, 0.5, _SMALL_FLOW, MinimizeOptions(init="analytic-extremal"))),
+    "integrate_cylindrical.s_at_k": (ParameterDomainError, "k > s", lambda: integrate_cylindrical(
+        lambda rho, r: np.exp(-rho - r), 3, 2, 2.0)),
+    "render_line_plot.no_series": (ParameterDomainError, "nothing to plot",
+                                   lambda: render_line_plot([], "unused.svg")),
+    "render_line_plot.one_point": (ParameterDomainError, "fewer than 2", lambda: render_line_plot(
+        [([1.0, 2.0], [1.0, -1.0], "y")], "unused.svg", log_y=True)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RAISE_SITES))
+def test_input_checks_raise_their_typed_error(entry):
+    error, match, call = RAISE_SITES[entry]
+    with pytest.raises(error, match=match):
+        call()

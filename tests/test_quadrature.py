@@ -5,7 +5,6 @@ import pytest
 
 from hscyl import (
     ConvergenceError,
-    CylindricalDomain,
     GridError,
     ParameterDomainError,
     QuadratureResult,
@@ -43,13 +42,49 @@ def test_radial_divergent_integrand_errors():
 
 def test_budget_exhaustion_carries_the_partial_result():
     # the kink at rho = 0.3 leaves the first four panels open, so the
-    # split spends past the budget with a partial sum in hand
+    # split spends past the budget with a partial sum in hand; the result
+    # is sigma_1 = 2 times the integral of |rho - 0.3| over [0, 1] = 0.29
     with pytest.raises(ConvergenceError, match="budget") as info:
         integrate_radial(lambda rho: np.abs(rho - 0.3), 1, 0.0, upper=1.0, budget=100)
     partial = info.value.partial
     assert isinstance(partial, QuadratureResult)
     assert partial.evaluations <= 100
-    assert abs(partial.value - 0.29) <= partial.error_estimate
+    assert abs(partial.value - 0.58) <= partial.error_estimate < 0.01
+
+
+def _kinked_tail(rho):
+    return np.exp(-rho) * np.abs(rho - 0.3)
+
+
+KINKED_TAIL = 2.0 * (2.0 * math.exp(-0.3) - 0.7)   # sigma_1 times its integral
+
+
+def _lorentzian_sq(rho, r):
+    return (1.0 + rho**2 + r**2) ** -2.0
+
+
+@pytest.mark.parametrize("run, exact, budget", [
+    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 100),
+    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 50),
+    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 569),
+    (lambda b: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0, budget=b), PI2, 3000),
+    (lambda b: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0, budget=b), PI2, 9975),
+], ids=["radial-second-pass", "radial-first-pass", "radial-last-pass",
+        "cylindrical-first-pass", "cylindrical-outer-head-done"])
+def test_budget_partial_is_the_whole_integral_so_far(run, exact, budget):
+    # the partial is in the result's units (sigma applied) and its error
+    # estimate covers every piece, an infinite one while a piece of the
+    # range is unreached: the semi-infinite tail (rho > 1 or r > 1) here,
+    # except when the budget is one short of the 570 the radial run needs
+    with pytest.raises(ConvergenceError, match="budget") as info:
+        run(budget)
+    partial = info.value.partial
+    assert isinstance(partial, QuadratureResult)
+    assert partial.evaluations <= budget
+    assert abs(partial.value - exact) <= partial.error_estimate
+    assert math.isfinite(partial.error_estimate) == (budget == 569)
+    if budget == 9975:  # the outer head r < 1 is summed, its tail is not
+        assert 0.5 * exact < partial.value < exact
 
 
 def test_radial_scalar_callable_is_wrapped():
@@ -141,7 +176,7 @@ def test_radial_validation():
         integrate_radial(lambda rho: rho, 0, 0.0)
     with pytest.raises(ParameterDomainError):
         integrate_radial(lambda rho: rho, 2, 0.0, tol=-1.0)
-    for upper in (math.nan, -1.0, 0.0):  # positive, inf allowed, as CylindricalDomain
+    for upper in (math.nan, -1.0, 0.0):  # positive, inf allowed, as rho_max and r_max
         with pytest.raises(ParameterDomainError, match="upper"):
             integrate_radial(lambda rho: (1.0 + rho**2) ** -2.0, 3, 0.0, upper=upper)
 
@@ -207,8 +242,7 @@ def test_cylindrical_extremal_normalization(const32, extremal32):
 
 def test_cylindrical_factorizes_for_rho_only_integrands():
     res = integrate_cylindrical(lambda rho, r: (1.0 + rho**2) ** -3.0,
-                                4, 2, 0.5, domain=CylindricalDomain(r_max=5.0),
-                                tol=1e-10)
+                                4, 2, 0.5, tol=1e-10, r_max=5.0)
     rho_part = integrate_radial(lambda rho: (1.0 + rho**2) ** -3.0, 2, 0.5,
                                 tol=1e-11)
     r_part = integrate_radial(lambda r: np.ones_like(r), 2, 0.0, tol=1e-11,
@@ -223,12 +257,14 @@ def test_cylindrical_k_equals_n_reduces_to_radial():
 
 
 def test_cylindrical_degenerate_domain_errors():
+    # k = n has no r direction: a finite r_max is refused, inf is the default
     with pytest.raises(GridError):
-        integrate_cylindrical(lambda rho, r: rho, 3, 3, 0.0,
-                              domain=CylindricalDomain(r_max=4.0))
-    with pytest.raises(GridError):
-        integrate_cylindrical(lambda rho, r: rho, 3, 2, 0.0,
-                              domain=CylindricalDomain(r_max=None))
+        integrate_cylindrical(lambda rho, r: rho, 3, 3, 0.0, r_max=4.0)
+    res = integrate_cylindrical(lambda rho, r: (1.0 + rho**2) ** -2.0, 3, 3, 0.0,
+                                tol=1e-10, r_max=math.inf, rho_max=2.0)
+    assert res.value == pytest.approx(
+        integrate_radial(lambda rho: (1.0 + rho**2) ** -2.0, 3, 0.0, tol=1e-10,
+                         upper=2.0).value, rel=1e-14)
 
 
 def test_budget_doubling_never_raises_error_estimate():
@@ -241,8 +277,10 @@ def test_budget_doubling_never_raises_error_estimate():
 
 
 def test_domain_validation():
-    with pytest.raises(ParameterDomainError):
-        CylindricalDomain(rho_max=-1.0)
+    for k, bounds in [(2, {"rho_max": -1.0}), (2, {"r_max": 0.0}), (2, {"rho_max": math.nan}),
+                      (3, {"rho_max": 0.0}), (3, {"r_max": -1.0})]:
+        with pytest.raises(ParameterDomainError, match="must be positive"):
+            integrate_cylindrical(lambda rho, r: rho, 3, k, 0.0, **bounds)
     with pytest.raises(ParameterDomainError):
         integrate_cylindrical(lambda rho, r: rho, 3, 1, 0.0)
 

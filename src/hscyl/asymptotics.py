@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylgrid import CylGrid
-from .errors import FitDomainError, GridError, ParameterDomainError, require_positive
+from .errors import (FitDomainError, GridError, ParameterDomainError, _float_array,
+                     require_nodes, require_positive)
 from .exponents import decay_bound
 from .specfn import sphere_measure
 
@@ -55,14 +56,10 @@ class RaySamples:
             raise ParameterDomainError(
                 f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
             )
-        radii = np.array(self.radii, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape:
-            raise ParameterDomainError("radii and values must be 1-D and aligned")
-        if not (np.all(np.isfinite(radii) & (radii > 0.0)) and np.all(np.diff(radii) > 0.0)):
-            raise ParameterDomainError("radii must be finite, positive and strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ParameterDomainError("values must be finite")
+        radii = require_nodes(self.radii, "radii")
+        values = _float_array(self.values)
+        if values is None or values.shape != radii.shape or not np.all(np.isfinite(values)):
+            raise ParameterDomainError("values must be finite numbers aligned with the radii")
         radii.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "radii", radii)
@@ -198,10 +195,12 @@ def sample_ray(grid: CylGrid, direction: str, min_radius: float = 0.0,
 
 
 def estimate_core_scale(radii, values) -> float:
-    """Radius at which the profile first drops to half its innermost value."""
-    radii = np.asarray(radii, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if radii.size == 0 or values[0] <= 0.0:
+    """Radius at which the profile first drops to half its innermost value,
+    or the last radius if it never does.  The radii and values must be
+    aligned 1-D samples with a positive innermost value."""
+    radii, values = _float_array(radii), _float_array(values)
+    if (radii is None or values is None or radii.ndim != 1 or values.shape != radii.shape
+            or not radii.size or not values[0] > 0.0):
         raise FitDomainError("cannot estimate a core scale from these samples")
     below = np.nonzero(values <= 0.5 * values[0])[0]
     if below.size == 0:

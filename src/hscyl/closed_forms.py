@@ -75,6 +75,8 @@ def beta_integral_full(n: int, k: int, m: float, s: float) -> float:
     k = require_int(k, "k")
     if not (0.0 <= s < k < n):
         raise ParameterDomainError(f"need 0 <= s < k < n, got s={s}, k={k}, n={n}")
+    if math.isnan(m):  # neither converges nor diverges
+        raise ParameterDomainError(f"m must be a number, got m={m}")
     if not m > 0.5 * (n - k):
         raise ConvergenceDomainError(
             f"first Beta factor diverges: need m > (n-k)/2 = {0.5 * (n - k)}, got m={m}"
@@ -102,6 +104,8 @@ def beta_integral_radial(k: int, a: float, s: float) -> float:
     k = require_int(k, "k")
     if not (k > s >= 0.0):
         raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
+    if math.isnan(a):  # neither converges nor diverges
+        raise ParameterDomainError(f"a must be a number, got a={a}")
     if not a > 0.5 * (k - s):
         raise ConvergenceDomainError(
             f"Beta factor diverges: need a > (k-s)/2 = {0.5 * (k - s)}, got a={a}"

@@ -6,9 +6,9 @@ code 3).  Usage errors are raised only by the command-line layer (exit 1).
 There is no error for two closed forms that disagree: a quantity that
 follows from another is computed from it, and the tests compare routes.
 The validators, :func:`require_int`, :func:`require_positive`,
-:func:`require_split` and :func:`require_point`, live here too, so every
-module can import them without an import cycle, and no ValueError,
-TypeError or OverflowError escapes one of them.
+:func:`require_split`, :func:`require_point` and :func:`require_nodes`,
+live here too, so every module can import them without an import cycle,
+and no ValueError, TypeError or OverflowError escapes one of them.
 """
 
 import math
@@ -95,15 +95,28 @@ def require_split(n, k) -> tuple[int, int]:
     return n, k
 
 
+def _float_array(value, **kwargs):
+    """``value`` as a new float array, or None if it is ragged or not numeric."""
+    try:
+        return np.array(value, dtype=float, **kwargs)
+    except (TypeError, ValueError):
+        return None
+
+
 def require_point(value, dim: int, name: str) -> np.ndarray:
     """``value`` as a float array of shape (dim,) with finite entries (a
     scalar counts as a point of R^1), or ParameterDomainError."""
-    try:
-        point = np.array(value, dtype=float, ndmin=1)
-    except (TypeError, ValueError):  # ragged or non-numeric input
-        pass
-    else:
-        if point.shape == (dim,) and np.isfinite(point).all():
-            return point
-    raise ParameterDomainError(f"{name} must be a point in R^{dim} with finite coordinates, "
-                               f"got {value!r}")
+    point = _float_array(value, ndmin=1)
+    if point is None or point.shape != (dim,) or not np.isfinite(point).all():
+        raise ParameterDomainError(f"{name} must be a point in R^{dim} with finite "
+                                   f"coordinates, got {value!r}")
+    return point
+
+
+def require_nodes(value, name: str, error: type = ParameterDomainError) -> np.ndarray:
+    """``value`` as a node axis, a 1-D float array with 0 < x_0 < x_1 <
+    ... < inf (nan fails every comparison; no entries pass), or ``error``."""
+    nodes = _float_array(value)
+    if nodes is None or nodes.ndim != 1 or not np.all(np.r_[0.0, nodes] < np.r_[nodes, math.inf]):
+        raise error(f"{name} must be 1-D, finite, positive and strictly increasing")
+    return nodes

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .errors import ParameterDomainError, require_int
+from .errors import ParameterDomainError, _float_array, require_int
 
 __all__ = [
     "log_gamma",
@@ -33,25 +33,21 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 def log_gamma(x):
     """Natural log of Gamma(x) for x > 0.  Accepts scalars or arrays."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric: refused below, as nan is
-        arr = np.array(math.nan)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
+    arr = _float_array(x)
+    if arr is None or np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ParameterDomainError(f"log_gamma requires x > 0, got {x}")
-    if np.ndim(x) == 0:
+    if arr.ndim == 0:
         return math.lgamma(float(arr))
     return _lgamma(arr)
 
 
 def beta(a, b):
     """Beta function B(a, b) for a, b > 0, evaluated in log space."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
+    a_arr, b_arr = _float_array(a), _float_array(b)
+    if a_arr is None or b_arr is None or np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
         raise ParameterDomainError(f"beta requires positive arguments, got ({a}, {b})")
     out = np.exp(log_gamma(a_arr) + log_gamma(b_arr) - log_gamma(a_arr + b_arr))
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
+    if a_arr.ndim == 0 and b_arr.ndim == 0:
         return float(out)
     return out
 

@@ -122,6 +122,12 @@ def test_readme_command_block_chains():
             written.append(config.output_dir)
 
 
+#: a 1-D grid dump whose last row, past the first chunk the text layer
+#: decodes, holds a non-ASCII character: it fails inside load_grid's loadtxt
+_LATE_NON_ASCII = ("# hscyl-grid n=3 k=3 grading=1 axis_ghost=1\nrho,r,value\n"
+                   + "".join(f"{i},0,1\n" for i in range(1, 2000)) + "2000,0,\u00e9\n")
+
+
 @pytest.mark.parametrize("args, table", [
     (["plot", "--input", "missing.csv", "--output", "x.svg"], None),
     (["plot", "--input", "bad.csv", "--output", "x.svg"], "x,y\n1,2\n3,abc\n"),
@@ -130,8 +136,10 @@ def test_readme_command_block_chains():
     (["plot", "--input", "bad.csv", "--output", "x.svg"], "x,y\n"),
     (["decay-fit", "--samples", "bad.csv"], "radius,value\n1,2,3\n"),
     (["decay-fit", "--grid", "bad.csv"], "\u00e9\n"),
+    (["decay-fit", "--grid", "bad.csv"], _LATE_NON_ASCII),
 ], ids=["plot-missing", "plot-non-numeric", "samples-non-numeric", "grid-missing",
-        "plot-no-rows", "samples-row-wider-than-header", "grid-not-ascii"])
+        "plot-no-rows", "samples-row-wider-than-header", "grid-not-ascii",
+        "grid-row-not-ascii"])
 def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, args, table):
     monkeypatch.chdir(tmp_path)
     if table is not None:

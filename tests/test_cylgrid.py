@@ -1,4 +1,5 @@
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -469,6 +470,33 @@ def test_grid_dump_rows_are_savetxt_bytes(tmp_path, k, n_rho, n_r):
     dump_grid(g, tmp_path / "grid.csv")
     assert (tmp_path / "grid.csv").read_bytes().split(b"\n", 2)[2] == expected.read_bytes()
 
+
+
+@pytest.mark.parametrize("k, first_r", [(3, "1"), (2, "0")])
+def test_load_grid_rejects_r_values_that_do_not_fit_k(tmp_path, k, first_r):
+    # a 1-D dump's one r value is 0, which is no node; a 2-D dump's r
+    # values are all nodes
+    g = build_grid(3, k, 5.0, 5.0, 8, 8, grading=2.0)
+    path = tmp_path / "grid.csv"
+    dump_grid(g, path)
+    lines = path.read_text().splitlines()
+    r0 = lines[2].split(",")[1]
+    path.write_text("\n".join(lines[:2] + [
+        line.replace(f",{r0},", f",{first_r},") for line in lines[2:]]) + "\n")
+    with pytest.raises(GridError):
+        load_grid(path)
+
+
+def test_load_grid_passes_on_a_non_ascii_data_row(tmp_path):
+    # a byte past the first chunk the text layer decodes fails inside
+    # loadtxt: an unreadable file, not a malformed row
+    g = build_grid(3, 3, 5.0, 5.0, 2000, 8, grading=1.0)
+    path = tmp_path / "grid.csv"
+    dump_grid(g, path)
+    path.write_bytes(path.read_bytes() + b"1e9,0,\xe9\n")
+    with pytest.raises(UnicodeDecodeError) as err:
+        load_grid(path)
+    assert "loadtxt" in [frame.name for frame in traceback.extract_tb(err.value.__traceback__)]
 
 
 BAD_DUMPS = {

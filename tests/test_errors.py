@@ -18,7 +18,9 @@ from hscyl import (
     ParameterDomainError,
     RaySamples,
     ShiftedQuadraticParams,
+    beta,
     beta_integral_full,
+    beta_integral_radial,
     build_grid,
     check_decay_bounds,
     cyl_laplacian,
@@ -158,6 +160,15 @@ MALFORMED_INPUTS = {
     "multi_subspace_solution.text_offset": lambda: multi_subspace_solution(
         (2, 2), 1.0, ("a", 0.0), (1.0, 1.0)),
     "log_gamma.text": lambda: log_gamma("a"),
+    "beta.text": lambda: beta("a", 1.0),
+    "beta.ragged": lambda: beta([1.0, [2.0]], 1.0),
+    "beta_integral_full.nan_m": lambda: beta_integral_full(3, 2, math.nan, 1.0),
+    "beta_integral_radial.nan_a": lambda: beta_integral_radial(2, math.nan, 1.0),
+    "RaySamples.text_values": lambda: RaySamples("rho-axis", [1.0, 2.0], "ab"),
+    "RaySamples.ragged_values": lambda: RaySamples("rho-axis", [1.0, 2.0], [[1.0], [1.0, 2.0]]),
+    "RaySamples.text_radii": lambda: RaySamples("rho-axis", ["a", "b"], [1.0, 0.5]),
+    "RaySamples.two_dimensional_radii": lambda: RaySamples("rho-axis", [[1.0, 2.0]],
+                                                           [[1.0, 0.5]]),
     **{f"{name}.budget_{label}": (lambda run=run, budget=budget: run(budget))
        for name, run in [
            ("integrate_radial", lambda b: integrate_radial(
@@ -193,6 +204,10 @@ RAISE_SITES = {
     "estimate_core_scale.non_positive_peak": (FitDomainError, "core scale",
                                               lambda: estimate_core_scale([1.0, 2.0],
                                                                           [0.0, 1.0])),
+    "estimate_core_scale.nan_peak": (FitDomainError, "core scale", lambda: estimate_core_scale(
+        [1.0, 2.0], [math.nan, 1.0])),
+    "estimate_core_scale.misaligned": (FitDomainError, "core scale", lambda: estimate_core_scale(
+        [1.0, 2.0, 3.0], [1.0, 0.2])),
     "local_sup_ratio.k_equals_n": (GridError, "2-D", lambda: local_sup_ratio(
         build_grid(3, 3, 40.0, 40.0, 16, 16, grading=1.0), 8.0, 4.0)),
     "local_sup_ratio.coarse": (GridError, "too coarse", lambda: local_sup_ratio(
@@ -206,6 +221,16 @@ RAISE_SITES = {
                                                 (2, 2), 1.0, (0.0, 0.0), (1.0,))),
     "CylGrid.r_nodes_for_k_equals_n": (GridError, "no r nodes", lambda: CylGrid(
         3, 3, [1.0, 2.0, 3.0], [1.0, 2.0], np.zeros(3))),
+    "CylGrid.no_r_nodes_for_k_below_n": (GridError, "no r nodes", lambda: CylGrid(
+        3, 2, [1.0, 2.0, 3.0], [], np.zeros((3, 0)))),
+    "CylGrid.two_dimensional_rho_nodes": (GridError, "rho_nodes must be 1-D", lambda: CylGrid(
+        3, 2, [[1.0, 2.0]], [1.0, 2.0], np.zeros((2, 2)))),
+    "CylGrid.text_rho_nodes": (GridError, "rho_nodes", lambda: CylGrid(
+        3, 3, ["a", "b", "c"], [], np.zeros(3))),
+    "CylGrid.text_values": (GridError, "finite numbers", lambda: CylGrid(
+        3, 3, [1.0, 2.0], [], "ab")),
+    "CylGrid.ragged_values": (GridError, "finite numbers", lambda: CylGrid(
+        3, 2, [1.0, 2.0], [1.0, 2.0], [[1.0], [1.0, 2.0]])),
     "CylGrid.shape_1d": (GridError, "1-D grid", lambda: CylGrid(
         3, 3, [1.0, 2.0, 3.0], [], np.zeros(2))),
     "CylGrid.shape_2d": (GridError, r"grid \(3, 2\)", lambda: CylGrid(

@@ -454,6 +454,16 @@ def test_a_step_that_raises_the_energy_is_halved(monkeypatch, problem_cls, n, k,
     assert abs(res.E_min - plain.E_min) <= 1e-10 * plain.E_min
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DiscreteRayleigh(3, 2, 1.0, TINY).project(np.zeros((12, 12))),
+    lambda: DiscreteRayleigh(3, 2, 1.0, TINY).evaluate(np.zeros((12, 12))),
+    lambda: _RadialRayleigh(3, 1.0, WIDE).evaluate(np.zeros(256)),
+], ids=["k<n-project", "k<n-evaluate", "k=n-evaluate"])
+def test_a_zero_state_has_vanished(call):
+    with pytest.raises(ConvergenceError, match="flow state has vanished"):
+        call()
+
+
 @pytest.mark.parametrize("problem_cls, n, k, spec",
                          [(DiscreteRayleigh, 3, 2, SMALL), (_RadialRayleigh, 3, 3, WIDE)])
 def test_a_step_that_never_lowers_the_energy_collapses(monkeypatch, problem_cls, n, k, spec):

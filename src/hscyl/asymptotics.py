@@ -21,7 +21,7 @@ import numpy as np
 
 from .cylgrid import CylGrid
 from .errors import (FitDomainError, GridError, ParameterDomainError, _float_array,
-                     require_nodes, require_positive)
+                     require_nodes, require_real)
 from .exponents import decay_bound
 from .specfn import sphere_measure
 
@@ -129,8 +129,7 @@ def check_decay_bounds(fit: DecayFit, n: int, p: float, mode: str,
     solution-two-sided : |exponent - bound| <= tol        (p = 2)
     general-p          : exponent >= bound - tol
     """
-    if not 0.0 <= tol < math.inf:
-        raise ParameterDomainError(f"need finite tol >= 0, got tol={tol}")
+    tol = require_real(tol, "tol", 0.0, ends="[)")
     if not fit.conclusive:
         raise FitDomainError(
             f"fit is inconclusive (r^2 = {fit.r_squared:.4f} < {CONCLUSIVE_R2})"
@@ -186,8 +185,10 @@ def sample_ray(grid: CylGrid, direction: str, min_radius: float = 0.0,
                            for t in radii])
     else:
         raise ParameterDomainError(f"direction must be one of {DIRECTIONS}")
-    hi = max_radius if max_radius is not None else float(radii[-1])
-    keep = (radii >= min_radius) & (radii <= hi) & (values > 0.0)
+    low = require_real(min_radius, "min_radius", 0.0, ends="[)")
+    high = (radii[-1] if max_radius is None
+            else require_real(max_radius, "max_radius", 0.0, ends="(]"))
+    keep = (radii >= low) & (radii <= high) & (values > 0.0)
     radii, values = radii[keep], values[keep]
     if radii.size < 2:
         raise FitDomainError("ray sampling produced fewer than 2 usable samples")
@@ -217,11 +218,10 @@ def local_sup_ratio(grid: CylGrid, center_radius: float, q0: float) -> float:
     reduced coordinates with the cylindrical cell measure.  Bounded
     uniformly in the centre for solutions of the critical equation.
     """
-    if not 2.0 <= q0 < math.inf:
-        raise ParameterDomainError(f"need finite q0 >= 2, got q0={q0}")
+    q0 = require_real(q0, "q0", 2.0, ends="[)")
     if grid.k == grid.n:
         raise GridError("local_sup_ratio needs a 2-D cylindrical grid")
-    require_positive(center_radius, "center_radius")
+    center_radius = require_real(center_radius, "center_radius", 0.0)
     c = center_radius / math.sqrt(2.0)
     ball_r = 0.5 * center_radius
     # an axis grid's cells reach the axis, a window grid's only its first node

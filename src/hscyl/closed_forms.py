@@ -25,7 +25,6 @@ they are read, so no closed form here re-checks another.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     SingularityError,
     require_int,
     require_point,
-    require_positive,
+    require_real,
     require_split,
 )
 from .specfn import ball_volume, beta, sphere_measure
@@ -73,10 +72,10 @@ def beta_integral_full(n: int, k: int, m: float, s: float) -> float:
     """
     n = require_int(n, "n")
     k = require_int(k, "k")
-    if not (0.0 <= s < k < n):
-        raise ParameterDomainError(f"need 0 <= s < k < n, got s={s}, k={k}, n={n}")
-    if math.isnan(m):  # neither converges nor diverges
-        raise ParameterDomainError(f"m must be a number, got m={m}")
+    if not 0 < k < n:
+        raise ParameterDomainError(f"need 0 < k < n, got k={k}, n={n}")
+    s = require_real(s, "s", 0.0, k, "[)")
+    m = require_real(m, "m", ends="[]")  # nan neither converges nor diverges
     if not m > 0.5 * (n - k):
         raise ConvergenceDomainError(
             f"first Beta factor diverges: need m > (n-k)/2 = {0.5 * (n - k)}, got m={m}"
@@ -102,10 +101,8 @@ def beta_integral_radial(k: int, a: float, s: float) -> float:
     valid for k > s >= 0 and a > (k-s)/2.
     """
     k = require_int(k, "k")
-    if not (k > s >= 0.0):
-        raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
-    if math.isnan(a):  # neither converges nor diverges
-        raise ParameterDomainError(f"a must be a number, got a={a}")
+    s = require_real(s, "s", 0.0, k, "[)")
+    a = require_real(a, "a", ends="[]")  # nan neither converges nor diverges
     if not a > 0.5 * (k - s):
         raise ConvergenceDomainError(
             f"Beta factor diverges: need a > (k-s)/2 = {0.5 * (k - s)}, got a={a}"
@@ -133,9 +130,9 @@ class SharpConstant:
 
     def __post_init__(self):
         n, k = require_split(self.n, self.k)
-        require_positive(self.K, "K")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
+        object.__setattr__(self, "K", require_real(self.K, "K", 0.0))
 
     @property
     def Lambda(self) -> float:
@@ -227,11 +224,10 @@ class ExtremalParams:
 
     def __post_init__(self):
         n, k = require_split(self.n, self.k)
-        require_positive(self.lam, "lam")
         y0 = require_point(np.zeros(n - k) if self.y0 is None else self.y0, n - k, "y0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", require_real(self.lam, "lam", 0.0))
         object.__setattr__(self, "y0", y0)
 
 
@@ -262,8 +258,7 @@ def extremal_profile(params: ExtremalParams, constant: SharpConstant):
 def extremal_v(params: ExtremalParams, constant: SharpConstant, x_norm: float, y) -> float:
     """Evaluate the extremal at (|x|, y); y lives in the R^(n-k) factor,
     so it is an empty point when k = n."""
-    if not 0.0 <= x_norm < math.inf:
-        raise ParameterDomainError(f"x_norm must be finite and >= 0, got {x_norm}")
+    x_norm = require_real(x_norm, "x_norm", 0.0, ends="[)")
     y = require_point(y, params.n - params.k, "y")
     r = float(np.linalg.norm(y - params.y0))
     return float(extremal_profile(params, constant)(x_norm, r))
@@ -292,10 +287,11 @@ class ShiftedQuadraticParams:
         b = require_int(self.b, "b")
         if a < 1 or b < 1:
             raise ParameterDomainError(f"a, b must be positive integers, got {a}, {b}")
-        _, (alpha, beta) = _split_family((a + 1, b + 1), self.lam, (self.alpha, self.beta))
+        offsets = (require_real(self.alpha, "alpha"), require_real(self.beta, "beta"))
+        _, lam, (alpha, beta) = _split_family((a + 1, b + 1), self.lam, offsets)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -332,22 +328,22 @@ def shifted_power_solution(params: ShiftedQuadraticParams, x, y) -> float:
     return float(shifted_power_profile(params)(np.linalg.norm(x), np.linalg.norm(y)))
 
 
-def _split_family(dims, lam: float, offsets) -> tuple[tuple, tuple]:
-    """(dims, offsets) of a split of R^n into radial factors, as ints and
-    floats: integer dims >= 1 summing to n >= 3, a finite lam > 0 and one
+def _split_family(dims, lam: float, offsets) -> tuple[tuple, float, tuple]:
+    """(dims, lam, offsets) of a split of R^n into radial factors, as ints
+    and floats: integer dims >= 1 summing to n >= 3, a finite lam > 0 and one
     finite offset per factor (a point of R^len(dims)), or
     ParameterDomainError."""
     dims = tuple(require_int(d, "subspace dimension") for d in dims)
     if not dims or min(dims) < 1 or sum(dims) < 3:
         raise ParameterDomainError(
             f"need subspace dimensions >= 1 summing to n >= 3, got {dims}")
-    require_positive(lam, "lam")
-    return dims, tuple(require_point(offsets, len(dims), "offsets").tolist())
+    return (dims, require_real(lam, "lam", 0.0),
+            tuple(require_point(offsets, len(dims), "offsets").tolist()))
 
 
 def multi_subspace_coefficients(dims, lam: float, offsets) -> tuple[float, ...]:
     """Source coefficients alpha_i (n-2) lam^2 a_i for a multi-factor split."""
-    dims, offsets = _split_family(dims, lam, offsets)
+    dims, lam, offsets = _split_family(dims, lam, offsets)
     n = sum(dims)
     return tuple(off * (n - 2) * lam**2 * (d - 1) for off, d in zip(offsets, dims))
 
@@ -361,7 +357,7 @@ def multi_subspace_solution(dims, lam: float, offsets, radii):
     broadcast together.  Satisfies Delta v = -v^(n/(n-2)) sum_i coef_i / rho_i
     with the coefficients from :func:`multi_subspace_coefficients`.
     """
-    dims, offsets = _split_family(dims, lam, offsets)
+    dims, lam, offsets = _split_family(dims, lam, offsets)
     if len(radii) != len(dims):
         raise ParameterDomainError("one radius per subspace is required")
     n = sum(dims)
@@ -392,10 +388,9 @@ def fundamental_solution(n: int, z_norm: float) -> float:
     """Positive fundamental solution of the Laplacian,
     (n(n-2) omega_n)^(-1) |z|^(2-n), omega_n the unit-ball volume."""
     n = _ambient(n)
+    z_norm = require_real(z_norm, "z_norm", 0.0, ends="[)")
     if z_norm == 0.0:
         raise SingularityError("fundamental solution is singular at z = 0")
-    if not 0.0 <= z_norm < math.inf:
-        raise ParameterDomainError(f"z_norm must be finite and >= 0, got {z_norm}")
     return z_norm ** (2.0 - n) / (n * (n - 2) * ball_volume(n))
 
 

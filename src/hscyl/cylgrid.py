@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (GridError, ParameterDomainError, _float_array, require_int, require_nodes,
-                     require_positive, require_split)
+                     require_real, require_split)
 from .exponents import hs_conjugate
 from .specfn import sphere_measure
 
@@ -107,6 +107,7 @@ class CylGrid:
         object.__setattr__(self, "rho_nodes", rho)
         object.__setattr__(self, "r_nodes", r)
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "grading", require_real(self.grading, "grading", 1.0, ends="[)"))
 
     @property
     def a(self) -> int:
@@ -179,11 +180,10 @@ def build_grid(n: int, k: int, rho_max: float, r_max: float,
     i = 1..n_rho (never 0), and likewise in r.  Values start at zero."""
     n, k = require_split(n, k)
     n_rho, n_r = _node_counts(n, k, n_rho, n_r)
-    if not 1.0 <= grading < math.inf:
-        raise ParameterDomainError(f"grading must be finite and >= 1, got {grading}")
-    require_positive(rho_max, "rho_max")
+    grading = require_real(grading, "grading", 1.0, ends="[)")
+    rho_max = require_real(rho_max, "rho_max", 0.0)
     if k < n:
-        require_positive(r_max, "r_max")
+        r_max = require_real(r_max, "r_max", 0.0)
     rho = rho_max * (np.arange(1, n_rho + 1) / n_rho) ** grading
     r = np.empty(0) if k == n else r_max * (np.arange(1, n_r + 1) / n_r) ** grading
     return CylGrid(n, k, rho, r, np.zeros(_values_shape(n, k, n_rho, n_r)), grading)
@@ -199,8 +199,9 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
     """
     n, k = require_split(n, k)
     n_rho, n_r = _node_counts(n, k, n_rho, n_r)
-    if not 0.0 < rho_lo < rho_hi < math.inf or (k < n and not 0.0 < r_lo < r_hi < math.inf):
-        raise ParameterDomainError("window bounds must satisfy 0 < lo < hi < inf")
+    rho_hi = require_real(rho_hi, "rho_hi", require_real(rho_lo, "rho_lo", 0.0))
+    if k < n:
+        r_hi = require_real(r_hi, "r_hi", require_real(r_lo, "r_lo", 0.0))
     rho = np.linspace(rho_lo, rho_hi, n_rho)
     r = np.empty(0) if k == n else np.linspace(r_lo, r_hi, n_r)
     return CylGrid(n, k, rho, r, np.zeros(_values_shape(n, k, n_rho, n_r)), 1.0,
@@ -342,8 +343,7 @@ def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
 
     over the grid's cell measure; |grad U|^2 = U_rho^2 + U_r^2.
     """
-    if not 1.0 <= p_exp < math.inf:
-        raise ParameterDomainError(f"need finite p_exp >= 1, got {p_exp}")
+    p_exp = require_real(p_exp, "p_exp", 1.0, ends="[)")
     measure = grid.measure()
     return sum(float(np.sum(measure[rows] * grad_sq ** (0.5 * p_exp)))
                for rows, (grad_sq,) in _row_blocks(grid, (_GRAD_SQ,)))
@@ -361,7 +361,7 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
     if np.any(u <= 0.0):
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
-    coef = _per_node(Lambda * grid.rho_nodes ** (-s), 0, u.ndim)
+    coef = _per_node(require_real(Lambda, "Lambda") * grid.rho_nodes ** (-s), 0, u.ndim)
     out = np.empty_like(u)
     for rows, (lap,) in _row_blocks(grid, (_LAP,)):
         out[rows] = lap + coef[rows] * u[rows] ** (q - 1.0)

@@ -5,7 +5,7 @@ code 2) and convergence errors (a numerical routine ran out of budget, exit
 code 3).  Usage errors are raised only by the command-line layer (exit 1).
 There is no error for two closed forms that disagree: a quantity that
 follows from another is computed from it, and the tests compare routes.
-The validators, :func:`require_int`, :func:`require_positive`,
+The validators, :func:`require_int`, :func:`require_real`,
 :func:`require_split`, :func:`require_point` and :func:`require_nodes`,
 live here too, so every module can import them without an import cycle,
 and no ValueError, TypeError or OverflowError escapes one of them.
@@ -62,6 +62,11 @@ class UsageError(HscylError):
     """Malformed command line or configuration file."""
 
 
+def _scalar(value) -> bool:
+    """False for bools, text and arrays, which are never one number."""
+    return not isinstance(value, (bool, np.bool_, str, bytes)) and np.ndim(value) == 0
+
+
 def require_int(value, name: str) -> int:
     """``value`` as an ``int``, or ParameterDomainError.
 
@@ -69,7 +74,7 @@ def require_int(value, name: str) -> int:
     input are all rejected the same way, so no ValueError, OverflowError or
     TypeError from ``int()`` escapes a validator.
     """
-    if not isinstance(value, (bool, np.bool_)) and np.ndim(value) == 0:
+    if _scalar(value):
         try:
             as_int = int(value)
         except (TypeError, ValueError, OverflowError):
@@ -80,10 +85,22 @@ def require_int(value, name: str) -> int:
     raise ParameterDomainError(f"{name} must be an integer, got {value!r}")
 
 
-def require_positive(value, name: str) -> None:
-    """ParameterDomainError unless 0 < value < inf; nan fails too."""
-    if not 0.0 < value < math.inf:
-        raise ParameterDomainError(f"{name} must be positive and finite, got {value}")
+def require_real(value, name: str, low: float = -math.inf, high: float = math.inf,
+                 ends: str = "()") -> float:
+    """``value`` as a ``float`` from ``low`` to ``high``, each end open, "("
+    or ")", or closed, "[" or "]" (by default any finite number), or
+    ParameterDomainError; bools, text, None, arrays and nan all fail."""
+    if _scalar(value):
+        try:
+            as_float = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if ((low < as_float or ends[0] == "[" and low == as_float)
+                    and (as_float < high or ends[1] == "]" and as_float == high)):
+                return as_float
+    raise ParameterDomainError(
+        f"{name} must lie in {ends[0]}{low:.15g}, {high:.15g}{ends[1]}, got {value!r}")
 
 
 def require_split(n, k) -> tuple[int, int]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ParameterDomainError, require_int, require_split
+from .errors import ParameterDomainError, require_int, require_real, require_split
 
 __all__ = [
     "ExponentContext",
@@ -29,11 +29,9 @@ __all__ = [
 ]
 
 
-def _check_ps(p: float, s: float, n: int) -> None:
-    if not (1.0 < p < n):
-        raise ParameterDomainError(f"need 1 < p < n, got p={p}, n={n}")
-    if not (0.0 <= s <= p):
-        raise ParameterDomainError(f"need 0 <= s <= p, got s={s}, p={p}")
+def _check_ps(p: float, s: float, n: int) -> tuple[float, float]:
+    p = require_real(p, "p", 1.0, n)
+    return p, require_real(s, "s", 0.0, p, "[]")
 
 
 @dataclass(frozen=True)
@@ -54,11 +52,11 @@ class ExponentContext:
 
     def __post_init__(self):
         n, k = require_split(self.n, self.k)
-        _check_ps(self.p, self.s, n)
+        p, s = _check_ps(self.p, self.s, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def hs_conjugate(p: float, s: float, n: int) -> float:
     itself at s = p.
     """
     n = require_int(n, "n")
-    _check_ps(p, s, n)
+    p, s = _check_ps(p, s, n)
     return p * (n - s) / (n - p)
 
 
@@ -93,7 +91,7 @@ def critical_pair(p: float, s: float, n: int) -> tuple[float, float]:
     s = p it is reported as an explicit math.inf, never as an overflow.
     """
     n = require_int(n, "n")
-    _check_ps(p, s, n)
+    p, s = _check_ps(p, s, n)
     r = n / (n - p + s)
     if s == p:
         return r, math.inf
@@ -105,8 +103,7 @@ def decay_bound(n: int, p: float) -> float:
     finite-energy solutions; n - 2, the rate of |z|^(2-n), at p = 2.
     Needs integer n and 1 < p < n."""
     n = require_int(n, "n")
-    if not 1.0 < p < n:
-        raise ParameterDomainError(f"need 1 < p < n, got p={p}, n={n}")
+    p = require_real(p, "p", 1.0, n)
     return (n - p) / (p - 1.0)
 
 
@@ -132,14 +129,9 @@ def aux_exponents(ctx: ExponentContext) -> ExponentReport:
         raise ParameterDomainError(f"context {ctx} is not admissible")
     n, k, p, s = ctx.n, ctx.k, ctx.p, ctx.s
     r, r_prime = critical_pair(p, s, n)
-    t_sup = min(p, s)
 
     def kappa(t: float) -> float:
-        if not (0.0 <= t < t_sup):
-            raise ParameterDomainError(
-                f"kappa defined for 0 <= t < min(p, s) = {t_sup}, got t={t}"
-            )
-        return hs_conjugate(p, t, n) / p
+        return hs_conjugate(p, require_real(t, "t", 0.0, min(p, s), "[)"), n) / p
 
     return ExponentReport(
         p_star_s=hs_conjugate(p, s, n),
@@ -160,12 +152,11 @@ def galaxy_mass_window(gamma: float) -> tuple[float, float]:
     with nonlinearity exponent q strictly inside the window have finite
     mass.  2*(gamma) = 2(3-gamma)/(3-2).
     """
-    if not (0.0 < gamma < 2.0):
-        raise ParameterDomainError(f"need 0 < gamma < 2, got {gamma}")
+    gamma = require_real(gamma, "gamma", 0.0, 2.0)
     return 2.0 * (3.0 - gamma), 6.0
 
 
 def galaxy_mass_inside(q: float, gamma: float) -> bool:
     """True iff q lies strictly inside the finite-mass window."""
     low, high = galaxy_mass_window(gamma)
-    return low < q < high
+    return low < require_real(q, "q", ends="[]") < high

@@ -103,7 +103,7 @@ from .errors import (
     ConvergenceError,
     ParameterDomainError,
     require_int,
-    require_positive,
+    require_real,
 )
 from .exponents import ExponentContext, admissible, hs_conjugate
 from .specfn import sphere_measure
@@ -137,15 +137,15 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.init not in INIT_MODES:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        require_positive(self.step, "step")
+        self.step = require_real(self.step, "step", 0.0)
         if self.init_scale is not None:
             if self.init != "analytic-extremal":  # the bump seed has no core scale
                 raise ParameterDomainError("init_scale applies only to init='analytic-extremal'")
-            require_positive(self.init_scale, "init_scale")
+            self.init_scale = require_real(self.init_scale, "init_scale", 0.0)
         self.max_iters = require_int(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        require_positive(self.tol, "tol")
+        self.tol = require_real(self.tol, "tol", 0.0)
 
 
 @dataclass(frozen=True)
@@ -289,11 +289,12 @@ class _RadialRayleigh:
 
     def __init__(self, n: int, s: float, spec: GridSpec):
         cells = require_int(spec.n_rho, "n_rho")
-        if cells < 8 or not 1.0 < spec.rho_max < math.inf:
-            raise ParameterDomainError("the t axis needs n_rho >= 8 and a finite rho_max > 1")
+        if cells < 8:
+            raise ParameterDomainError("the t axis needs n_rho >= 8")
+        log_max = math.log(require_real(spec.rho_max, "rho_max of the t axis", 1.0))
         self.s, self.q, self.c = float(s), hs_conjugate(2.0, s, n), 0.5 * (n - 2)
-        self.h = 2.0 * math.log(spec.rho_max) / cells
-        t = self.h * np.arange(1, cells + 1) - math.log(spec.rho_max)
+        self.h = 2.0 * log_max / cells
+        t = self.h * np.arange(1, cells + 1) - log_max
         self.grid = CylGrid(n, n, np.exp(t), np.empty(0), np.zeros(cells))
         self.interior = np.arange(cells) < cells - 1
         self.dilation, self.sigma = np.exp(self.c * t), sphere_measure(n)
@@ -405,7 +406,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     ctx = ExponentContext(n=n, k=k, p=2.0, s=s)
     if not admissible(ctx):
         raise ParameterDomainError(f"(n={n}, k={k}, p=2, s={s}) is not admissible")
-    step = float(opts.step)
+    step = opts.step
     problem = (_RadialRayleigh(n, s, grid_spec) if k == n
                else DiscreteRayleigh(n, k, s, grid_spec))
     u, energy, lu, weighted = problem.evaluate(_initial_values(problem, grid_spec, opts))

@@ -50,7 +50,7 @@ from .errors import (
     SingularityError,
     require_int,
     require_point,
-    require_positive,
+    require_real,
     require_split,
 )
 from .specfn import sphere_measure
@@ -288,7 +288,7 @@ def _radial_segments(g2, weight_pow: float, upper: float):
         pieces.append(piece(lambda u: (u**-2.0, 2.0 * u ** (-(2.0 * beta + 3.0))),
                             0.0, 1.0))
     elif upper > 1.0:
-        pieces.append(piece(lambda rho: (rho, rho**beta), 1.0, float(upper)))
+        pieces.append(piece(lambda rho: (rho, rho**beta), 1.0, upper))
     return pieces
 
 
@@ -339,11 +339,9 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     k = require_int(k, "k")
     if k < 1:
         raise ParameterDomainError(f"k must be an integer >= 1, got {k}")
-    if not (k > s >= 0.0):
-        raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
-    if not upper > 0.0:
-        raise ParameterDomainError(f"upper must be positive, got {upper}")
-    require_positive(tol, "tol")
+    s = require_real(s, "s", 0.0, k, "[)")
+    upper = require_real(upper, "upper", 0.0, ends="(]")
+    tol = require_real(tol, "tol", 0.0)
     counter = _Budget(budget)
     g = _vectorized(g)
     pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
@@ -364,12 +362,10 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
     sigma_k prefactor applies, and a finite r_max is a GridError.
     """
     n, k = require_split(n, k)
-    if not (k > s >= 0.0):
-        raise ParameterDomainError(f"need k > s >= 0, got k={k}, s={s}")
-    require_positive(tol, "tol")
-    for name, bound in (("rho_max", rho_max), ("r_max", r_max)):
-        if not bound > 0.0:
-            raise ParameterDomainError(f"{name} must be positive, got {bound}")
+    s = require_real(s, "s", 0.0, k, "[)")
+    tol = require_real(tol, "tol", 0.0)
+    rho_max = require_real(rho_max, "rho_max", 0.0, ends="(]")
+    r_max = require_real(r_max, "r_max", 0.0, ends="(]")
     if k == n:
         if r_max < math.inf:
             raise GridError("k = n leaves no second radial direction, but a finite "
@@ -413,9 +409,8 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     its distance c from it.  I scales like |z|^(2-s).
     """
     n, k = require_split(n, k)
-    if not (0.0 <= s < min(k, 2)):
-        raise ParameterDomainError(f"need 0 <= s < min(k, 2), got s={s}")
-    require_positive(tol, "tol")
+    s = require_real(s, "s", 0.0, min(k, 2), "[)")
+    tol = require_real(tol, "tol", 0.0)
     z = require_point(z, n, "z")
     znorm = float(np.linalg.norm(z))
     if znorm == 0.0:

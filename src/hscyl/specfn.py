@@ -42,10 +42,14 @@ def log_gamma(x):
 
 
 def beta(a, b):
-    """Beta function B(a, b) for a, b > 0, evaluated in log space."""
+    """Beta function B(a, b) for a, b > 0, evaluated in log space; array
+    arguments must broadcast together."""
     a_arr, b_arr = _float_array(a), _float_array(b)
-    if a_arr is None or b_arr is None or np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0):
-        raise ParameterDomainError(f"beta requires positive arguments, got ({a}, {b})")
+    if (a_arr is None or b_arr is None or np.any(a_arr <= 0.0) or np.any(b_arr <= 0.0)
+            or any(x != y and 1 not in (x, y)
+                   for x, y in zip(a_arr.shape[::-1], b_arr.shape[::-1]))):
+        raise ParameterDomainError(f"beta requires positive arguments that broadcast "
+                                   f"together, got ({a}, {b})")
     out = np.exp(log_gamma(a_arr) + log_gamma(b_arr) - log_gamma(a_arr + b_arr))
     if a_arr.ndim == 0 and b_arr.ndim == 0:
         return float(out)

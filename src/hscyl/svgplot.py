@@ -2,12 +2,14 @@
 
 Only what the command-line `plot` subcommand needs: one or more (x, y)
 series, optional log scaling per axis, ticks and a small legend.  Output
-is a plain-text vector file.
+is a plain-text vector file: labels are escaped as XML text, and any
+non-ASCII character in them is written as a character reference.
 """
 
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -101,7 +103,7 @@ def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
     ]
     if title:
         parts.append(f'<text x="{_WIDTH / 2}" y="20" text-anchor="middle" '
-                     f'font-size="14">{title}</text>')
+                     f'font-size="14">{escape(title)}</text>')
     for tx in _ticks(x_lo, x_hi, log_x):
         px, _ = to_px(tx, y_lo)
         parts.append(f'<line x1="{px:.1f}" y1="{_HEIGHT - _MARGIN_B}" x2="{px:.1f}" '
@@ -116,10 +118,10 @@ def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
                      f'font-size="11">{ty:.4g}</text>')
     if xlabel:
         parts.append(f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-                     f'font-size="12">{xlabel}</text>')
+                     f'font-size="12">{escape(xlabel)}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" font-size="12" '
-                     f'transform="rotate(-90 16 {_HEIGHT / 2})">{ylabel}</text>')
+                     f'transform="rotate(-90 16 {_HEIGHT / 2})">{escape(ylabel)}</text>')
     for idx, (x, y, label) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         px, py = to_px(x, y)
@@ -130,7 +132,8 @@ def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
             ly = _MARGIN_T + 16 + 16 * idx
             parts.append(f'<line x1="{_WIDTH - 180}" y1="{ly - 4}" x2="{_WIDTH - 156}" '
                          f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{_WIDTH - 150}" y="{ly}" font-size="11">{label}</text>')
+            parts.append(f'<text x="{_WIDTH - 150}" y="{ly}" font-size="11">'
+                         f'{escape(label)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -2,6 +2,7 @@ import json
 import math
 import shlex
 from pathlib import Path
+from xml.dom import minidom
 from xml.etree import ElementTree
 
 import pytest
@@ -353,6 +354,21 @@ def test_plot_title_and_constant_series(tmp_path):
         # the frame, which spans y = 34 to 430
         points = root.find("svg:polyline", ns).get("points").split()
         assert {pair.split(",")[1] for pair in points} == {"232.00"}
+
+
+def test_plot_escapes_its_labels(tmp_path):
+    # markup and non-ASCII letters in a title or label are text, not markup
+    title = "a<b & c: \u03c1 profile"
+    table = tmp_path / "rho.csv"
+    table.write_text("x,E<&>\n1,2\n2,3\n")
+    svg = tmp_path / "rho.svg"
+    assert main(["plot", "--input", str(table), "--output", str(svg), "--title", title,
+                 "--output-dir", str(tmp_path)]) == 0
+    svg.read_bytes().decode("ascii")
+    texts = [text.firstChild.data
+             for text in minidom.parse(str(svg)).getElementsByTagName("text")]
+    assert title in texts
+    assert texts.count("E<&>") == 2  # the y label and the legend
 
 
 @pytest.mark.parametrize("ys", [(2, 5, 8), (2.23, 3.0, 3.76), (0.5, 20, 300)])

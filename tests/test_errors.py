@@ -17,18 +17,25 @@ from hscyl import (
     MinimizeOptions,
     ParameterDomainError,
     RaySamples,
+    SharpConstant,
     ShiftedQuadraticParams,
+    aux_exponents,
     beta,
     beta_integral_full,
     beta_integral_radial,
     build_grid,
     check_decay_bounds,
+    critical_pair,
     cyl_laplacian,
+    el_residual,
     estimate_core_scale,
     extremal_v,
     fit_decay,
     fundamental_solution,
+    galaxy_mass_inside,
+    galaxy_mass_window,
     gradient_energy,
+    hs_conjugate,
     integrate_cylindrical,
     integrate_radial,
     kelvin_transform,
@@ -116,6 +123,76 @@ def test_float_parameters_reject_non_finite_and_out_of_range(entry, value):
         FLOAT_ENTRY_POINTS[entry][0](value)
 
 
+#: array entries of FLOAT_ENTRY_POINTS: a node, a sample or a coordinate of a
+#: point is read as an array, where True is the number 1
+_ARRAY_ENTRIES = {"CylGrid.node", "RaySamples.radius", "RaySamples.value", "ExtremalParams.y0",
+                  "multi_subspace_coefficients.offset", "multi_subspace_solution.offset"}
+_POSITIVE = _GRID.with_values(_GRID.values + 1.0)
+
+#: every public real parameter -> a call that passes it the value v
+REAL_PARAMETERS = {
+    **{entry: call for entry, (call, _) in FLOAT_ENTRY_POINTS.items()
+       if entry not in _ARRAY_ENTRIES},
+    "ExponentContext.p": lambda v: ExponentContext(n=3, k=2, p=v, s=1.0),
+    "ExponentContext.s": lambda v: ExponentContext(n=3, k=2, p=2.0, s=v),
+    "hs_conjugate.p": lambda v: hs_conjugate(v, 1.0, 3),
+    "critical_pair.s": lambda v: critical_pair(2.0, v, 3),
+    "decay_bound.p": lambda v: decay_bound(3, v),
+    "kappa.t": lambda v: aux_exponents(ExponentContext(n=3, k=2, p=2.0, s=1.0)).kappa(v),
+    "galaxy_mass_window.gamma": galaxy_mass_window,
+    "galaxy_mass_inside.q": lambda v: galaxy_mass_inside(v, 1.0),
+    "beta_integral_full.m": lambda v: beta_integral_full(3, 2, v, 1.0),
+    "beta_integral_full.s": lambda v: beta_integral_full(3, 2, 2.0, v),
+    "beta_integral_radial.a": lambda v: beta_integral_radial(2, v, 1.0),
+    "beta_integral_radial.s": lambda v: beta_integral_radial(2, 2.0, v),
+    "SharpConstant.K": lambda v: SharpConstant(n=3, k=2, K=v),
+    "integrate_radial.s": lambda v: integrate_radial(np.exp, 2, v),
+    "integrate_radial.tol": lambda v: integrate_radial(np.exp, 2, 0.0, v),
+    "integrate_radial.upper": lambda v: integrate_radial(np.exp, 2, 0.0, upper=v),
+    "integrate_cylindrical.s": lambda v: integrate_cylindrical(np.hypot, 3, 2, v),
+    "integrate_cylindrical.tol": lambda v: integrate_cylindrical(np.hypot, 3, 2, 0.0, v),
+    "integrate_cylindrical.rho_max": lambda v: integrate_cylindrical(np.hypot, 3, 2, 0.0,
+                                                                     rho_max=v),
+    "integrate_cylindrical.r_max": lambda v: integrate_cylindrical(np.hypot, 3, 2, 0.0,
+                                                                   r_max=v),
+    "singular_newtonian_integral.s": lambda v: singular_newtonian_integral(
+        [1.0, 0.5, 0.5], 3, 2, v),
+    "singular_newtonian_integral.tol": lambda v: singular_newtonian_integral(
+        [1.0, 0.5, 0.5], 3, 2, 1.0, v),
+    "build_grid.grading": lambda v: build_grid(3, 2, 10.0, 10.0, 16, 16, grading=v),
+    "CylGrid.grading": lambda v: CylGrid(3, 3, [1.0, 2.0], [], np.zeros(2), v),
+    "window_grid.rho_lo": lambda v: window_grid(3, 2, v, 2.0, 1.0, 2.0, 16, 16),
+    "window_grid.r_lo": lambda v: window_grid(3, 2, 1.0, 2.0, v, 2.0, 16, 16),
+    "el_residual.Lambda": lambda v: el_residual(_POSITIVE, v, 1.0),
+    "el_residual.s": lambda v: el_residual(_POSITIVE, 1.0, v),
+    "MinimizeOptions.step": lambda v: MinimizeOptions(step=v),
+    "MinimizeOptions.init_scale": lambda v: MinimizeOptions(init="analytic-extremal",
+                                                            init_scale=v),
+    "MinimizeOptions.tol": lambda v: MinimizeOptions(tol=v),
+    "minimize_rayleigh.s": lambda v: minimize_rayleigh(3, 2, v, _SMALL_FLOW),
+    "minimize_rayleigh.t_axis_rho_max": lambda v: minimize_rayleigh(
+        3, 3, 1.0, GridSpec(v, 1.0, 64, 64)),
+    "local_sup_ratio.center_radius": lambda v: local_sup_ratio(_GRID, v, 4.0),
+    "check_decay_bounds.p": lambda v: check_decay_bounds(
+        DecayFit(exponent=1.0, amplitude=1.0, r_squared=1.0), 3, v, "general-p"),
+    "sample_ray.min_radius": lambda v: sample_ray(_POSITIVE, "rho-axis", min_radius=v),
+    "sample_ray.max_radius": lambda v: sample_ray(_POSITIVE, "rho-axis", max_radius=v),
+}
+
+
+#: optional parameters, for which None is the default and means "absent"
+_OPTIONAL = {"MinimizeOptions.init_scale", "sample_ray.max_radius"}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in sorted(REAL_PARAMETERS)
+    for value in ("a", "1.5", None, True, [1.0, 2.0])  # float("1.5") would read text
+    if not (value is None and entry in _OPTIONAL)])
+def test_real_parameters_reject_text_none_bools_and_arrays(entry, value):
+    with pytest.raises(DomainError):
+        REAL_PARAMETERS[entry](value)
+
+
 SPLIT_ENTRY_POINTS = {
     "ExponentContext": lambda n, k: ExponentContext(n=n, k=k, p=1.5, s=1.0),
     "CylGrid": lambda n, k: CylGrid(n, k, np.arange(1.0, 9.0), np.arange(1.0, 9.0),
@@ -162,6 +239,9 @@ MALFORMED_INPUTS = {
     "log_gamma.text": lambda: log_gamma("a"),
     "beta.text": lambda: beta("a", 1.0),
     "beta.ragged": lambda: beta([1.0, [2.0]], 1.0),
+    "beta.mismatched_shapes": lambda: beta([1.0, 2.0], [1.0, 2.0, 3.0]),
+    "beta_integral_full.text_m": lambda: beta_integral_full(3, 2, "a", 1.0),
+    "beta_integral_radial.none_a": lambda: beta_integral_radial(2, None, 1.0),
     "beta_integral_full.nan_m": lambda: beta_integral_full(3, 2, math.nan, 1.0),
     "beta_integral_radial.nan_a": lambda: beta_integral_radial(2, math.nan, 1.0),
     "RaySamples.text_values": lambda: RaySamples("rho-axis", [1.0, 2.0], "ab"),
@@ -243,8 +323,10 @@ RAISE_SITES = {
             ShiftedQuadraticParams(a=1, b=1))),
     "require_point.ragged": (ParameterDomainError, "point in R\\^2", lambda: require_point(
         [[1.0], [1.0, 2.0]], 2, "z")),
-    "decay_bound.p_at_n": (ParameterDomainError, "1 < p < n", lambda: decay_bound(3, 3.0)),
-    "decay_bound.p_at_1": (ParameterDomainError, "1 < p < n", lambda: decay_bound(3, 1.0)),
+    "decay_bound.p_at_n": (ParameterDomainError, r"p must lie in \(1, 3\)",
+                           lambda: decay_bound(3, 3.0)),
+    "decay_bound.p_at_1": (ParameterDomainError, r"p must lie in \(1, 3\)",
+                           lambda: decay_bound(3, 1.0)),
     "MinimizeOptions.max_iters_0": (ParameterDomainError, "max_iters", lambda: MinimizeOptions(
         max_iters=0)),
     "minimize_rayleigh.t_axis_cells": (ParameterDomainError, "t axis", lambda: minimize_rayleigh(
@@ -254,8 +336,9 @@ RAISE_SITES = {
     "minimize_rayleigh.analytic_seed_off_s_1": (
         ParameterDomainError, "s = 1 only", lambda: minimize_rayleigh(
             3, 2, 0.5, _SMALL_FLOW, MinimizeOptions(init="analytic-extremal"))),
-    "integrate_cylindrical.s_at_k": (ParameterDomainError, "k > s", lambda: integrate_cylindrical(
-        lambda rho, r: np.exp(-rho - r), 3, 2, 2.0)),
+    "integrate_cylindrical.s_at_k": (
+        ParameterDomainError, r"s must lie in \[0, 2\)", lambda: integrate_cylindrical(
+            lambda rho, r: np.exp(-rho - r), 3, 2, 2.0)),
     "render_line_plot.no_series": (ParameterDomainError, "nothing to plot",
                                    lambda: render_line_plot([], "unused.svg")),
     "render_line_plot.one_point": (ParameterDomainError, "fewer than 2", lambda: render_line_plot(

@@ -68,11 +68,22 @@ class RaySamples:
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Power-law fit value ~ amplitude * radius^(-exponent)."""
+    """Power-law fit value ~ amplitude * radius^(-exponent).
+
+    exponent is any finite real, amplitude = exp(intercept) lies in
+    [0, inf] (the exp may underflow or overflow), and r_squared lies in
+    (-inf, 1]."""
 
     exponent: float
     amplitude: float
     r_squared: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "exponent", require_real(self.exponent, "exponent"))
+        object.__setattr__(self, "amplitude",
+                           require_real(self.amplitude, "amplitude", 0.0, math.inf, "[]"))
+        object.__setattr__(self, "r_squared",
+                           require_real(self.r_squared, "r_squared", high=1.0, ends="(]"))
 
     @property
     def conclusive(self) -> bool:

@@ -413,20 +413,23 @@ def dump_grid(grid: CylGrid, path) -> None:
     run over the rho nodes, and within each over the r nodes; a 1-D grid
     has the one r value 0, so its rows are (rho_i, 0, value_i).  The rows
     are the bytes ``np.savetxt`` writes with fmt "%.17g" and delimiter
-    ",", formatted a block at a time.
+    ",".  Each rho and r node is formatted once, into a template for a
+    block of whole rho rows, and the values fill it one block at a time.
     """
-    rho, r = np.meshgrid(grid.rho_nodes, grid.r_nodes if grid.r_nodes.size else 0.0,
-                         indexing="ij")
-    table = np.column_stack((rho.ravel(), r.ravel(), grid.values.ravel()))
+    rho_text = ["%.17g" % x for x in grid.rho_nodes.tolist()]
+    # each row is its rho text, then ",<r>,%.17g\n"; a 1-D grid's one r is 0
+    tails = [",%.17g,%%.17g\n" % x for x in (grid.r_nodes.tolist() or [0.0])]
+    values = grid.values.reshape(len(rho_text), len(tails))
+    # blocks of whole rho rows, at most _DUMP_BLOCK_ROWS table rows or one
+    # rho row: the text of a whole large grid at once would raise the peak memory
+    step = max(1, _DUMP_BLOCK_ROWS // len(tails))
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"# hscyl-grid n={grid.n} k={grid.k} grading={grid.grading:.17g} "
                  f"axis_ghost={int(grid.axis_ghost)}\n")
         fh.write("rho,r,value\n")
-        # one format per block: the text of a whole large grid at once
-        # would raise the peak memory
-        for start in range(0, len(table), _DUMP_BLOCK_ROWS):
-            block = table[start:start + _DUMP_BLOCK_ROWS]
-            fh.write("%.17g,%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))
+        for start in range(0, len(rho_text), step):
+            template = "".join(rho + rho.join(tails) for rho in rho_text[start:start + step])
+            fh.write(template % tuple(values[start:start + step].ravel().tolist()))
 
 
 def load_grid(path) -> CylGrid:

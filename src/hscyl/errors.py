@@ -122,9 +122,11 @@ def _float_array(value, **kwargs):
 
 def require_point(value, dim: int, name: str) -> np.ndarray:
     """``value`` as a float array of shape (dim,) with finite entries (a
-    scalar counts as a point of R^1), or ParameterDomainError."""
+    scalar counts as a point of R^1), or ParameterDomainError; a bool, text
+    or array coordinate fails as it does in :func:`require_real`."""
     point = _float_array(value, ndmin=1)
-    if point is None or point.shape != (dim,) or not np.isfinite(point).all():
+    if (point is None or point.shape != (dim,) or not np.isfinite(point).all()
+            or not all(map(_scalar, np.array(value, dtype=object, ndmin=1)))):
         raise ParameterDomainError(f"{name} must be a point in R^{dim} with finite "
                                    f"coordinates, got {value!r}")
     return point

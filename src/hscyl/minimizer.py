@@ -119,14 +119,16 @@ INIT_MODES = ("positive-bump", "analytic-extremal")
 ANDERSON_DEPTH = 2  # state and residual differences kept by the flow's mixing
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimizeOptions:
     """Knobs for the flow; defaults are the calibrated s = 1 settings.
 
     step is the pseudo-time step of the semi-implicit flow; the default is
     large enough that each step is close to nonlinear inverse iteration.
     tol is a relative energy accuracy: the flow stops once the
-    constrained-gradient residual ||d||_M / E is at most sqrt(tol)."""
+    constrained-gradient residual ||d||_M / E is at most sqrt(tol).
+    The options are immutable, so they are checked once, when built
+    (``dataclasses.replace`` builds and checks a new set)."""
 
     step: float = 1e4
     max_iters: int = 4000
@@ -137,15 +139,17 @@ class MinimizeOptions:
     def __post_init__(self):
         if self.init not in INIT_MODES:
             raise ParameterDomainError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        self.step = require_real(self.step, "step", 0.0)
+        object.__setattr__(self, "step", require_real(self.step, "step", 0.0))
         if self.init_scale is not None:
             if self.init != "analytic-extremal":  # the bump seed has no core scale
                 raise ParameterDomainError("init_scale applies only to init='analytic-extremal'")
-            self.init_scale = require_real(self.init_scale, "init_scale", 0.0)
-        self.max_iters = require_int(self.max_iters, "max_iters")
-        if self.max_iters < 1:
-            raise ParameterDomainError(f"max_iters must be >= 1, got {self.max_iters}")
-        self.tol = require_real(self.tol, "tol", 0.0)
+            object.__setattr__(self, "init_scale",
+                               require_real(self.init_scale, "init_scale", 0.0))
+        max_iters = require_int(self.max_iters, "max_iters")
+        if max_iters < 1:
+            raise ParameterDomainError(f"max_iters must be >= 1, got {max_iters}")
+        object.__setattr__(self, "max_iters", max_iters)
+        object.__setattr__(self, "tol", require_real(self.tol, "tol", 0.0))
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,19 @@ def test_fit_exact_power_law():
     assert fit.r_squared == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("scale, exponent, amplitude", [(1e300, 3.0, math.inf),
+                                                         (1e-300, -3.0, 0.0)])
+def test_fit_amplitude_may_overflow_or_underflow(scale, exponent, amplitude):
+    # amplitude = exp(intercept) extrapolates to radius 1, far from these
+    # radii; DecayFit admits the inf and the 0 it rounds to
+    radii = np.geomspace(1e10, 1e11, 6)
+    with np.errstate(over="ignore"):
+        fit = fit_decay(RaySamples("diagonal", radii, scale * (radii / 1e10) ** -exponent))
+    assert fit.amplitude == amplitude
+    assert fit.exponent == pytest.approx(exponent, rel=1e-9)
+    assert fit.r_squared <= 1.0
+
+
 def test_fit_constant_samples():
     radii = np.geomspace(1.0, 100.0, 8)
     fit = fit_decay(RaySamples("rho-axis", radii, np.full(8, 2.5)))

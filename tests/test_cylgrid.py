@@ -454,14 +454,22 @@ def test_grid_dump_roundtrip_one_dimensional(tmp_path, rng):
     assert np.array_equal(back.values, g.values)
 
 
-@pytest.mark.parametrize("k, n_rho, n_r", [(2, 72, 64), (3, 10, 0)], ids=["2d", "1d"])
-def test_grid_dump_rows_are_savetxt_bytes(tmp_path, k, n_rho, n_r):
+_EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("k, n_rho, n_r, planted", [
+    (2, 72, 64, ()), (3, 10, 0, ()), (2, 8, 5000, ()), (3, 5000, 0, ()), (2, 8, 8, _EXTREMES)],
+    ids=["2d", "1d", "long-r", "long-1d", "extremes"])
+def test_grid_dump_rows_are_savetxt_bytes(tmp_path, k, n_rho, n_r, planted):
     # the CLI's decay-fit --grid and plot readers parse these bytes; the
-    # 2-D grid spans more than one block of dump_grid's rows
+    # 2-D grid spans more than one block of dump_grid's rows, each block of
+    # the long-r grid is one rho row, and the long 1-D grid spans two blocks
     g = build_grid(3, k, 7.3, 5.1, n_rho, n_r, grading=1.7)
     draws = np.random.default_rng(5)
-    g = g.with_values(draws.standard_normal(g.values.shape)
-                      * 10.0 ** draws.integers(-300, 300, g.values.shape))
+    values = (draws.standard_normal(g.values.shape)
+              * 10.0 ** draws.integers(-300, 300, g.values.shape))
+    values.flat[:len(planted)] = planted
+    g = g.with_values(values)
     rho, r = (np.meshgrid(g.rho_nodes, g.r_nodes, indexing="ij") if n_r
               else (g.rho_nodes, np.zeros(n_rho)))
     expected = tmp_path / "savetxt.csv"

@@ -232,6 +232,10 @@ MALFORMED_INPUTS = {
         ShiftedQuadraticParams(a=1, b=1), [math.nan, 0.0], [1.0, 0.0]),
     "kelvin_transform.nan_z": lambda: _KELVIN([math.nan, 0.0, 0.0]),
     "kelvin_transform.inf_z": lambda: _KELVIN([math.inf, 0.0, 0.0]),
+    "kelvin_transform.bool_z": lambda: _KELVIN(np.array([True, False, True])),
+    "ExtremalParams.bool_y0": lambda: ExtremalParams(n=3, k=2, y0=[True]),
+    "DecayFit.text_exponent": lambda: DecayFit(exponent="a", amplitude=1.0, r_squared=1.0),
+    "DecayFit.none_r_squared": lambda: DecayFit(exponent=1.0, amplitude=1.0, r_squared=None),
     "singular_newtonian_integral.nan_z": lambda: singular_newtonian_integral(
         [math.nan, 0.0, 1.0], 3, 2, 0.5),
     "multi_subspace_solution.text_offset": lambda: multi_subspace_solution(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -381,6 +382,16 @@ def test_mixer_is_exact_for_an_affine_map_in_two_dimensions():
     assert np.linalg.norm(mixed[1] - fixed) > 1e-3 * np.linalg.norm(fixed)
     for state in mixed[2:]:  # the history keeps the last two differences
         assert np.linalg.norm(state - fixed) <= 1e-12 * np.linalg.norm(fixed)
+
+
+def test_options_are_checked_whenever_built():
+    # frozen: a field set after construction would skip the checks
+    opts = MinimizeOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        opts.tol = -1.0
+    with pytest.raises(ParameterDomainError, match="tol"):
+        dataclasses.replace(opts, tol=-1.0)
+    assert dataclasses.replace(opts, max_iters=7.0).max_iters == 7
 
 
 def test_inadmissible_parameters_rejected():

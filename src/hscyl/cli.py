@@ -321,8 +321,7 @@ def _run_verify_prop4(p: dict, out: Path) -> list:
 def _run_minimize(p: dict, out: Path) -> list:
     spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
                             n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
-    opts = minimizer.MinimizeOptions(step=p["step"], max_iters=p["max-iters"],
-                                     tol=p["tol"], init=p["init"],
+    opts = minimizer.MinimizeOptions(step=p["step"], tol=p["tol"], init=p["init"],
                                      init_scale=p["init-scale"])
     result = minimizer.minimize_rayleigh(p["n"], p["k"], p["s"], spec, opts)
     _write_csv(out / "history.csv",
@@ -445,7 +444,6 @@ _SUBCOMMANDS = {
         "n-rho": (int, 256), "n-r": (int, 256),
         "grading": (float, cylgrid.GridSpec.grading),
         "step": (float, minimizer.MinimizeOptions.step),
-        "max-iters": (int, minimizer.MinimizeOptions.max_iters),
         "tol": (float, minimizer.MinimizeOptions.tol),
         "init": (str, minimizer.MinimizeOptions.init),
         "init-scale": (float, minimizer.MinimizeOptions.init_scale),

@@ -336,16 +336,15 @@ def cyl_laplacian(grid: CylGrid) -> CylGrid:
     return grid.with_values(out)
 
 
-def gradient_energy(grid: CylGrid, p_exp: float = 2.0) -> float:
-    """Weighted Dirichlet energy
+def gradient_energy(grid: CylGrid) -> float:
+    """Weighted Dirichlet (p = 2) energy
 
-        sigma_k sigma_(n-k) * double sum of |grad U|^p rho^(k-1) r^(n-k-1)
+        sigma_k sigma_(n-k) * double sum of |grad U|^2 rho^(k-1) r^(n-k-1)
 
     over the grid's cell measure; |grad U|^2 = U_rho^2 + U_r^2.
     """
-    p_exp = require_real(p_exp, "p_exp", 1.0, ends="[)")
     measure = grid.measure()
-    return sum(float(np.sum(measure[rows] * grad_sq ** (0.5 * p_exp)))
+    return sum(float(np.sum(measure[rows] * grad_sq))
                for rows, (grad_sq,) in _row_blocks(grid, (_GRAD_SQ,)))
 
 

@@ -63,8 +63,9 @@ class UsageError(HscylError):
 
 
 def _scalar(value) -> bool:
-    """False for bools, text and arrays, which are never one number."""
-    return not isinstance(value, (bool, np.bool_, str, bytes)) and np.ndim(value) == 0
+    """False for bools (0-d bool arrays too), text and arrays: never one number."""
+    return (not isinstance(value, (str, bytes)) and np.ndim(value) == 0
+            and np.asarray(value).dtype != bool)
 
 
 def require_int(value, name: str) -> int:

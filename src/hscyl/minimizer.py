@@ -117,6 +117,7 @@ __all__ = [
 
 INIT_MODES = ("positive-bump", "analytic-extremal")
 ANDERSON_DEPTH = 2  # state and residual differences kept by the flow's mixing
+MAX_ITERS = 4000  # steps a flow may take, read when it runs
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,12 @@ class MinimizeOptions:
     step is the pseudo-time step of the semi-implicit flow; the default is
     large enough that each step is close to nonlinear inverse iteration.
     tol is a relative energy accuracy: the flow stops once the
-    constrained-gradient residual ||d||_M / E is at most sqrt(tol).
+    constrained-gradient residual ||d||_M / E is at most sqrt(tol).  The
+    cap on the number of steps is the module constant MAX_ITERS.
     The options are immutable, so they are checked once, when built
     (``dataclasses.replace`` builds and checks a new set)."""
 
     step: float = 1e4
-    max_iters: int = 4000
     tol: float = 1e-10
     init: str = "positive-bump"
     init_scale: float | None = None  # core scale of the analytic-extremal seed
@@ -145,10 +146,6 @@ class MinimizeOptions:
                 raise ParameterDomainError("init_scale applies only to init='analytic-extremal'")
             object.__setattr__(self, "init_scale",
                                require_real(self.init_scale, "init_scale", 0.0))
-        max_iters = require_int(self.max_iters, "max_iters")
-        if max_iters < 1:
-            raise ParameterDomainError(f"max_iters must be >= 1, got {max_iters}")
-        object.__setattr__(self, "max_iters", max_iters)
         object.__setattr__(self, "tol", require_real(self.tol, "tol", 0.0))
 
 
@@ -346,17 +343,17 @@ class _RadialRayleigh:
 
 def _initial_values(problem, spec: GridSpec, opts: MinimizeOptions):
     grid = problem.grid
+    c = 0.5 * (grid.n - 2)
     if opts.init == "analytic-extremal":
         if problem.s != 1.0:
             raise ParameterDomainError("analytic-extremal seeding is calibrated "
                                        "for s = 1 only")
         core = opts.init_scale if opts.init_scale is not None else spec.rho_max / 200.0
-        profile = lambda rho, r: ((rho + core) ** 2 + r**2) ** (-0.5 * (grid.n - 2))
-    elif grid.k == grid.n:  # positive-bump: sech(t) in w
-        profile = lambda rho, r: 2.0 / ((rho + 1.0 / rho) * rho**problem.c)
-    else:
-        width = spec.rho_max / 10.0
-        profile = lambda rho, r: np.exp(-(rho**2 + r**2) / width**2)
+        profile = lambda rho, r: ((rho + core) ** 2 + r**2) ** -c
+    else:  # positive-bump: sech(log|z|) in w = |z|^c u, for every split
+        def profile(rho, r):
+            z = np.hypot(rho, r)
+            return 2.0 / ((z + 1.0 / z) * z**c)
     return np.where(problem.interior, grid.sampled(profile).values, 0.0)
 
 
@@ -403,7 +400,7 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     ||d||_M / E is at most sqrt(opts.tol); near a nondegenerate minimum
     the energy error is quadratic in that residual, so opts.tol is a
     relative energy accuracy whatever the step.  Raises ConvergenceError
-    (with the partial result attached) when max_iters is exhausted first,
+    (with the partial result attached) when MAX_ITERS steps are taken first,
     or when the step has to be halved below 1e-12 of opts.step.
     """
     opts = opts or MinimizeOptions()
@@ -432,9 +429,9 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
     mixer = _Mixer(problem)
     residual = accepted(it)
     while residual > math.sqrt(opts.tol):
-        if it >= opts.max_iters:
+        if it >= MAX_ITERS:
             raise ConvergenceError(
-                f"no convergence within max_iters = {opts.max_iters}",
+                f"no convergence within MAX_ITERS = {MAX_ITERS} steps",
                 partial=result(),
             )
         it += 1

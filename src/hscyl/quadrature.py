@@ -100,16 +100,14 @@ class QuadratureResult:
 
 
 class _Budget:
-    """Shared evaluation counter for nested adaptive passes; ``limit`` is
-    an integer >= 1, or ParameterDomainError."""
+    """Shared evaluation counter for nested adaptive passes; its limit is
+    DEFAULT_BUDGET as it stands when the counter is built."""
 
     __slots__ = ("used", "limit")
 
-    def __init__(self, limit: int):
+    def __init__(self):
         self.used = 0
-        self.limit = require_int(limit, "budget")
-        if self.limit < 1:
-            raise ParameterDomainError(f"budget must be at least 1, got {self.limit}")
+        self.limit = DEFAULT_BUDGET
 
     def spend(self, n: int):
         """Count n evaluations, or raise before they are made if they would
@@ -327,13 +325,12 @@ def _integrate(pieces, tol, counter, scale: float) -> QuadratureResult:
 
 
 def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
-                     upper: float = math.inf,
-                     budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+                     upper: float = math.inf) -> QuadratureResult:
     """sigma_k * integral_0^upper g(rho) rho^(k-1-s) d rho.
 
     The weight exponent k-1-s stays above -1 because k > s, so the origin
     is integrable and is never sampled.  Divergent tails (or a genuinely
-    non-integrable g) exhaust the budget, an integer >= 1, and raise
+    non-integrable g) exhaust the DEFAULT_BUDGET evaluations and raise
     ConvergenceError.
     """
     k = require_int(k, "k")
@@ -342,15 +339,15 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     s = require_real(s, "s", 0.0, k, "[)")
     upper = require_real(upper, "upper", 0.0, ends="(]")
     tol = require_real(tol, "tol", 0.0)
-    counter = _Budget(budget)
+    counter = _Budget()
     g = _vectorized(g)
     pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
     return _integrate(pieces, 0.5 * tol, counter, sphere_measure(k))
 
 
 def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL, *,
-                          rho_max: float = math.inf, r_max: float = math.inf,
-                          budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+                          rho_max: float = math.inf,
+                          r_max: float = math.inf) -> QuadratureResult:
     """sigma_k sigma_(n-k) * double integral of
     f(rho, r) rho^(k-1-s) r^(n-k-1) over 0 < rho < rho_max, 0 < r < r_max.
 
@@ -370,9 +367,8 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
         if r_max < math.inf:
             raise GridError("k = n leaves no second radial direction, but a finite "
                             "r_max was supplied")
-        return integrate_radial(lambda rho: f(rho, 0.0), k, s, tol,
-                                upper=rho_max, budget=budget)
-    counter = _Budget(budget)
+        return integrate_radial(lambda rho: f(rho, 0.0), k, s, tol, upper=rho_max)
+    counter = _Budget()
     f = _vectorized(f, 2)
 
     def inner(r, _):
@@ -389,8 +385,7 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
 
 
 def singular_newtonian_integral(z, n: int, k: int, s: float,
-                                tol: float = 1e-6, *,
-                                budget: int = DEFAULT_BUDGET) -> QuadratureResult:
+                                tol: float = 1e-6) -> QuadratureResult:
     """Newtonian-kernel integral over the half-radius ball centred at z:
 
         I(z) = integral over {|z - zeta| <= |z|/2} of
@@ -418,7 +413,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     xnorm = float(np.linalg.norm(z[:k]))
     radius = 0.5 * znorm
 
-    counter = _Budget(budget)
+    counter = _Budget()
     # mean of |x - w_x|^(-s) over directions of w_x, for |w_x| = u: flat
     # (its u^(-s) on the axis goes into the outer weight) or peaked
     flat_theta = (s == 0.0) or (xnorm == 0.0)

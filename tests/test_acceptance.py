@@ -12,6 +12,7 @@ equals Lambda).
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -58,7 +59,9 @@ def flow_result(const32):
     spec = GridSpec(rho_max=120.0, r_max=120.0, n_rho=256, n_r=256, grading=1.5)
     opts = MinimizeOptions(init="analytic-extremal", init_scale=0.6, tol=1e-10)
     start = time.perf_counter()
-    result = minimize_rayleigh(3, 2, 1.0, spec, opts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the core must not collapse
+        result = minimize_rayleigh(3, 2, 1.0, spec, opts)
     return result, time.perf_counter() - start
 
 

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from hscyl import MinimizeOptions, UsageError, load_grid
+from hscyl import MinimizeOptions, UsageError, load_grid, minimizer
 from hscyl.cli import _SUBCOMMANDS, main, parse_args, run
 
 
@@ -35,9 +35,8 @@ def test_parse_args_config_file_with_override(tmp_path):
 def test_minimize_defaults_are_the_library_defaults():
     params = parse_args(["minimize"]).parameters
     opts = MinimizeOptions()
-    assert (params["step"], params["max-iters"], params["tol"], params["init"],
-            params["init-scale"]) == (opts.step, opts.max_iters, opts.tol,
-                                      opts.init, opts.init_scale)
+    assert (params["step"], params["tol"], params["init"],
+            params["init-scale"]) == (opts.step, opts.tol, opts.init, opts.init_scale)
 
 
 def test_boolean_flags():
@@ -160,13 +159,16 @@ def test_rejected_parameters_leave_no_manifest(tmp_path, capsys, args):
     assert not (out / "manifest.json").exists()
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["constant", "--n", "two"]) == 1
+    # the step cap is the constant minimizer.MAX_ITERS, not a flag
+    assert main(["minimize", "--max-iters", "5",
+                 "--output-dir", str(tmp_path / "g")]) == 1
     assert main(["exponents", "--n", "2", "--k", "2",
                  "--output-dir", str(tmp_path / "a")]) == 2
+    monkeypatch.setattr(minimizer, "MAX_ITERS", 1)
     assert main(["minimize", "--n-rho", "32", "--n-r", "32", "--rho-max", "30",
-                 "--r-max", "30", "--max-iters", "1",
-                 "--output-dir", str(tmp_path / "b")]) == 3
+                 "--r-max", "30", "--output-dir", str(tmp_path / "b")]) == 3
     assert main(["minimize", "--tol", "inf", "--output-dir", str(tmp_path / "c")]) == 2
     assert main(["minimize", "--init", "positive-bump", "--init-scale", "0.6",
                  "--output-dir", str(tmp_path / "f")]) == 2
@@ -374,7 +376,7 @@ def test_plot_escapes_its_labels(tmp_path):
 @pytest.mark.parametrize("ys", [(2, 5, 8), (2.23, 3.0, 3.76), (0.5, 20, 300)])
 def test_log_axis_without_a_power_of_ten_gets_ticks(tmp_path, ys):
     # a log y range holding no power of ten is labelled by linear steps
-    # inside it, as the README's energy history (2.23 to 3.76) needs; one
+    # inside it, as the README's energy history (2.23 to 2.97) needs; one
     # holding two or more is labelled at those powers alone
     table = tmp_path / "decade.csv"
     table.write_text("step,value\n" + "".join(f"{i},{y}\n" for i, y in enumerate(ys)))

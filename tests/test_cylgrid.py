@@ -275,7 +275,7 @@ def test_row_block_seams_match_dense_operators(monkeypatch, layout):
                   <= SEAM_REL * (lap_scale + np.abs(source)))
 
     energy = float(np.sum(g.measure() * sum(d**2 for d in d1s)))
-    assert abs(gradient_energy(g, 2.0) - energy) <= SEAM_REL * np.sum(g.measure() * grad_scale)
+    assert abs(gradient_energy(g) - energy) <= SEAM_REL * np.sum(g.measure() * grad_scale)
 
     if u.ndim == 2:
         params = ShiftedQuadraticParams(a=2, b=1, lam=1.3, alpha=0.4, beta=0.6)
@@ -308,13 +308,13 @@ def test_measure_sums_to_weighted_box_area(n, k, layout):
 def test_gradient_energy_of_sobolev_bubble():
     g = build_grid(3, 2, 400.0, 400.0, 512, 512, grading=2.0)
     g = g.sampled(lambda rho, r: (1.0 + rho**2 + r**2) ** -0.5)
-    assert gradient_energy(g, 2.0) == pytest.approx(3.0 * PI2 / 4.0, rel=0.01)
+    assert gradient_energy(g) == pytest.approx(3.0 * PI2 / 4.0, rel=0.01)
 
 
 def test_gradient_energy_constant_zero():
     g = build_grid(3, 2, 10.0, 10.0, 24, 24, grading=2.0)
     g = g.sampled(lambda rho, r: np.full_like(rho + r, 3.7))
-    assert gradient_energy(g, 2.0) == pytest.approx(0.0, abs=1e-18)
+    assert gradient_energy(g) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_gradient_energy_of_extremal_matches_quadrature(const32, extremal32):
@@ -332,7 +332,7 @@ def test_gradient_energy_of_extremal_matches_quadrature(const32, extremal32):
     assert reference.value == pytest.approx(const32.Lambda, rel=1e-9)
 
     g = build_grid(3, 2, 300.0, 300.0, 512, 512, grading=2.0).sampled(extremal32)
-    assert gradient_energy(g, 2.0) == pytest.approx(reference.value, rel=0.02)
+    assert gradient_energy(g) == pytest.approx(reference.value, rel=0.02)
 
 
 def test_gradient_energy_dilation_invariance():
@@ -341,16 +341,9 @@ def test_gradient_energy_dilation_invariance():
 
     t = 2.0
     g = build_grid(3, 2, 300.0, 300.0, 400, 400, grading=2.0)
-    e_base = gradient_energy(g.sampled(base), 2.0)
-    e_scaled = gradient_energy(
-        g.sampled(lambda rho, r: t**0.5 * base(t * rho, t * r)), 2.0)
+    e_base = gradient_energy(g.sampled(base))
+    e_scaled = gradient_energy(g.sampled(lambda rho, r: t**0.5 * base(t * rho, t * r)))
     assert e_scaled == pytest.approx(e_base, rel=0.02)
-
-
-def test_gradient_energy_validation():
-    g = build_grid(3, 2, 10.0, 10.0, 24, 24, grading=2.0)
-    with pytest.raises(ParameterDomainError):
-        gradient_energy(g, 0.5)
 
 
 def test_el_residual_harmonic_case():

@@ -16,6 +16,7 @@ from hscyl import (
     singular_newtonian_integral,
     sphere_measure,
 )
+from hscyl import quadrature
 from hscyl.quadrature import _adaptive, _Budget, _exact
 
 PI2 = math.pi**2
@@ -34,18 +35,19 @@ def test_radial_three_dimensional_case():
     assert res.value == pytest.approx(PI2, rel=1e-9)
 
 
-def test_radial_divergent_integrand_errors():
+def test_radial_divergent_integrand_errors(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 200_000)
     with pytest.raises(ConvergenceError):
-        integrate_radial(lambda rho: np.ones_like(rho), 2, 0.0, tol=1e-10,
-                         budget=200_000)
+        integrate_radial(lambda rho: np.ones_like(rho), 2, 0.0, tol=1e-10)
 
 
-def test_budget_exhaustion_carries_the_partial_result():
+def test_budget_exhaustion_carries_the_partial_result(monkeypatch):
     # the kink at rho = 0.3 leaves the first four panels open, so the
     # split spends past the budget with a partial sum in hand; the result
     # is sigma_1 = 2 times the integral of |rho - 0.3| over [0, 1] = 0.29
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 100)
     with pytest.raises(ConvergenceError, match="budget") as info:
-        integrate_radial(lambda rho: np.abs(rho - 0.3), 1, 0.0, upper=1.0, budget=100)
+        integrate_radial(lambda rho: np.abs(rho - 0.3), 1, 0.0, upper=1.0)
     partial = info.value.partial
     assert isinstance(partial, QuadratureResult)
     assert partial.evaluations <= 100
@@ -64,20 +66,21 @@ def _lorentzian_sq(rho, r):
 
 
 @pytest.mark.parametrize("run, exact, budget", [
-    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 100),
-    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 50),
-    (lambda b: integrate_radial(_kinked_tail, 1, 0.0, budget=b), KINKED_TAIL, 569),
-    (lambda b: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0, budget=b), PI2, 3000),
-    (lambda b: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0, budget=b), PI2, 9975),
+    (lambda: integrate_radial(_kinked_tail, 1, 0.0), KINKED_TAIL, 100),
+    (lambda: integrate_radial(_kinked_tail, 1, 0.0), KINKED_TAIL, 50),
+    (lambda: integrate_radial(_kinked_tail, 1, 0.0), KINKED_TAIL, 569),
+    (lambda: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0), PI2, 3000),
+    (lambda: integrate_cylindrical(_lorentzian_sq, 3, 2, 1.0), PI2, 9975),
 ], ids=["radial-second-pass", "radial-first-pass", "radial-last-pass",
         "cylindrical-first-pass", "cylindrical-outer-head-done"])
-def test_budget_partial_is_the_whole_integral_so_far(run, exact, budget):
+def test_budget_partial_is_the_whole_integral_so_far(monkeypatch, run, exact, budget):
     # the partial is in the result's units (sigma applied) and its error
     # estimate covers every piece, an infinite one while a piece of the
     # range is unreached: the semi-infinite tail (rho > 1 or r > 1) here,
     # except when the budget is one short of the 570 the radial run needs
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", budget)
     with pytest.raises(ConvergenceError, match="budget") as info:
-        run(budget)
+        run()
     partial = info.value.partial
     assert isinstance(partial, QuadratureResult)
     assert partial.evaluations <= budget
@@ -136,11 +139,11 @@ def test_batched_adaptive_matches_separate_runs():
         return np.choose(j, [x * x, np.sqrt(np.abs(x)),
                              1.0 / ((x - 0.3) ** 2 + 1e-12), np.cos(x / 0.3)])
 
-    batch_budget = _Budget(10**7)
+    batch_budget = _Budget()
     values, errors = _adaptive(_exact(family), a, b, 1e-10, batch_budget)
     used = 0
     for i in range(a.size):
-        budget = _Budget(10**7)
+        budget = _Budget()
         value, error = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
                                  a[i:i + 1], b[i:i + 1], 1e-10, budget)
         assert values[i] == value[0]
@@ -162,7 +165,7 @@ def test_non_finite_integrand_raises_with_its_abscissa():
         return np.where(x > 0.6, math.nan, 1.0)
 
     with pytest.raises(SingularityError, match="nan at abscissa") as info:
-        _adaptive(_exact(f), np.array([0.0]), np.array([1.0]), 1e-10, _Budget(10**7))
+        _adaptive(_exact(f), np.array([0.0]), np.array([1.0]), 1e-10, _Budget())
     assert repr(float(min(seen))) in str(info.value)
     with pytest.raises(SingularityError):
         integrate_radial(lambda rho: np.where(rho > 2.0, math.nan, 1.0 / (1.0 + rho**4)),
@@ -267,12 +270,13 @@ def test_cylindrical_degenerate_domain_errors():
                          upper=2.0).value, rel=1e-14)
 
 
-def test_budget_doubling_never_raises_error_estimate():
+def test_budget_doubling_never_raises_error_estimate(monkeypatch):
     def f(rho, r):
         return (1.0 + rho**2 + r**2) ** -2.0
 
-    small = integrate_cylindrical(f, 3, 2, 0.5, tol=1e-9, budget=5 * 10**6)
-    large = integrate_cylindrical(f, 3, 2, 0.5, tol=1e-9, budget=10**7)
+    large = integrate_cylindrical(f, 3, 2, 0.5, tol=1e-9)
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", quadrature.DEFAULT_BUDGET // 2)
+    small = integrate_cylindrical(f, 3, 2, 0.5, tol=1e-9)
     assert large.error_estimate <= small.error_estimate
 
 

@@ -30,10 +30,13 @@ integrand) carries the whole integral so far as its ``partial``, with an
 infinite error estimate while a piece of the range is still unreached.
 Nested integrals run as batches: each pass of an outer integral computes
 the inner integrals at all of its new abscissae in one adaptive loop, in
-which every integral follows the refinement rule of a lone run.
+which every integral follows the refinement rule of a lone run at its own
+tolerance.  The Newtonian integral's two inner integrals, the angular
+mean and the v integral, share one such loop.
 Each integral's first pass is small, four panels (two on a sinh-mapped
 peak), because a nested batch pays it once per outer node; refinement
-then splits only the panels that need it.
+then splits only the panels that need it.  A result counts the adaptive
+passes it made, nested ones included, besides its integrand evaluations.
 """
 
 from __future__ import annotations
@@ -91,30 +94,35 @@ _W_G[1:15:2] = np.concatenate((_WG[:-1], _WG[::-1]))         # Gauss subset
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value of an integral, the error bound the routine believes, and the
-    number of integrand evaluations spent obtaining it."""
+    """Value of an integral, the error bound the routine believes, the
+    number of integrand evaluations spent obtaining it and the number of
+    adaptive passes (panel evaluations) that spent them, nested ones
+    included."""
 
     value: float
     error_estimate: float
     evaluations: int
+    passes: int
 
 
 class _Budget:
-    """Shared evaluation counter for nested adaptive passes; its limit is
-    DEFAULT_BUDGET as it stands when the counter is built."""
+    """Shared evaluation and pass counter for nested adaptive passes; its
+    limit is DEFAULT_BUDGET as it stands when the counter is built."""
 
-    __slots__ = ("used", "limit")
+    __slots__ = ("used", "passes", "limit")
 
     def __init__(self):
         self.used = 0
+        self.passes = 0
         self.limit = DEFAULT_BUDGET
 
     def spend(self, n: int):
-        """Count n evaluations, or raise before they are made if they would
-        pass the limit."""
+        """Count one pass of n evaluations, or raise before they are made
+        if they would pass the limit."""
         if self.used + n > self.limit:
             raise ConvergenceError(f"quadrature evaluation budget {self.limit} exhausted")
         self.used += n
+        self.passes += 1
 
 
 def _vectorized(f, nargs: int = 1):
@@ -152,25 +160,26 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget):
     c = 0.5 * (rights + lefts)
     pts = (c[:, None] + h[:, None] * _NODES[None, :]).ravel()
     budget.spend(pts.size)
-    vals, side = fvec(pts, np.repeat(owner, _NODES.size))
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        raise SingularityError(f"integrand is {float(vals[bad[0]])} at abscissa "
-                               f"{float(pts[bad[0]])!r}")
+    vals, side = fvec(pts, owner.repeat(_NODES.size))
+    if not np.isfinite(vals).all():
+        bad = np.flatnonzero(~np.isfinite(vals))[0]
+        raise SingularityError(f"integrand is {float(vals[bad])} at abscissa "
+                               f"{float(pts[bad])!r}")
     vals = vals.reshape(-1, _NODES.size)
     side = side.reshape(-1, _NODES.size)
     # fixed-order row sums, not a matrix product: a BLAS product rounds a
     # row differently depending on the batch it sits in
-    i_k = (vals * _W_K).sum(axis=1) * h
-    i_g = (vals * _W_G).sum(axis=1) * h
-    err = np.abs(i_k - i_g) + (np.abs(side) * _W_K).sum(axis=1) * np.abs(h)
+    i_k = np.add.reduce(vals * _W_K, axis=1) * h
+    i_g = np.add.reduce(vals * _W_G, axis=1) * h
+    err = np.abs(i_k - i_g) + np.add.reduce(np.abs(side) * _W_K, axis=1) * np.abs(h)
     return i_k, err
 
 
 def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     """Globally adaptive GK15 on the independent intervals [a[i], b[i]],
-    each integral to an error of ``tol`` times its own magnitude or its
-    absolute ``floor[i]``, whichever is larger.
+    each integral to an error of ``tol[i]`` times its own magnitude or its
+    absolute ``floor[i]``, whichever is larger (a scalar ``tol`` or
+    ``floor`` holds for all of them).
 
     Each integral starts on ``first_panels`` equal panels and then
     splits its worst ones until it meets its target.  A nested batch pays
@@ -181,9 +190,9 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     integral that abscissa x[j] belongs to; carried errors (e.g. from an
     inner integral) are folded into each panel's error estimate.  Every
-    integral follows the refinement rule of a lone run, and each pass
-    evaluates the new panels of all integrals still open in one call.
-    Returns the arrays (values, error_estimates).
+    integral follows the refinement rule of a lone run at its own
+    tolerance, and each pass evaluates the new panels of all integrals
+    still open in one call.  Returns the arrays (values, error_estimates).
 
     A ConvergenceError leaves with ``partial`` set to these arrays as they
     stood after the last complete pass: an open integral holds the sum of
@@ -192,9 +201,12 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     covers the panels whose evaluation failed.
     """
     values, errors = np.zeros(a.size), np.full(a.size, math.inf)
-    floor = np.broadcast_to(floor, a.shape)
-    min_width = 64.0 * np.finfo(float).eps * (b - a)
-    edges = np.linspace(a, b, first_panels + 1, axis=-1)
+    tol, floor = np.full(a.size, tol), np.full(a.size, floor)
+    span = b - a
+    min_width = 64.0 * np.finfo(float).eps * span
+    # equal panels, as np.linspace computes them, with the last edge exactly b
+    edges = np.arange(first_panels + 1) * (span / first_panels)[:, None] + a[:, None]
+    edges[:, -1] = b
     new_l, new_r = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     new_o = np.repeat(np.arange(a.size), first_panels)
     panels, owner = np.empty((4, 0)), new_o[:0]
@@ -208,17 +220,20 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         # per integral: its unsplit panels, then the left and right halves,
         # the order a lone run holds them in, so the sums below are its sums
         owner = np.concatenate((owner, new_o))
-        regroup = np.argsort(owner, kind="stable")
+        regroup = owner.argsort(kind="stable")
         owner = owner[regroup]
-        panels = np.hstack((panels, (new_l, new_r, new_v, new_e)))[:, regroup]
+        panels = np.concatenate((panels, (new_l, new_r, new_v, new_e)), axis=1)[:, regroup]
         lefts, rights, vals, errs = panels
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        first = np.empty(owner.size, dtype=bool)       # each integral's first panel
+        first[0] = True
+        np.not_equal(owner[1:], owner[:-1], out=first[1:])
+        starts = first.nonzero()[0]
         ids = owner[starts]
-        count = np.diff(starts, append=owner.size)
-        seg = np.repeat(np.arange(ids.size), count)
+        seg = first.cumsum() - 1
+        count = np.bincount(seg)
         total = np.add.reduceat(vals, starts)
         total_err = np.add.reduceat(errs, starts)
-        target = np.maximum(tol * np.abs(total), floor[ids])
+        target = np.maximum(tol[ids] * np.abs(total), floor[ids])
         met = (total_err <= target) | (total_err == 0.0)
         order = np.lexsort((-errs, owner))                # worst panel first
         rank = np.arange(owner.size) - starts[seg]
@@ -229,7 +244,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         splitting = np.bincount(seg[pick], minlength=ids.size) > 0
         # final for the integrals that met their target, partial for the rest
         values[ids], errors[ids] = total, total_err
-        if np.any((rights[worst] - lefts[worst]) < min_width[owner[worst]]):
+        if ((rights[worst] - lefts[worst]) < min_width[owner[worst]]).any():
             raise ConvergenceError(
                 "quadrature cannot resolve integrand (panel width underflow)",
                 partial=(values, errors))
@@ -245,15 +260,18 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
 
 def _peaked(f, width, upper, tol, budget: _Budget):
     """Integrals of f(x, j) over [0, upper[j]] for a batch of integrands
-    that peak at x = 0, each with its own width[j]; returns the arrays
-    (values, error_estimates).
+    that peak at x = 0, each with its own width[j] and, when ``tol`` is an
+    array, its own tolerance tol[j]; returns the arrays (values,
+    error_estimates).  One batch may hold integrals of different kinds,
+    with f sending each owner j to its own integrand: the Newtonian
+    integral's angular and v integrals run as one batch that way.
 
     x = width[j] sinh(xi) spreads a peak of any width over a fixed range
     of xi and grows only logarithmically in upper/width, so one adaptive
     run resolves narrow and wide peaks alike (the sinh transformation for
     nearly singular integrals, Johnston & Elliott 2005).
     """
-    if np.any(width < np.finfo(float).tiny):
+    if (width < np.finfo(float).tiny).any():
         raise ConvergenceError("quadrature cannot resolve a peak whose width "
                                "underflows (an outer map underflowed)")
     return _adaptive(
@@ -316,7 +334,8 @@ def _integrate(pieces, tol, counter, scale: float) -> QuadratureResult:
     """``scale`` times the sum of the pieces for one integral; a
     ConvergenceError leaves with the same form of the sum so far."""
     def result(value, err):
-        return QuadratureResult(scale * float(value[0]), scale * float(err[0]), counter.used)
+        return QuadratureResult(scale * float(value[0]), scale * float(err[0]),
+                                counter.used, counter.passes)
     try:
         return result(*_integrate_segments(pieces, tol, counter))
     except ConvergenceError as exc:
@@ -397,11 +416,12 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     over the directions of w_x, and u^(k-2) times the integral of the
     kernel over v (1 when k = n).  Both inner integrands peak at 0, with
     widths c/sqrt(u|x|) (c = |u - |x||) and u, and both run through the
-    sinh peak map of ``_peaked``.  The outer weight is u, or u^(1-s) on
-    the axis x = 0, where the mean is a constant times u^(-s).  When the
-    slice u = |x| lies inside the ball the mean has a cusp, log or pole
-    there, so the outer range is split at the slice and each side runs in
-    its distance c from it.  I scales like |z|^(2-s).
+    sinh peak map of ``_peaked``, as one batch per outer pass.  The outer
+    weight is u, or u^(1-s) on the axis x = 0, where the mean is a
+    constant times u^(-s).  When the slice u = |x| lies inside the ball
+    the mean has a cusp, log or pole there, so the outer range is split at
+    the slice and each side runs in its distance c from it.  I scales like
+    |z|^(2-s).
     """
     n, k = require_split(n, k)
     s = require_real(s, "s", 0.0, min(k, 2), "[)")
@@ -419,12 +439,10 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     flat_theta = (s == 0.0) or (xnorm == 0.0)
     theta_mean = sphere_measure(k) / sphere_measure(k - 1)
 
-    def theta_integral(u, c):
-        """integral over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s) at each
-        |w_x| = u, a distance c = |u - |x|| from the slice, as (values,
-        errors)."""
-        if flat_theta:
-            return np.full_like(u, theta_mean), np.zeros_like(u)
+    def theta_peak(u, c):
+        """The integrals over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s)
+        / c^(-s) at each |w_x| = u, a distance c = |u - |x|| from the
+        slice, as the (integrand, width, upper, tol) of a _peaked batch."""
         width = c / np.sqrt(u * xnorm)
 
         def kernel(th, j):
@@ -432,15 +450,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             # |x - w_x|^2 = c^2 (1 + (2 sin(theta/2) / width)^2)
             kern = np.hypot(1.0, 2.0 * np.sin(0.5 * th) / width[j]) ** -s
             return kern * np.sin(th) ** (k - 2) if k > 2 else kern
-        mean, err = _peaked(kernel, width, np.full_like(u, math.pi), 0.1 * tol, counter)
-        # times c^(-s), in an order in which a tiny c overflows nothing
-        return mean / c * c ** (1.0 - s), err / c * c ** (1.0 - s)
+        return kernel, width, np.full_like(u, math.pi), 0.1 * tol
 
-    def v_integral(u):
-        """u^(k-2) times the integral of |w|^(2-n) v^(n-k-1) over v at
-        each u, as (values, errors); 1 when there is no y factor."""
-        if k == n:
-            return np.ones_like(u), np.zeros_like(u)
+    def v_peak(u):
+        """u^(k-2) times the integrals of |w|^(2-n) v^(n-k-1) over v at
+        each u, as the (integrand, width, upper, tol) of a _peaked batch."""
         vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
 
         def f(v, j):
@@ -449,13 +463,38 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             t = v / u[j]
             hyp = np.hypot(1.0, t)
             return (t / hyp) ** (n - k - 1.0) * hyp ** (1.0 - k) / u[j]
-        return _peaked(f, u, vmax, tol / 6.0, counter)
+        return f, u, vmax, tol / 6.0
 
     # iterate over the two radial factors of w directly, so the angular
     # mean (the expensive piece) is evaluated once per u node
     def outer_g(u, c):
-        mean, err_t = theta_integral(u, c)
-        vol, err_v = v_integral(u)
+        # a flat mean is theta_mean, and the v factor is 1 when k = n
+        mean, err_t = np.full_like(u, theta_mean), np.zeros_like(u)
+        vol, err_v = np.ones_like(u), np.zeros_like(u)
+        if not flat_theta and k < n:
+            # one batch: the mean's integrals own [0, m), the v ones [m, 2m)
+            m = u.size
+            (kernel, width_t, upper_t, tol_t), (f, width_v, upper_v, tol_v) = (
+                theta_peak(u, c), v_peak(u))
+
+            def both(x, j):
+                out = np.empty_like(x)
+                lo = j < m
+                out[lo] = kernel(x[lo], j[lo])
+                hi = ~lo
+                out[hi] = f(x[hi], j[hi] - m)
+                return out
+            vals, errs = _peaked(both, np.concatenate((width_t, width_v)),
+                                 np.concatenate((upper_t, upper_v)),
+                                 np.repeat((tol_t, tol_v), m), counter)
+            mean, vol, err_t, err_v = vals[:m], vals[m:], errs[:m], errs[m:]
+        elif not flat_theta:
+            mean, err_t = _peaked(*theta_peak(u, c), counter)
+        elif k < n:
+            vol, err_v = _peaked(*v_peak(u), counter)
+        if not flat_theta:
+            # times c^(-s), in an order in which a tiny c overflows nothing
+            mean, err_t = mean / c * c ** (1.0 - s), err_t / c * c ** (1.0 - s)
         return mean * vol, np.abs(mean) * err_v + np.abs(vol) * err_t + err_t * err_v
 
     if flat_theta or xnorm >= radius:

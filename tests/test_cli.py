@@ -319,7 +319,7 @@ def test_minimize_determinism(tmp_path):
     import warnings
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(args + ["--output-dir", str(tmp_path / "r1")]) == 0
         assert main(args + ["--output-dir", str(tmp_path / "r2")]) == 0
     for name in ("summary.json", "history.csv", "minimizer.csv", "manifest.json"):

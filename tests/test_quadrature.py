@@ -131,7 +131,7 @@ def test_batched_adaptive_matches_separate_runs():
     # x^2 converges on its first pass, sqrt(x) and the narrow Lorentzian
     # refine deeply; a batch must give each integral its lone-run answer
     # and error estimate bit for bit, and spend exactly the evaluations of
-    # the lone runs together
+    # the lone runs together, with one tolerance for all or one each
     a = np.array([0.0, 0.0, -1.0, 0.5])
     b = np.array([1.0, 2.0, 1.0, 3.0])
 
@@ -139,20 +139,40 @@ def test_batched_adaptive_matches_separate_runs():
         return np.choose(j, [x * x, np.sqrt(np.abs(x)),
                              1.0 / ((x - 0.3) ** 2 + 1e-12), np.cos(x / 0.3)])
 
-    batch_budget = _Budget()
-    values, errors = _adaptive(_exact(family), a, b, 1e-10, batch_budget)
-    used = 0
-    for i in range(a.size):
-        budget = _Budget()
-        value, error = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
-                                 a[i:i + 1], b[i:i + 1], 1e-10, budget)
-        assert values[i] == value[0]
-        assert errors[i] == error[0]
-        used += budget.used
-    assert batch_budget.used == used
+    answers = {}
+    for tol in (1e-10, np.array([1e-10, 1e-5, 1e-10, 1e-5])):
+        batch_budget = _Budget()
+        values, errors = _adaptive(_exact(family), a, b, tol, batch_budget)
+        used = 0
+        for i in range(a.size):
+            budget = _Budget()
+            value, error = _adaptive(_exact(lambda x, j: family(x, np.full_like(j, i))),
+                                     a[i:i + 1], b[i:i + 1], np.broadcast_to(tol, 4)[i],
+                                     budget)
+            assert values[i] == value[0]
+            assert errors[i] == error[0]
+            used += budget.used
+        assert batch_budget.used == used
+        answers[np.ndim(tol)] = values
+    # the loose tolerance stops sqrt(x) early; the tight ones change nothing
+    assert answers[0][1] != answers[1][1]
+    assert answers[0][2] == answers[1][2]
+    values = answers[0]
     assert values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert values[2] == pytest.approx(
         (math.atan(0.7 / 1e-6) + math.atan(1.3 / 1e-6)) / 1e-6, rel=1e-10)
+
+
+def test_passes_count_every_adaptive_pass():
+    # rho^2 on [0, 1] is 2 w^5 after rho = w^2, which GK15 integrates
+    # exactly on the first four panels: one pass of 60 evaluations; the
+    # cylindrical case adds one inner batch for the 60 outer nodes
+    res = integrate_radial(lambda rho: rho**2, 1, 0.0, upper=1.0)
+    assert res.value == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert (res.evaluations, res.passes) == (60, 1)
+    res = integrate_cylindrical(lambda rho, r: rho**2 * r, 3, 2, 0.0,
+                                rho_max=1.0, r_max=1.0)
+    assert (res.evaluations, res.passes) == (60 + 60 * 60, 2)
 
 
 def test_non_finite_integrand_raises_with_its_abscissa():
@@ -411,6 +431,37 @@ def test_newtonian_slice_inside_ball(z, s, ref):
     res = singular_newtonian_integral(np.array(z), 3, 2, s)
     assert res.value == pytest.approx(ref, rel=1e-6)
     assert res.error_estimate >= abs(res.value - ref)
+
+
+@pytest.mark.parametrize("budget, side", [(10_000, "inside"), (50_000, "outside")])
+def test_newtonian_budget_partial_beside_the_slice(monkeypatch, budget, side):
+    # the outer range runs first over u < |x| (25920 evaluations here),
+    # then over u > |x| (61410 in all): a budget of 10^4 stops on the
+    # inner side, with the outer side unreached, and 5*10^4 on the outer
+    # one, where the partial's finite error estimate must cover the error
+    ref = 6.534258322
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", budget)
+    panel_eval, passes = quadrature._panel_eval, []
+
+    def counted(*args):
+        out = panel_eval(*args)
+        passes.append(1)
+        return out
+
+    monkeypatch.setattr(quadrature, "_panel_eval", counted)
+    with pytest.raises(ConvergenceError, match="budget") as info:
+        singular_newtonian_integral(np.array([0.3, 0.0, 1.0]), 3, 2, 1.0)
+    partial = info.value.partial
+    assert isinstance(partial, QuadratureResult)
+    if side == "inside":
+        assert partial.evaluations <= budget < 25920
+    else:
+        assert 25920 < partial.evaluations <= budget
+    # the finished passes and the outer one whose inner batch ran out,
+    # since that pass's own evaluations are spent and counted
+    assert partial.passes == len(passes) + 1
+    assert abs(partial.value - ref) <= partial.error_estimate
+    assert math.isfinite(partial.error_estimate) == (side == "outside")
 
 
 @pytest.mark.parametrize("s", [1.75, 1.98])

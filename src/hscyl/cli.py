@@ -226,6 +226,7 @@ def _run_quadrature(p: dict, out: Path) -> list:
         ("relative_error", rel, "", "cross-check"),
         ("error_estimate", quad.error_estimate, "", oracle),
         ("evaluations", quad.evaluations, "", "integrand evaluations"),
+        ("passes", quad.passes, "", "adaptive passes"),
     ]
     _write_row(out / "comparison.csv", records)
     return records

@@ -19,7 +19,13 @@ node, and one map, x = width sinh(xi), puts a fixed number of panels
 across any of those peaks (``_peaked``).  The outer range is split at the
 slice u = |x|, where the angular mean is singular, and each side runs in
 its distance from the slice; on the axis x = 0 the mean's u^(-s) joins the
-outer weight.
+outer weight.  At the ball's edge u = R the v range shrinks like
+sqrt(R^2 - u^2), so the outer integrand ends in (R - u)^((n-k)/2).  For
+odd n - k that half-integer power stalls refinement at the edge, so the
+outer piece that ends there runs in tau, with its variable x on [a, b] at
+x = b - (b - a)(1 - tau)^2 (``_edge_map``); R - u is linear in b - x at
+the edge, so the power becomes polynomial in tau.  For even n - k, and for
+k = n, the end is smooth and the map would only cost passes.
 
 Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
@@ -308,6 +314,22 @@ def _radial_segments(g2, weight_pow: float, upper: float):
     return pieces
 
 
+def _edge_map(piece):
+    """The piece (fvec, a, b) in tau on [0, 1], with x = b - (b - a)(1 - tau)^2,
+    so an endpoint behaviour (b - x)^(j/2) becomes polynomial in tau.
+
+    x is formed as a + (b - a) tau (2 - tau), which keeps x - a accurate
+    as tau -> 0, where a may be a singular point of its own."""
+    fvec, a, b = piece
+    span = b - a
+
+    def mapped(tau, owner):
+        vals, errs = fvec(a + span * (tau * (2.0 - tau)), owner)
+        jac = 2.0 * span * (1.0 - tau)
+        return vals * jac, errs * jac
+    return mapped, 0.0, 1.0
+
+
 def _integrate_segments(pieces, tol, counter, m: int = 1):
     """Sum of the pieces, for each of m integrals that share them.
 
@@ -420,8 +442,12 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     weight is u, or u^(1-s) on the axis x = 0, where the mean is a
     constant times u^(-s).  When the slice u = |x| lies inside the ball
     the mean has a cusp, log or pole there, so the outer range is split at
-    the slice and each side runs in its distance c from it.  I scales like
-    |z|^(2-s).
+    the slice and each side runs in its distance c from it.  At the ball's
+    edge u -> R the v range sqrt(R^2 - u^2) leaves the outer integrand
+    behaving like (R - u)^((n-k)/2); for odd n - k the piece that ends
+    there is mapped by x = b - (b - a)(1 - tau)^2, which turns that
+    half-integer power into a polynomial in tau.  Even n - k and k = n
+    need no map.  I scales like |z|^(2-s).
     """
     n, k = require_split(n, k)
     s = require_real(s, "s", 0.0, min(k, 2), "[)")
@@ -516,5 +542,8 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             return fvec, 0.0, 1.0
 
         pieces = [side(xnorm, -1.0), side(radius - xnorm, 1.0)]
+    if (n - k) % 2:
+        # the last piece ends at u = R in (R - u)^((n-k)/2)
+        pieces[-1] = _edge_map(pieces[-1])
     return _integrate(pieces, tol / 3.0, counter,
                       sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0))

@@ -218,7 +218,7 @@ def test_quadrature_subcommand(tmp_path):
     assert summary["relative_error"] < 1e-8
     rows = (out / "comparison.csv").read_text().splitlines()
     assert rows[0] == ("identity,closed_form,quadrature,relative_error,"
-                       "error_estimate,evaluations")
+                       "error_estimate,evaluations,passes")
     assert len(rows) == 2
 
     out = tmp_path / "radial"
@@ -228,6 +228,7 @@ def test_quadrature_subcommand(tmp_path):
     assert summary["closed_form"] == pytest.approx(math.pi**2 / 2.0, rel=1e-12)
     assert summary["relative_error"] <= 1e-8
     assert summary["evaluations"] > 0
+    assert 0 < summary["passes"] <= summary["evaluations"] // 15
 
 
 def test_verify_extremal_subcommand(tmp_path):

@@ -165,6 +165,8 @@ def _write_json(path: Path, payload, sort_keys: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_exponents(p: dict, out: Path) -> list:
+    if p["q"] is not None and p["gamma"] is None:
+        raise UsageError("--q needs --gamma: q is tested against gamma's mass window")
     ctx = expo.ExponentContext(n=p["n"], k=p["k"], p=p["p"], s=p["s"])
     ok = expo.admissible(ctx)
     records = [("admissible", ok, "", "window predicate")]
@@ -208,6 +210,8 @@ def _run_quadrature(p: dict, out: Path) -> list:
         z[0] = p["x-norm"]
         if k < n:
             z[k] = p["y-norm"]
+        elif k == n and p["y-norm"] != 0.0:
+            raise UsageError("--y-norm must be 0 when k = n: the point has no y factor")
         quad = quadrature.singular_newtonian_integral(z, n, k, p["s"], tol=tol)
         if p["s"] == 0.0:
             znorm = float(np.linalg.norm(z))
@@ -391,7 +395,7 @@ def _run_plot(p: dict, out: Path) -> list:
         # grid dump: plot the profile along the first r row
         r_min = data[:, 1].min()
         rows = data[data[:, 1] == r_min]
-        series = [(rows[:, 0], rows[:, 2], "value(rho)")]
+        x, y, label = rows[:, 0], rows[:, 2], "value(rho)"
         xlabel, ylabel = "rho", "value"
     else:
         x_col = p["x-col"] or header[0]
@@ -400,9 +404,9 @@ def _run_plot(p: dict, out: Path) -> list:
             xi, yi = header.index(x_col), header.index(y_col)
         except ValueError:
             raise UsageError(f"columns {x_col!r}/{y_col!r} not in {header}")
-        series = [(data[:, xi], data[:, yi], y_col)]
+        x, y, label = data[:, xi], data[:, yi], y_col
         xlabel, ylabel = x_col, y_col
-    render_line_plot(series, p["output"], log_x=p["log-x"], log_y=p["log-y"],
+    render_line_plot(x, y, p["output"], label=label, log_x=p["log-x"], log_y=p["log-y"],
                      title=p["title"], xlabel=xlabel, ylabel=ylabel)
     return [("plot", str(p["output"]), "", "")]
 

@@ -37,8 +37,10 @@ infinite error estimate while a piece of the range is still unreached.
 Nested integrals run as batches: each pass of an outer integral computes
 the inner integrals at all of its new abscissae in one adaptive loop, in
 which every integral follows the refinement rule of a lone run at its own
-tolerance.  The Newtonian integral's two inner integrals, the angular
-mean and the v integral, share one such loop.
+tolerance and is summed in a lone run's order, so a batch gives each
+integral its lone-run value bit for bit.  A batch may hold integrals of
+several kinds (``_peaked``): each Newtonian outer pass makes one batch of
+the inner integrals it has, the angular mean and the v integral.
 Each integral's first pass is small, four panels (two on a sinh-mapped
 peak), because a nested batch pays it once per outer node; refinement
 then splits only the panels that need it.  A result counts the adaptive
@@ -198,7 +200,9 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
     inner integral) are folded into each panel's error estimate.  Every
     integral follows the refinement rule of a lone run at its own
     tolerance, and each pass evaluates the new panels of all integrals
-    still open in one call.  Returns the arrays (values, error_estimates).
+    still open in one call.  New panels are appended, so each integral's
+    panels stand in its lone run's order, the order np.bincount sums them
+    in.  Returns the arrays (values, error_estimates).
 
     A ConvergenceError leaves with ``partial`` set to these arrays as they
     stood after the last complete pass: an open integral holds the sum of
@@ -223,33 +227,26 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         except ConvergenceError as exc:
             exc.partial = values, errors
             raise
-        # per integral: its unsplit panels, then the left and right halves,
-        # the order a lone run holds them in, so the sums below are its sums
+        # per integral, in lone-run order: its unsplit panels, then the
+        # left and right halves
         owner = np.concatenate((owner, new_o))
-        regroup = owner.argsort(kind="stable")
-        owner = owner[regroup]
-        panels = np.concatenate((panels, (new_l, new_r, new_v, new_e)), axis=1)[:, regroup]
+        panels = np.concatenate((panels, (new_l, new_r, new_v, new_e)), axis=1)
         lefts, rights, vals, errs = panels
-        first = np.empty(owner.size, dtype=bool)       # each integral's first panel
-        first[0] = True
-        np.not_equal(owner[1:], owner[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        ids = owner[starts]
-        seg = first.cumsum() - 1
-        count = np.bincount(seg)
-        total = np.add.reduceat(vals, starts)
-        total_err = np.add.reduceat(errs, starts)
-        target = np.maximum(tol[ids] * np.abs(total), floor[ids])
+        count = np.bincount(owner, minlength=a.size)
+        total = np.bincount(owner, vals, a.size)
+        total_err = np.bincount(owner, errs, a.size)
+        open_ = count > 0
+        # final for the integrals that meet their target, partial for the rest
+        values[open_], errors[open_] = total[open_], total_err[open_]
+        target = np.maximum(tol * np.abs(total), floor)
         met = (total_err <= target) | (total_err == 0.0)
         order = np.lexsort((-errs, owner))                # worst panel first
-        rank = np.arange(owner.size) - starts[seg]
-        pick = ((rank < np.minimum(64, count // 2 + 1)[seg])
-                & (errs[order] > (0.25 * target / count)[seg])
-                & ~met[seg])
+        by_owner = owner[order]
+        rank = np.arange(owner.size) - (count.cumsum() - count)[by_owner]
+        pick = ((rank < np.minimum(64, count // 2 + 1)[by_owner])
+                & (errs[order] > 0.25 * target[by_owner] / count[by_owner])
+                & ~met[by_owner])
         worst = order[pick]
-        splitting = np.bincount(seg[pick], minlength=ids.size) > 0
-        # final for the integrals that met their target, partial for the rest
-        values[ids], errors[ids] = total, total_err
         if ((rights[worst] - lefts[worst]) < min_width[owner[worst]]).any():
             raise ConvergenceError(
                 "quadrature cannot resolve integrand (panel width underflow)",
@@ -258,31 +255,46 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
         new_o = np.concatenate((owner[worst], owner[worst]))
-        keep = splitting[seg]
+        keep = np.bincount(new_o, minlength=a.size)[owner] > 0    # still open
         keep[worst] = False
         panels, owner = panels[:, keep], owner[keep]
     return values, errors
 
 
-def _peaked(f, width, upper, tol, budget: _Budget):
-    """Integrals of f(x, j) over [0, upper[j]] for a batch of integrands
-    that peak at x = 0, each with its own width[j] and, when ``tol`` is an
-    array, its own tolerance tol[j]; returns the arrays (values,
-    error_estimates).  One batch may hold integrals of different kinds,
-    with f sending each owner j to its own integrand: the Newtonian
-    integral's angular and v integrals run as one batch that way.
+def _peaked(kinds, budget: _Budget):
+    """Integrals over [0, upper[j]] of integrands that peak at x = 0, for
+    a list of kinds (f, width, upper, tol): each kind holds the integrals
+    of f(x, j), j < width.size, each with its own peak width[j], to its
+    kind's tolerance ``tol``.  All the integrals of all the kinds run as
+    one adaptive batch, in which each owner is sent to its kind's f;
+    returns one (values, error_estimates) pair per kind.
 
     x = width[j] sinh(xi) spreads a peak of any width over a fixed range
     of xi and grows only logarithmically in upper/width, so one adaptive
     run resolves narrow and wide peaks alike (the sinh transformation for
     nearly singular integrals, Johnston & Elliott 2005).
     """
+    sizes = [kind[1].size for kind in kinds]
+    starts = np.cumsum([0] + sizes)
+    # a leading empty array lets an empty list of kinds make an empty batch
+    width, upper = (np.concatenate([np.empty(0)] + [kind[i] for kind in kinds])
+                    for i in (1, 2))
     if (width < np.finfo(float).tiny).any():
         raise ConvergenceError("quadrature cannot resolve a peak whose width "
                                "underflows (an outer map underflowed)")
-    return _adaptive(
-        _exact(lambda xi, j: f(width[j] * np.sinh(xi), j) * (width[j] * np.cosh(xi))),
-        np.zeros_like(width), np.arcsinh(upper / width), tol, budget, first_panels=2)
+
+    def f(xi, j):
+        x = width[j] * np.sinh(xi)
+        out = np.empty_like(x)
+        for (f_kind, *_), lo, hi in zip(kinds, starts, starts[1:]):
+            own = (lo <= j) & (j < hi)
+            out[own] = f_kind(x[own], j[own] - lo)
+        return out * (width[j] * np.cosh(xi))
+
+    values, errors = _adaptive(_exact(f), np.zeros_like(width), np.arcsinh(upper / width),
+                               np.repeat([kind[3] for kind in kinds], sizes), budget,
+                               first_panels=2)
+    return [(values[lo:hi], errors[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
 
 def _radial_segments(g2, weight_pow: float, upper: float):
@@ -437,10 +449,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     v = |w_y| of the two factors.  Each u node takes the mean of |xi|^(-s)
     over the directions of w_x, and u^(k-2) times the integral of the
     kernel over v (1 when k = n).  Both inner integrands peak at 0, with
-    widths c/sqrt(u|x|) (c = |u - |x||) and u, and both run through the
-    sinh peak map of ``_peaked``, as one batch per outer pass.  The outer
-    weight is u, or u^(1-s) on the axis x = 0, where the mean is a
-    constant times u^(-s).  When the slice u = |x| lies inside the ball
+    widths c/sqrt(u|x|) (c = |u - |x||) and u.  Each outer pass makes one
+    ``_peaked`` batch of those it has: the mean unless it is flat (s = 0,
+    or the axis x = 0), and the v integral unless k = n.  The outer
+    weight is u, or u^(1-s) on the axis, where the mean is a constant
+    times u^(-s).  When the slice u = |x| lies inside the ball
     the mean has a cusp, log or pole there, so the outer range is split at
     the slice and each side runs in its distance c from it.  At the ball's
     edge u -> R the v range sqrt(R^2 - u^2) leaves the outer integrand
@@ -468,7 +481,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     def theta_peak(u, c):
         """The integrals over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s)
         / c^(-s) at each |w_x| = u, a distance c = |u - |x|| from the
-        slice, as the (integrand, width, upper, tol) of a _peaked batch."""
+        slice, as a (integrand, width, upper, tol) kind of _peaked."""
         width = c / np.sqrt(u * xnorm)
 
         def kernel(th, j):
@@ -480,7 +493,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
 
     def v_peak(u):
         """u^(k-2) times the integrals of |w|^(2-n) v^(n-k-1) over v at
-        each u, as the (integrand, width, upper, tol) of a _peaked batch."""
+        each u, as a (integrand, width, upper, tol) kind of _peaked."""
         vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
 
         def f(v, j):
@@ -494,30 +507,13 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     # iterate over the two radial factors of w directly, so the angular
     # mean (the expensive piece) is evaluated once per u node
     def outer_g(u, c):
-        # a flat mean is theta_mean, and the v factor is 1 when k = n
-        mean, err_t = np.full_like(u, theta_mean), np.zeros_like(u)
-        vol, err_v = np.ones_like(u), np.zeros_like(u)
-        if not flat_theta and k < n:
-            # one batch: the mean's integrals own [0, m), the v ones [m, 2m)
-            m = u.size
-            (kernel, width_t, upper_t, tol_t), (f, width_v, upper_v, tol_v) = (
-                theta_peak(u, c), v_peak(u))
-
-            def both(x, j):
-                out = np.empty_like(x)
-                lo = j < m
-                out[lo] = kernel(x[lo], j[lo])
-                hi = ~lo
-                out[hi] = f(x[hi], j[hi] - m)
-                return out
-            vals, errs = _peaked(both, np.concatenate((width_t, width_v)),
-                                 np.concatenate((upper_t, upper_v)),
-                                 np.repeat((tol_t, tol_v), m), counter)
-            mean, vol, err_t, err_v = vals[:m], vals[m:], errs[:m], errs[m:]
-        elif not flat_theta:
-            mean, err_t = _peaked(*theta_peak(u, c), counter)
-        elif k < n:
-            vol, err_v = _peaked(*v_peak(u), counter)
+        # one batch of the inner integrals there are: a flat mean is
+        # theta_mean, and the v factor is 1 when k = n
+        kinds = ([] if flat_theta else [theta_peak(u, c)]) + ([v_peak(u)] if k < n else [])
+        inner = _peaked(kinds, counter)
+        mean, err_t = ((np.full_like(u, theta_mean), np.zeros_like(u)) if flat_theta
+                       else inner.pop(0))
+        vol, err_v = inner.pop() if k < n else (np.ones_like(u), np.zeros_like(u))
         if not flat_theta:
             # times c^(-s), in an order in which a tiny c overflows nothing
             mean, err_t = mean / c * c ** (1.0 - s), err_t / c * c ** (1.0 - s)

@@ -1,9 +1,9 @@
 """Minimal standalone SVG line plots (no plotting dependency).
 
-Only what the command-line `plot` subcommand needs: one or more (x, y)
-series, optional log scaling per axis, ticks and a small legend.  Output
-is a plain-text vector file: labels are escaped as XML text, and any
-non-ASCII character in them is written as a character reference.
+Only what the command-line `plot` subcommand needs: one (x, y) series,
+optional log scaling per axis, ticks and a legend entry for its label.
+Output is a plain-text vector file: labels are escaped as XML text, and
+any non-ASCII character in them is written as a character reference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = ["render_line_plot"]
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 34, 50
-_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_COLOR = "#1f77b4"
 
 
 def _ticks(lo: float, hi: float, log: bool):
@@ -58,28 +58,23 @@ def _axis_range(values, log: bool) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
-                     title: str = "", xlabel: str = "", ylabel: str = "") -> None:
-    """Write an SVG plot of ``series`` = [(x, y, label), ...] to ``path``."""
-    if not series:
-        raise ParameterDomainError("nothing to plot")
-    cleaned = []
-    for x, y, label in series:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if log_x:
-            keep &= x > 0
-        if log_y:
-            keep &= y > 0
-        if np.count_nonzero(keep) < 2:
-            raise ParameterDomainError(f"series {label!r} has fewer than 2 plottable points")
-        cleaned.append((x[keep], y[keep], label))
-
-    all_x = np.concatenate([c[0] for c in cleaned])
-    all_y = np.concatenate([c[1] for c in cleaned])
-    x_lo, x_hi = _axis_range(all_x, log_x)
-    y_lo, y_hi = _axis_range(all_y, log_y)
+def render_line_plot(x, y, path, *, label: str = "", log_x: bool = False,
+                     log_y: bool = False, title: str = "", xlabel: str = "",
+                     ylabel: str = "") -> None:
+    """Write an SVG plot of the series (x, y), with an optional legend
+    ``label``, to ``path``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = np.isfinite(x) & np.isfinite(y)
+    if log_x:
+        keep &= x > 0
+    if log_y:
+        keep &= y > 0
+    if np.count_nonzero(keep) < 2:
+        raise ParameterDomainError(f"series {label!r} has fewer than 2 plottable points")
+    x, y = x[keep], y[keep]
+    x_lo, x_hi = _axis_range(x, log_x)
+    y_lo, y_hi = _axis_range(y, log_y)
 
     def to_px(x, y):
         if log_x:
@@ -122,18 +117,16 @@ def render_line_plot(series, path, *, log_x: bool = False, log_y: bool = False,
     if ylabel:
         parts.append(f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" font-size="12" '
                      f'transform="rotate(-90 16 {_HEIGHT / 2})">{escape(ylabel)}</text>')
-    for idx, (x, y, label) in enumerate(cleaned):
-        color = _PALETTE[idx % len(_PALETTE)]
-        px, py = to_px(x, y)
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                     f'stroke-width="1.5"/>')
-        if label:
-            ly = _MARGIN_T + 16 + 16 * idx
-            parts.append(f'<line x1="{_WIDTH - 180}" y1="{ly - 4}" x2="{_WIDTH - 156}" '
-                         f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-            parts.append(f'<text x="{_WIDTH - 150}" y="{ly}" font-size="11">'
-                         f'{escape(label)}</text>')
+    px, py = to_px(x, y)
+    points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
+    parts.append(f'<polyline points="{points}" fill="none" stroke="{_COLOR}" '
+                 f'stroke-width="1.5"/>')
+    if label:
+        ly = _MARGIN_T + 16
+        parts.append(f'<line x1="{_WIDTH - 180}" y1="{ly - 4}" x2="{_WIDTH - 156}" '
+                     f'y2="{ly - 4}" stroke="{_COLOR}" stroke-width="2"/>')
+        parts.append(f'<text x="{_WIDTH - 150}" y="{ly}" font-size="11">'
+                     f'{escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="ascii", errors="xmlcharrefreplace") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -148,14 +148,21 @@ def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, ar
     assert "usage error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args", [
-    ["decay-fit"],
-    ["quadrature", "--identity", "bogus"],
-], ids=["decay-fit-without-input", "quadrature-unknown-identity"])
-def test_rejected_parameters_leave_no_manifest(tmp_path, capsys, args):
+@pytest.mark.parametrize("args, named", [
+    (["decay-fit"], "--grid"),
+    (["quadrature", "--identity", "bogus"], "bogus"),
+    # R^k has no y factor when k = n: a y norm would be dropped unread
+    (["quadrature", "--identity", "newtonian-ball", "--n", "3", "--k", "3", "--s", "1",
+      "--x-norm", "0.6", "--y-norm", "0.8"], "--y-norm"),
+    # q is only tested against a gamma window
+    (["exponents", "--n", "3", "--k", "2", "--q", "5.0"], "--gamma"),
+], ids=["decay-fit-without-input", "quadrature-unknown-identity",
+        "newtonian-ball-y-norm-at-k-equal-n", "exponents-q-without-gamma"])
+def test_rejected_parameters_leave_no_manifest(tmp_path, capsys, args, named):
     out = tmp_path / "out"
     assert main(args + ["--output-dir", str(out)]) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err and named in err
     assert not (out / "manifest.json").exists()
 
 

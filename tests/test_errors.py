@@ -332,10 +332,10 @@ RAISE_SITES = {
     "integrate_cylindrical.s_at_k": (
         ParameterDomainError, r"s must lie in \[0, 2\)", lambda: integrate_cylindrical(
             lambda rho, r: np.exp(-rho - r), 3, 2, 2.0)),
-    "render_line_plot.no_series": (ParameterDomainError, "nothing to plot",
-                                   lambda: render_line_plot([], "unused.svg")),
+    "render_line_plot.no_points": (ParameterDomainError, "fewer than 2",
+                                   lambda: render_line_plot([], [], "unused.svg")),
     "render_line_plot.one_point": (ParameterDomainError, "fewer than 2", lambda: render_line_plot(
-        [([1.0, 2.0], [1.0, -1.0], "y")], "unused.svg", log_y=True)),
+        [1.0, 2.0], [1.0, -1.0], "unused.svg", label="y", log_y=True)),
 }
 
 

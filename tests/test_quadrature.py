@@ -17,7 +17,7 @@ from hscyl import (
     sphere_measure,
 )
 from hscyl import quadrature
-from hscyl.quadrature import _adaptive, _Budget, _exact
+from hscyl.quadrature import _adaptive, _Budget, _exact, _peaked
 
 PI2 = math.pi**2
 
@@ -161,6 +161,29 @@ def test_batched_adaptive_matches_separate_runs():
     assert values[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert values[2] == pytest.approx(
         (math.atan(0.7 / 1e-6) + math.atan(1.3 / 1e-6)) / 1e-6, rel=1e-10)
+
+
+def test_peaked_batch_of_two_kinds_matches_lone_runs():
+    # a Lorentzian kind and a damped-root kind, each with its own widths
+    # and tolerance, run as one batch: every integral gets its lone-run
+    # value and error estimate bit for bit, for the evaluations of the
+    # lone runs together
+    w_a = np.array([1e-3, 0.5])
+    lorentz = (lambda x, j: 1.0 / (x * x + w_a[j] ** 2), w_a, np.array([1.0, 3.0]), 1e-10)
+    w_b = np.array([0.1, 2.0, 1e-4])
+    damped = (lambda x, j: np.sqrt(x) * np.exp(-x / w_b[j]), w_b,
+              np.array([5.0, 1.0, 2.0]), 1e-5)
+    batch_budget = _Budget()
+    batch = _peaked([lorentz, damped], batch_budget)
+    used = 0
+    for kind, (values, errors) in zip((lorentz, damped), batch):
+        budget = _Budget()
+        [(lone_values, lone_errors)] = _peaked([kind], budget)
+        assert values.tobytes() == lone_values.tobytes()
+        assert errors.tobytes() == lone_errors.tobytes()
+        used += budget.used
+    assert batch_budget.used == used
+    assert batch[0][0] == pytest.approx(np.arctan([1.0 / 1e-3, 3.0 / 0.5]) / w_a, rel=1e-10)
 
 
 def test_passes_count_every_adaptive_pass():

@@ -1,11 +1,13 @@
 """Command-line orchestration.
 
-Each subcommand is one entry of ``_SUBCOMMANDS``: its runner, the module
-that owns it, and its parameter schema.  Flags take the form
-``--key value``; ``--config FILE`` points at a plain key=value file whose
-entries the command-line flags override.  Unknown keys are rejected.
-Every completed run writes ``manifest.json`` echoing the fully resolved
-configuration (that file alone reproduces the run), a ``summary.json`` of
+Each subcommand is one entry of ``_SUBCOMMANDS``: its runner and its
+parameter schema.  Flags take the form ``--key value``; ``--config FILE``
+points at a plain key=value file whose entries the command-line flags
+override.  Unknown keys are rejected, and so is a key set away from its
+default that the run never reads (``beta-full`` has no ``--a``), after
+the run and before its manifest.  Every completed run writes
+``manifest.json`` echoing the fully resolved configuration (that file
+alone reproduces the run), a ``summary.json`` of
 (key, value, units, oracle-provenance) records, and one or more
 comma-separated tables.  Numbers are printed with 17 significant digits
 so that dumps round-trip bit-exactly.
@@ -165,8 +167,6 @@ def _write_json(path: Path, payload, sort_keys: bool) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_exponents(p: dict, out: Path) -> list:
-    if p["q"] is not None and p["gamma"] is None:
-        raise UsageError("--q needs --gamma: q is tested against gamma's mass window")
     ctx = expo.ExponentContext(n=p["n"], k=p["k"], p=p["p"], s=p["s"])
     ok = expo.admissible(ctx)
     records = [("admissible", ok, "", "window predicate")]
@@ -208,10 +208,8 @@ def _run_quadrature(p: dict, out: Path) -> list:
         n, k = p["n"], p["k"]
         z = np.zeros(n)
         z[0] = p["x-norm"]
-        if k < n:
+        if k < n:  # R^k has no y factor when k = n
             z[k] = p["y-norm"]
-        elif k == n and p["y-norm"] != 0.0:
-            raise UsageError("--y-norm must be 0 when k = n: the point has no y factor")
         quad = quadrature.singular_newtonian_integral(z, n, k, p["s"], tol=tol)
         if p["s"] == 0.0:
             znorm = float(np.linalg.norm(z))
@@ -413,37 +411,36 @@ def _run_plot(p: dict, out: Path) -> list:
 
 class _Subcommand(NamedTuple):
     runner: Callable[[dict, Path], list]  # (params, output dir) -> summary records
-    owner: str  # module named in the messages of propagated errors
     schema: dict  # key -> (type, default)
 
 
 _SUBCOMMANDS = {
-    "exponents": _Subcommand(_run_exponents, "exponents", {
+    "exponents": _Subcommand(_run_exponents, {
         "n": (int, _REQUIRED), "k": (int, _REQUIRED),
         "p": (float, 2.0), "s": (float, 1.0),
         "gamma": (float, None), "q": (float, None),
     }),
-    "quadrature": _Subcommand(_run_quadrature, "quadrature", {
+    "quadrature": _Subcommand(_run_quadrature, {
         "identity": (str, _REQUIRED),
         "n": (int, 3), "k": (int, 2), "m": (float, 2.0),
         "s": (float, 1.0), "a": (float, 2.0),
         "x-norm": (float, 1.0), "y-norm": (float, 0.0),
         "tol": (float, quadrature.DEFAULT_TOL),
     }),
-    "constant": _Subcommand(_run_constant, "closed_forms", {
+    "constant": _Subcommand(_run_constant, {
         "n": (int, _REQUIRED), "k": (int, _REQUIRED),
     }),
-    "verify-extremal": _Subcommand(_run_verify_extremal, "closed_forms", {
+    "verify-extremal": _Subcommand(_run_verify_extremal, {
         "n": (int, 3), "k": (int, 2), "lam": (float, 1.0),
         "levels": (int, 3), "nodes": (int, 24), "box": (float, 4.0),
         "tol": (float, quadrature.DEFAULT_TOL),
     }),
-    "verify-prop4": _Subcommand(_run_verify_prop4, "cylgrid", {
+    "verify-prop4": _Subcommand(_run_verify_prop4, {
         "a": (int, 1), "b": (int, 1), "lam": (float, 1.0),
         "alpha": (float, 1.0), "beta": (float, 1.0),
         "nodes": (int, 1024), "lo": (float, 1.0), "hi": (float, 2.0),
     }),
-    "minimize": _Subcommand(_run_minimize, "minimizer", {
+    "minimize": _Subcommand(_run_minimize, {
         "n": (int, 3), "k": (int, 2), "s": (float, 1.0),
         "rho-max": (float, 120.0), "r-max": (float, 120.0),
         "n-rho": (int, 256), "n-r": (int, 256),
@@ -453,7 +450,7 @@ _SUBCOMMANDS = {
         "init": (str, minimizer.MinimizeOptions.init),
         "init-scale": (float, minimizer.MinimizeOptions.init_scale),
     }),
-    "decay-fit": _Subcommand(_run_decay_fit, "asymptotics", {
+    "decay-fit": _Subcommand(_run_decay_fit, {
         "grid": (str, None), "samples": (str, None),
         "direction": (str, "rho-axis"),
         "min-radius": (float, 0.0), "max-radius": (float, None),
@@ -461,7 +458,7 @@ _SUBCOMMANDS = {
         "mode": (str, "solution-two-sided"),
         "tol": (float, asymptotics.DEFAULT_BOUND_TOL),
     }),
-    "plot": _Subcommand(_run_plot, "cli", {
+    "plot": _Subcommand(_run_plot, {
         "input": (str, _REQUIRED), "output": (str, _REQUIRED),
         "log-x": (bool, False), "log-y": (bool, False),
         "title": (str, ""), "x-col": (str, None), "y-col": (str, None),
@@ -469,13 +466,35 @@ _SUBCOMMANDS = {
 }
 
 
+class _Reads(dict):
+    """A run's parameters, recording the keys the runner reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def run(config: RunConfig) -> int:
     """Run a parsed configuration: the subcommand's tables, then
     manifest.json, summary.json and one printed line per record.  Returns
-    the exit status."""
+    the exit status.
+
+    UsageError, with no manifest written, for every key set away from its
+    default that the run never read: the run would have ignored it."""
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    records = _SUBCOMMANDS[config.subcommand].runner(config.parameters, out)
+    sub = _SUBCOMMANDS[config.subcommand]
+    params = _Reads(config.parameters)
+    records = sub.runner(params, out)
+    unread = [f"--{key}" for key, (_, default) in sub.schema.items()
+              if key not in params.read and config.parameters[key] != default]
+    if unread:
+        raise UsageError(f"{config.subcommand} never reads {', '.join(unread)} with "
+                         "these parameters")
     _write_json(out / "manifest.json", {
         "tool": "hscyl", "version": __version__, "subcommand": config.subcommand,
         "parameters": config.parameters, "output_dir": str(out),
@@ -499,7 +518,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, DomainError) as exc:
         # parse_args succeeded, so argv[0] names a subcommand
         kind, code = ("convergence", 3) if isinstance(exc, ConvergenceError) else ("domain", 2)
-        print(f"hscyl {_SUBCOMMANDS[argv[0]].owner}: {kind} error: {exc}", file=sys.stderr)
+        print(f"hscyl {argv[0]}: {kind} error: {exc}", file=sys.stderr)
         return code
 
 

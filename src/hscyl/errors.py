@@ -49,8 +49,8 @@ class ConvergenceError(HscylError):
 
     ``partial`` carries the best value or result obtained before failing:
     a quadrature entry point gives the QuadratureResult of the whole
-    integral so far, whose error estimate covers any piece it never
-    reached (an infinite one when it could not bound that piece).
+    integral so far, whose error estimate is infinite until the first
+    pass, which reaches every piece of the range, is complete.
     """
 
     def __init__(self, message, partial=None):

@@ -15,17 +15,24 @@ refinement).
 
 The Newtonian-kernel ball integral iterates over the radii of the two
 factors.  Its inner integrals peak at 0 with widths that vary from node to
-node, and one map, x = width sinh(xi), puts a fixed number of panels
-across any of those peaks (``_peaked``).  The outer range is split at the
-slice u = |x|, where the angular mean is singular, and each side runs in
-its distance from the slice; on the axis x = 0 the mean's u^(-s) joins the
-outer weight.  At the ball's edge u = R the v range shrinks like
-sqrt(R^2 - u^2), so the outer integrand ends in (R - u)^((n-k)/2).  For
-odd n - k that half-integer power stalls refinement at the edge, so the
-outer piece that ends there runs in tau, with its variable x on [a, b] at
-x = b - (b - a)(1 - tau)^2 (``_edge_map``); R - u is linear in b - x at
-the edge, so the power becomes polynomial in tau.  For even n - k, and for
-k = n, the end is smooth and the map would only cost passes.
+node, and x = width sinh(xi) puts a fixed number of panels across any of
+those peaks (``_peaked``).  Its outer range is split at the slice u = |x|,
+where the angular mean is singular.  For odd n - k the outer integrand
+ends in a half-integer power of R - u at the ball's edge, which the map
+t = b - (b - a)(1 - tau)^2 of the last piece's variable t makes
+polynomial in tau (``_edge_map``).
+
+Each level of an integral is one adaptive loop over all of its pieces.
+A piece is a change of variable, every piece is evaluated on the first
+pass, and the integral then splits its worst panels, in whichever piece
+they lie, until their summed error estimates meet tol times the whole
+integral (global adaptivity, as in QUADPACK).  Nested integrals run as
+batches: each pass of an outer integral computes the inner integrals at
+all of its new abscissae in one adaptive loop, in which every integral
+follows the refinement rule of a lone run at its own tolerance and is
+summed in a lone run's order, so a batch gives each integral its
+lone-run value bit for bit.  A batch may hold integrals of several kinds
+(``_peaked``).
 
 Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
@@ -33,18 +40,9 @@ only scalars is detected by one probe and called point by point, at a
 cost.  A non-finite integrand value raises SingularityError; it is never
 replaced.  A ConvergenceError (an exhausted budget, an unresolvable
 integrand) carries the whole integral so far as its ``partial``, with an
-infinite error estimate while a piece of the range is still unreached.
-Nested integrals run as batches: each pass of an outer integral computes
-the inner integrals at all of its new abscissae in one adaptive loop, in
-which every integral follows the refinement rule of a lone run at its own
-tolerance and is summed in a lone run's order, so a batch gives each
-integral its lone-run value bit for bit.  A batch may hold integrals of
-several kinds (``_peaked``): each Newtonian outer pass makes one batch of
-the inner integrals it has, the angular mean and the v integral.
-Each integral's first pass is small, four panels (two on a sinh-mapped
-peak), because a nested batch pays it once per outer node; refinement
-then splits only the panels that need it.  A result counts the adaptive
-passes it made, nested ones included, besides its integrand evaluations.
+infinite error estimate until the first pass is complete.  A result
+counts the adaptive passes it made, nested ones included, besides its
+integrand evaluations.
 """
 
 from __future__ import annotations
@@ -158,7 +156,7 @@ def _exact(f):
 
 def _panel_eval(fvec, lefts, rights, owner, budget: _Budget):
     """Spend the evaluations from ``budget``, then evaluate GK15 on panels
-    [lefts[i], rights[i]] of the integrals owner[i]; returns per-panel
+    [lefts[i], rights[i]] of the intervals owner[i]; returns per-panel
     Kronrod values and error estimates (see _adaptive for fvec).
 
     A non-finite integrand value raises SingularityError naming the first
@@ -183,35 +181,32 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget):
     return i_k, err
 
 
-def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
-    """Globally adaptive GK15 on the independent intervals [a[i], b[i]],
-    each integral to an error of ``tol[i]`` times its own magnitude or its
-    absolute ``floor[i]``, whichever is larger (a scalar ``tol`` or
-    ``floor`` holds for all of them).
-
-    Each integral starts on ``first_panels`` equal panels and then
-    splits its worst ones until it meets its target.  A nested batch pays
-    the start once per outer node, so it is kept small: four panels, and
-    two on a sinh-mapped peak (``_peaked``), where the map has already
-    spread the peak evenly.
+def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
+    """Globally adaptive GK15 on the intervals [a[i], b[i]], where
+    interval i is a part of integral group[i]: each integral splits the
+    worst panels of all its intervals until their summed error estimates
+    meet ``tol[g]`` (or a scalar ``tol``) times the magnitude of its sum.
+    Each interval starts on ``first_panels`` equal panels: four, or two on
+    a sinh-mapped peak (``_peaked``), since a nested batch pays the start
+    once per outer node.
 
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
-    integral that abscissa x[j] belongs to; carried errors (e.g. from an
-    inner integral) are folded into each panel's error estimate.  Every
-    integral follows the refinement rule of a lone run at its own
-    tolerance, and each pass evaluates the new panels of all integrals
-    still open in one call.  New panels are appended, so each integral's
-    panels stand in its lone run's order, the order np.bincount sums them
-    in.  Returns the arrays (values, error_estimates).
+    interval of abscissa x[j]; carried errors (e.g. from an inner
+    integral) are folded into each panel's error estimate.  Each pass
+    evaluates the new panels of all open integrals in one call.  New
+    panels are appended, so an integral whose intervals stand in its lone
+    run's order has its panels in that order, the one np.bincount sums
+    them in, and follows its lone run bit for bit, at its own tolerance.
+    Returns the arrays (values, error_estimates) of the integrals.
 
     A ConvergenceError leaves with ``partial`` set to these arrays as they
-    stood after the last complete pass: an open integral holds the sum of
-    its panels then, and one not yet evaluated holds 0 with an infinite
-    error.  What an inner integral set is replaced, since the outer sum
+    stood after the last complete pass, 0 with an infinite error before
+    the first; it replaces what an inner integral set, since the outer sum
     covers the panels whose evaluation failed.
     """
-    values, errors = np.zeros(a.size), np.full(a.size, math.inf)
-    tol, floor = np.full(a.size, tol), np.full(a.size, floor)
+    m = group.max(initial=-1) + 1
+    values, errors = np.zeros(m), np.full(m, math.inf)
+    tol = np.full(m, tol)
     span = b - a
     min_width = 64.0 * np.finfo(float).eps * span
     # equal panels, as np.linspace computes them, with the last edge exactly b
@@ -232,20 +227,21 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         owner = np.concatenate((owner, new_o))
         panels = np.concatenate((panels, (new_l, new_r, new_v, new_e)), axis=1)
         lefts, rights, vals, errs = panels
-        count = np.bincount(owner, minlength=a.size)
-        total = np.bincount(owner, vals, a.size)
-        total_err = np.bincount(owner, errs, a.size)
+        grp = group[owner]
+        count = np.bincount(grp, minlength=m)
+        total = np.bincount(grp, vals, m)
+        total_err = np.bincount(grp, errs, m)
         open_ = count > 0
         # final for the integrals that meet their target, partial for the rest
         values[open_], errors[open_] = total[open_], total_err[open_]
-        target = np.maximum(tol * np.abs(total), floor)
+        target = tol * np.abs(total)
         met = (total_err <= target) | (total_err == 0.0)
-        order = np.lexsort((-errs, owner))                # worst panel first
-        by_owner = owner[order]
-        rank = np.arange(owner.size) - (count.cumsum() - count)[by_owner]
-        pick = ((rank < np.minimum(64, count // 2 + 1)[by_owner])
-                & (errs[order] > 0.25 * target[by_owner] / count[by_owner])
-                & ~met[by_owner])
+        order = np.lexsort((-errs, grp))                  # worst panel first
+        by_grp = grp[order]
+        rank = np.arange(grp.size) - (count.cumsum() - count)[by_grp]
+        pick = ((rank < np.minimum(64, count // 2 + 1)[by_grp])
+                & (errs[order] > 0.25 * target[by_grp] / count[by_grp])
+                & ~met[by_grp])
         worst = order[pick]
         if ((rights[worst] - lefts[worst]) < min_width[owner[worst]]).any():
             raise ConvergenceError(
@@ -255,7 +251,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, floor=0.0, first_panels=4):
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
         new_o = np.concatenate((owner[worst], owner[worst]))
-        keep = np.bincount(new_o, minlength=a.size)[owner] > 0    # still open
+        keep = np.bincount(group[new_o], minlength=m)[grp] > 0    # still open
         keep[worst] = False
         panels, owner = panels[:, keep], owner[keep]
     return values, errors
@@ -293,85 +289,78 @@ def _peaked(kinds, budget: _Budget):
 
     values, errors = _adaptive(_exact(f), np.zeros_like(width), np.arcsinh(upper / width),
                                np.repeat([kind[3] for kind in kinds], sizes), budget,
-                               first_panels=2)
+                               np.arange(width.size), first_panels=2)
     return [(values[lo:hi], errors[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
 
-def _radial_segments(g2, weight_pow: float, upper: float):
-    """Transformed integrand pieces covering integral of g(rho) rho^weight_pow,
-    for g2(rho, owner) returning (values, carried_errors).
+def _radial_segments(weight_pow: float, upper: float):
+    """Pieces (to_x, a, b) whose sum is the integral of g(rho)
+    rho^weight_pow over (0, upper), with the weight in the Jacobian.
 
     The range is split at rho = 1: the head runs in w with rho = w^2, a
     semi-infinite tail in u with rho = u^(-2) (see the module docstring),
     and a finite tail directly in rho.  Where w^2 would still leave the
     head singular (weight_pow < -1/2), rho = w^(1/(weight_pow+1)) makes
-    its weight constant instead.  Returns a list of (fvec, a, b) pieces.
+    its weight constant instead.
     """
-    def piece(to_rho, a, b):
-        def fvec(x, owner):
-            rho, jac = to_rho(x)
-            vals, errs = g2(rho, owner)
-            return vals * jac, errs * jac
-        return fvec, a, b
-
     beta = weight_pow
     p = 2.0 if beta >= -0.5 else 1.0 / (beta + 1.0)
-    pieces = [piece(lambda w: (w**p, p * w ** (p * (beta + 1.0) - 1.0)),
-                    0.0, min(1.0, upper) ** (1.0 / p))]
+    pieces = [(lambda w: (w**p, p * w ** (p * (beta + 1.0) - 1.0)),
+               0.0, min(1.0, upper) ** (1.0 / p))]
     if math.isinf(upper):
-        pieces.append(piece(lambda u: (u**-2.0, 2.0 * u ** (-(2.0 * beta + 3.0))),
-                            0.0, 1.0))
+        pieces.append((lambda u: (u**-2.0, 2.0 * u ** (-(2.0 * beta + 3.0))), 0.0, 1.0))
     elif upper > 1.0:
-        pieces.append(piece(lambda rho: (rho, rho**beta), 1.0, upper))
+        pieces.append((lambda rho: (rho, rho**beta), 1.0, upper))
     return pieces
 
 
 def _edge_map(piece):
-    """The piece (fvec, a, b) in tau on [0, 1], with x = b - (b - a)(1 - tau)^2,
-    so an endpoint behaviour (b - x)^(j/2) becomes polynomial in tau.
+    """The piece (to_x, a, b) in tau on [0, 1], with t = b - (b - a)(1 - tau)^2,
+    so an endpoint behaviour (b - t)^(j/2) becomes polynomial in tau.
 
-    x is formed as a + (b - a) tau (2 - tau), which keeps x - a accurate
+    t is formed as a + (b - a) tau (2 - tau), which keeps t - a accurate
     as tau -> 0, where a may be a singular point of its own."""
-    fvec, a, b = piece
+    to_x, a, b = piece
     span = b - a
 
-    def mapped(tau, owner):
-        vals, errs = fvec(a + span * (tau * (2.0 - tau)), owner)
-        jac = 2.0 * span * (1.0 - tau)
-        return vals * jac, errs * jac
+    def mapped(tau):
+        x, jac = to_x(a + span * (tau * (2.0 - tau)))
+        return x, jac * (2.0 * span * (1.0 - tau))
     return mapped, 0.0, 1.0
 
 
-def _integrate_segments(pieces, tol, counter, m: int = 1):
-    """Sum of the pieces, for each of m integrals that share them.
+def _integrate_pieces(f, pieces, m: int, tol, budget: _Budget):
+    """The integrals of f(x, j) dx, j < m, each over all the pieces, as
+    one adaptive batch; f returns (values, carried_errors) and is called
+    once per pass.
 
-    A later piece is held to ``tol`` relative to the sum so far, not only
-    to itself: a sliver piece whose value is rounding noise could never
-    meet a tolerance relative to that noise.  A ConvergenceError leaves
-    with ``partial`` set to the sum so far, the failed piece's partial
-    included, and an infinite error while a piece remains unreached."""
-    value, err = np.zeros(m), np.zeros(m)
-    for i, (fvec, a, b) in enumerate(pieces):
-        try:
-            v, e = _adaptive(fvec, np.full(m, a), np.full(m, b), tol, counter,
-                             tol * np.abs(value))
-        except ConvergenceError as exc:
-            v, e = exc.partial
-            exc.partial = value + v, err + e + (math.inf if i + 1 < len(pieces) else 0.0)
-            raise
-        value += v
-        err += e
-    return value, err
+    A piece (to_x, a, b) is a change of variable, to_x(t) -> (x, dx/dt)
+    for t in [a, b].  Interval piece * m + j is that piece of integral j,
+    so each integral's intervals, and so its panels, stand in its lone
+    run's order.  Returns (values, error_estimates) of the m integrals."""
+    to_x, a, b = zip(*pieces)
+
+    def fvec(t, owner):
+        piece, j = np.divmod(owner, m)
+        x, jac = np.empty_like(t), np.empty_like(t)
+        for i, to_x_i in enumerate(to_x):
+            own = piece == i
+            x[own], jac[own] = to_x_i(t[own])
+        vals, errs = f(x, j)
+        return vals * jac, errs * jac
+
+    return _adaptive(fvec, np.repeat(a, m), np.repeat(b, m), tol, budget,
+                     np.arange(len(pieces) * m) % m)
 
 
-def _integrate(pieces, tol, counter, scale: float) -> QuadratureResult:
-    """``scale`` times the sum of the pieces for one integral; a
-    ConvergenceError leaves with the same form of the sum so far."""
+def _integrate(f, pieces, tol, counter, scale: float) -> QuadratureResult:
+    """``scale`` times the integral of f over the pieces; a
+    ConvergenceError leaves with the same form of the integral so far."""
     def result(value, err):
         return QuadratureResult(scale * float(value[0]), scale * float(err[0]),
                                 counter.used, counter.passes)
     try:
-        return result(*_integrate_segments(pieces, tol, counter))
+        return result(*_integrate_pieces(f, pieces, 1, tol, counter))
     except ConvergenceError as exc:
         exc.partial = result(*exc.partial)
         raise
@@ -392,10 +381,9 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     s = require_real(s, "s", 0.0, k, "[)")
     upper = require_real(upper, "upper", 0.0, ends="(]")
     tol = require_real(tol, "tol", 0.0)
-    counter = _Budget()
     g = _vectorized(g)
-    pieces = _radial_segments(_exact(lambda rho, owner: g(rho)), k - 1.0 - s, upper)
-    return _integrate(pieces, 0.5 * tol, counter, sphere_measure(k))
+    return _integrate(_exact(lambda rho, _: g(rho)), _radial_segments(k - 1.0 - s, upper),
+                      0.5 * tol, _Budget(), sphere_measure(k))
 
 
 def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL, *,
@@ -423,17 +411,15 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
         return integrate_radial(lambda rho: f(rho, 0.0), k, s, tol, upper=rho_max)
     counter = _Budget()
     f = _vectorized(f, 2)
+    rho_pieces = _radial_segments(k - 1.0 - s, rho_max)
 
     def inner(r, _):
         """The rho integrals at every outer node r, as one batch."""
-        pieces = _radial_segments(_exact(lambda rho, j: f(rho, r[j])),
-                                  k - 1.0 - s, rho_max)
-        return _integrate_segments(pieces, 0.25 * tol, counter, r.size)
+        return _integrate_pieces(_exact(lambda rho, j: f(rho, r[j])), rho_pieces,
+                                 r.size, 0.25 * tol, counter)
 
-    # reuse the radial segment maps for the outer direction: the inner
-    # value plays the role of g(r) and the r measure is the weight
-    outer_pieces = _radial_segments(inner, n - k - 1.0, r_max)
-    return _integrate(outer_pieces, 0.25 * tol, counter,
+    # the inner value plays the role of g(r) and the r measure is the weight
+    return _integrate(inner, _radial_segments(n - k - 1.0, r_max), 0.25 * tol, counter,
                       sphere_measure(k) * sphere_measure(n - k))
 
 
@@ -458,7 +444,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     the slice and each side runs in its distance c from it.  At the ball's
     edge u -> R the v range sqrt(R^2 - u^2) leaves the outer integrand
     behaving like (R - u)^((n-k)/2); for odd n - k the piece that ends
-    there is mapped by x = b - (b - a)(1 - tau)^2, which turns that
+    there is mapped by t = b - (b - a)(1 - tau)^2, which turns that
     half-integer power into a polynomial in tau.  Even n - k and k = n
     need no map.  I scales like |z|^(2-s).
     """
@@ -520,26 +506,30 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         return mean * vol, np.abs(mean) * err_v + np.abs(vol) * err_t + err_t * err_v
 
     if flat_theta or xnorm >= radius:
-        pieces = _radial_segments(lambda u, _: outer_g(u, xnorm - u),
-                                  1.0 - s if xnorm == 0.0 else 1.0, radius)
+        def outer(u, _):
+            return outer_g(u, xnorm - u)
+        pieces = _radial_segments(1.0 - s if xnorm == 0.0 else 1.0, radius)
     else:
-        # c = d t^p on each side of the slice: the mean behaves like
-        # const + c^(k-1-s) (log c at s = k-1), a pole when s > k-1 that
-        # p = 1/(k-s) makes constant in t; p = 2 leaves t^(2(k-1-s)+1)
+        # each side of the slice runs in its distance c = d t^p from it,
+        # which its map gives signed, as u - |x| = -c or c: the mean
+        # behaves like const + c^(k-1-s) (log c at s = k-1), a pole when
+        # s > k-1 that p = 1/(k-s) makes constant in t; p = 2 leaves
+        # t^(2(k-1-s)+1)
         p = 1.0 / (k - s) if s > k - 1.0 else 2.0
 
-        def side(d, sign):
-            def fvec(t, _):
-                c = d * t**p
-                u = xnorm + sign * c
-                vals, errs = outer_g(u, c)
-                jac = u * d * p * t ** (p - 1.0)
-                return vals * jac, errs * jac
-            return fvec, 0.0, 1.0
+        def outer(dist, _):
+            # c is the map's own |dist|: recomputed as |u - |x|| it would
+            # lose every digit below the rounding of u
+            u = xnorm + dist
+            vals, errs = outer_g(u, np.abs(dist))
+            return vals * u, errs * u
 
-        pieces = [side(xnorm, -1.0), side(radius - xnorm, 1.0)]
+        def side(sign, d):
+            return (lambda t: (sign * (d * t**p), d * p * t ** (p - 1.0))), 0.0, 1.0
+
+        pieces = [side(-1.0, xnorm), side(1.0, radius - xnorm)]
     if (n - k) % 2:
         # the last piece ends at u = R in (R - u)^((n-k)/2)
         pieces[-1] = _edge_map(pieces[-1])
-    return _integrate(pieces, tol / 3.0, counter,
+    return _integrate(outer, pieces, tol / 3.0, counter,
                       sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0))

@@ -24,7 +24,9 @@ _COLOR = "#1f77b4"
 
 def _ticks(lo: float, hi: float, log: bool):
     """Tick values in [lo, hi]: the powers of ten on a log axis that holds
-    two or more, else 1-2-5 steps of at most six intervals."""
+    two or more, else 1-2-5 steps of at most six intervals, or the two
+    ends alone when the span is under 64 float spacings of the values, so
+    that a 1-2-5 step might not move a tick."""
     if log:
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
@@ -32,30 +34,30 @@ def _ticks(lo: float, hi: float, log: bool):
         if len(decades) >= 2:
             return decades
     span = hi - lo
+    if span < 64.0 * np.spacing(max(abs(lo), abs(hi))):
+        return [lo, hi]
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        out.append(t)
-        t += step
-    return out
+    count = math.floor((hi + 1e-12 * span - first) / step) + 1
+    return [first + i * step for i in range(count)]
 
 
 def _axis_range(values, log: bool) -> tuple[float, float]:
     """(min, max) of the values, a constant c widened to a positive length:
-    half a decade each way on a log axis, else max(0.5, 1e-6 |c|) each way."""
+    half a decade each way on a log axis, else max(0.5, 1e-6 |c|) each way.
+    ParameterDomainError if that length, or the widened log axis, leaves
+    the float range."""
     lo, hi = float(values.min()), float(values.max())
-    if lo < hi:
-        return lo, hi
-    if log:
-        return lo / math.sqrt(10.0), hi * math.sqrt(10.0)
-    pad = max(0.5, 1e-6 * abs(lo))
-    return lo - pad, hi + pad
+    if lo == hi:
+        pad = max(0.5, 1e-6 * abs(lo))
+        lo, hi = (lo / math.sqrt(10.0), hi * math.sqrt(10.0)) if log else (lo - pad, hi + pad)
+    if not math.isfinite(hi - lo) or (log and lo == 0.0):
+        raise ParameterDomainError(f"axis from {lo!r} to {hi!r} leaves the float range")
+    return lo, hi
 
 
 def render_line_plot(x, y, path, *, label: str = "", log_x: bool = False,

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from xml.dom import minidom
 from xml.etree import ElementTree
@@ -151,19 +155,40 @@ def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, ar
 @pytest.mark.parametrize("args, named", [
     (["decay-fit"], "--grid"),
     (["quadrature", "--identity", "bogus"], "bogus"),
-    # R^k has no y factor when k = n: a y norm would be dropped unread
+    # a key the run never reads, set away from its default, would be
+    # dropped unread and yet recorded in the manifest
+    # R^k has no y factor when k = n
     (["quadrature", "--identity", "newtonian-ball", "--n", "3", "--k", "3", "--s", "1",
       "--x-norm", "0.6", "--y-norm", "0.8"], "--y-norm"),
     # q is only tested against a gamma window
-    (["exponents", "--n", "3", "--k", "2", "--q", "5.0"], "--gamma"),
+    (["exponents", "--n", "3", "--k", "2", "--q", "5.0"], "--q"),
+    (["quadrature", "--identity", "beta-full", "--a", "7", "--x-norm", "3"],
+     "--a, --x-norm"),
+    # the radius window is for --grid, and --p for the bounds --n selects
+    (["decay-fit", "--samples", "s.csv", "--min-radius", "5", "--max-radius", "6",
+      "--p", "3"], "--min-radius, --max-radius, --p"),
+    # a grid dump is drawn along its first r row, whatever columns are named
+    (["plot", "--input", "g.csv", "--output", "g.svg", "--x-col", "foo", "--y-col", "bar"],
+     "--x-col, --y-col"),
 ], ids=["decay-fit-without-input", "quadrature-unknown-identity",
-        "newtonian-ball-y-norm-at-k-equal-n", "exponents-q-without-gamma"])
-def test_rejected_parameters_leave_no_manifest(tmp_path, capsys, args, named):
-    out = tmp_path / "out"
-    assert main(args + ["--output-dir", str(out)]) == 1
+        "newtonian-ball-y-norm-at-k-equal-n", "exponents-q-without-gamma",
+        "beta-full-a-and-x-norm", "samples-radius-window-and-p", "grid-dump-columns"])
+def test_rejected_parameters_leave_no_manifest(tmp_path, monkeypatch, capsys, args, named):
+    monkeypatch.chdir(tmp_path)
+    Path("s.csv").write_text("radius,value\n1,1\n2,0.5\n4,0.25\n8,0.125\n16,0.0625\n")
+    Path("g.csv").write_text("rho,r,value\n1,0,1\n2,0,0.5\n4,0,0.25\n")
+    assert main(args + ["--output-dir", "out"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and named in err
-    assert not (out / "manifest.json").exists()
+    assert not Path("out", "manifest.json").exists()
+
+
+def test_error_message_names_the_subcommand(tmp_path, capsys):
+    # the grid layer raises this one: the prefix names the subcommand that
+    # was run, whichever module the error came from
+    assert main(["verify-extremal", "--nodes", "4", "--output-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "hscyl verify-extremal: domain error: need at least")
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):
@@ -400,3 +425,26 @@ def test_log_axis_without_a_power_of_ten_gets_ticks(tmp_path, ys):
     for label in y_labels:
         assert min(ys) <= float(label.text) <= max(ys)
         assert 34.0 <= float(label.get("y")) - 4.0 <= 430.0
+
+
+@pytest.mark.parametrize("lo, hi, code", [("1", "1.0000000000000002", 0),
+                                          ("-1e308", "1e308", 2)],
+                         ids=["one-ulp-span", "overflowing-span"])
+def test_plot_of_an_extreme_span_finishes(tmp_path, lo, hi, code):
+    # a tick step below the spacing of the values must not stall the tick
+    # loop, and a span past the float range is a domain error, not an
+    # OverflowError; the plot runs in a child under a 1 GiB address-space
+    # limit and a timeout, so a loop that never ends fails fast instead
+    table = tmp_path / "t.csv"
+    table.write_text(f"x,y\n{lo},1\n{hi},2\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "hscyl.cli", "plot", "--input", str(table),
+         "--output", str(tmp_path / "t.svg"), "--output-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert done.returncode == code, done.stderr
+    assert (tmp_path / "t.svg").exists() == (code == 0)
+    if code:
+        assert done.stderr.startswith("hscyl plot: domain error: axis from")

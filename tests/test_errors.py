@@ -336,6 +336,10 @@ RAISE_SITES = {
                                    lambda: render_line_plot([], [], "unused.svg")),
     "render_line_plot.one_point": (ParameterDomainError, "fewer than 2", lambda: render_line_plot(
         [1.0, 2.0], [1.0, -1.0], "unused.svg", label="y", log_y=True)),
+    # a constant log axis is widened by half a decade, which underflows here
+    "render_line_plot.log_axis_underflow": (
+        ParameterDomainError, "leaves the float range", lambda: render_line_plot(
+            [1.0, 2.0], [5e-324, 5e-324], "unused.svg", log_y=True)),
 }
 
 

@@ -22,17 +22,24 @@ ends in a half-integer power of R - u at the ball's edge, which the map
 t = b - (b - a)(1 - tau)^2 of the last piece's variable t makes
 polynomial in tau (``_edge_map``).
 
-Each level of an integral is one adaptive loop over all of its pieces.
-A piece is a change of variable, every piece is evaluated on the first
-pass, and the integral then splits its worst panels, in whichever piece
-they lie, until their summed error estimates meet tol times the whole
-integral (global adaptivity, as in QUADPACK).  Nested integrals run as
-batches: each pass of an outer integral computes the inner integrals at
-all of its new abscissae in one adaptive loop, in which every integral
-follows the refinement rule of a lone run at its own tolerance and is
-summed in a lone run's order, so a batch gives each integral its
-lone-run value bit for bit.  A batch may hold integrals of several kinds
-(``_peaked``).
+Each level of an integral is one adaptive loop over all of its pieces,
+each a change of variable evaluated on the first pass; the integral then
+splits its worst panels, in whichever piece they lie, until their summed
+error estimates meet tol times the whole integral (global adaptivity, as
+in QUADPACK, Piessens et al. 1983).  Nested levels run as batches: each
+outer pass computes the inner integrals at all of its new abscissae in
+one adaptive loop, in which every integral keeps a lone run's refinement
+rule, tolerance and summation order, and so its lone-run value bit for
+bit.  A batch may hold integrals of several kinds (``_peaked``).
+
+One rule sets every tolerance.  An integral is held to the tol its caller
+passed, so a converged result has error_estimate <= tol |value|.  Each
+inner integral of a batch (the cylindrical rho integrals, the Newtonian
+angular mean and v integral) is held to _INNER_SHARE times its parent's
+tol.  The errors it carries are added to its outer panels' estimates
+(``_panel_eval``), so the outer stopping test covers them; at a share of
+1/4 the two inner integrals of a Newtonian node, at their targets, take
+just over half of it (the relative errors of a product add).
 
 Integrands receive numpy arrays: g(rho) in the radial case and two
 same-shape arrays f(rho, r) in the cylindrical one.  A callable that takes
@@ -75,6 +82,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 10**7
+# tol of an inner integral of a nested batch, as a share of its parent's
+_INNER_SHARE = 0.25
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].
 _XGK = np.array([
@@ -134,11 +143,8 @@ class _Budget:
 def _vectorized(f, nargs: int = 1):
     """Return f if it maps nargs same-shape arrays to an array of that
     shape, else a copy that broadcasts its arguments and calls f once per
-    point.
-
-    Only the shape failures of a scalar-only callable given arrays
-    (TypeError, ValueError) select the wrapper; any other error from the
-    probe propagates."""
+    point.  Only the shape failures of a scalar-only callable given arrays
+    (TypeError, ValueError) select the copy; any other error propagates."""
     probe = np.array([0.37, 0.73])
     try:
         out = np.asarray(f(*[probe] * nargs), dtype=float)
@@ -185,10 +191,10 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
     """Globally adaptive GK15 on the intervals [a[i], b[i]], where
     interval i is a part of integral group[i]: each integral splits the
     worst panels of all its intervals until their summed error estimates
-    meet ``tol[g]`` (or a scalar ``tol``) times the magnitude of its sum.
-    Each interval starts on ``first_panels`` equal panels: four, or two on
-    a sinh-mapped peak (``_peaked``), since a nested batch pays the start
-    once per outer node.
+    meet ``tol[g]`` (or a scalar ``tol``) times the magnitude of its sum,
+    or the smallest normal float if that underflows.  Each interval starts
+    on ``first_panels`` equal panels: four, or two on a sinh-mapped peak
+    (``_peaked``), since a nested batch pays the start once per outer node.
 
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     interval of abscissa x[j]; carried errors (e.g. from an inner
@@ -206,7 +212,6 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
     """
     m = group.max(initial=-1) + 1
     values, errors = np.zeros(m), np.full(m, math.inf)
-    tol = np.full(m, tol)
     span = b - a
     min_width = 64.0 * np.finfo(float).eps * span
     # equal panels, as np.linspace computes them, with the last edge exactly b
@@ -235,7 +240,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
         # final for the integrals that meet their target, partial for the rest
         values[open_], errors[open_] = total[open_], total_err[open_]
         target = tol * np.abs(total)
-        met = (total_err <= target) | (total_err == 0.0)
+        met = total_err <= np.maximum(target, np.finfo(float).tiny)
         order = np.lexsort((-errs, grp))                  # worst panel first
         by_grp = grp[order]
         rank = np.arange(grp.size) - (count.cumsum() - count)[by_grp]
@@ -257,21 +262,19 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
     return values, errors
 
 
-def _peaked(kinds, budget: _Budget):
+def _peaked(kinds, tol, budget: _Budget):
     """Integrals over [0, upper[j]] of integrands that peak at x = 0, for
-    a list of kinds (f, width, upper, tol): each kind holds the integrals
-    of f(x, j), j < width.size, each with its own peak width[j], to its
-    kind's tolerance ``tol``.  All the integrals of all the kinds run as
-    one adaptive batch, in which each owner is sent to its kind's f;
-    returns one (values, error_estimates) pair per kind.
+    a list of kinds (f, width, upper): each kind holds the integrals of
+    f(x, j), j < width.size, with peak widths width[j].  All of them run
+    to ``tol`` as one adaptive batch, in which each owner is sent to its
+    kind's f; returns one (values, error_estimates) pair per kind.
 
     x = width[j] sinh(xi) spreads a peak of any width over a fixed range
     of xi and grows only logarithmically in upper/width, so one adaptive
     run resolves narrow and wide peaks alike (the sinh transformation for
     nearly singular integrals, Johnston & Elliott 2005).
     """
-    sizes = [kind[1].size for kind in kinds]
-    starts = np.cumsum([0] + sizes)
+    starts = np.cumsum([0] + [kind[1].size for kind in kinds])
     # a leading empty array lets an empty list of kinds make an empty batch
     width, upper = (np.concatenate([np.empty(0)] + [kind[i] for kind in kinds])
                     for i in (1, 2))
@@ -288,8 +291,7 @@ def _peaked(kinds, budget: _Budget):
         return out * (width[j] * np.cosh(xi))
 
     values, errors = _adaptive(_exact(f), np.zeros_like(width), np.arcsinh(upper / width),
-                               np.repeat([kind[3] for kind in kinds], sizes), budget,
-                               np.arange(width.size), first_panels=2)
+                               tol, budget, np.arange(width.size), first_panels=2)
     return [(values[lo:hi], errors[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
 
@@ -330,14 +332,12 @@ def _edge_map(piece):
 
 
 def _integrate_pieces(f, pieces, m: int, tol, budget: _Budget):
-    """The integrals of f(x, j) dx, j < m, each over all the pieces, as
-    one adaptive batch; f returns (values, carried_errors) and is called
-    once per pass.
-
-    A piece (to_x, a, b) is a change of variable, to_x(t) -> (x, dx/dt)
-    for t in [a, b].  Interval piece * m + j is that piece of integral j,
-    so each integral's intervals, and so its panels, stand in its lone
-    run's order.  Returns (values, error_estimates) of the m integrals."""
+    """The integrals of f(x, j) dx, j < m, each over all the pieces, as one
+    adaptive batch; f returns (values, carried_errors) and is called once per
+    pass.  A piece (to_x, a, b) is a change of variable, to_x(t) -> (x, dx/dt)
+    for t in [a, b].  Interval piece * m + j is that piece of integral j, so
+    each integral's intervals, and so its panels, stand in its lone run's
+    order.  Returns (values, error_estimates) of the m integrals."""
     to_x, a, b = zip(*pieces)
 
     def fvec(t, owner):
@@ -383,7 +383,7 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     tol = require_real(tol, "tol", 0.0)
     g = _vectorized(g)
     return _integrate(_exact(lambda rho, _: g(rho)), _radial_segments(k - 1.0 - s, upper),
-                      0.5 * tol, _Budget(), sphere_measure(k))
+                      tol, _Budget(), sphere_measure(k))
 
 
 def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL, *,
@@ -392,9 +392,10 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
     """sigma_k sigma_(n-k) * double integral of
     f(rho, r) rho^(k-1-s) r^(n-k-1) over 0 < rho < rho_max, 0 < r < r_max.
 
-    Computed as an iterated integral, adaptively in both directions; inner
-    (rho) errors ride along into the outer error estimate.  f receives
-    same-shape arrays of rho and r.  Each range is split and mapped as in
+    Computed as an iterated integral, adaptively in both directions; the
+    inner rho integrals are held to _INNER_SHARE times tol, and their
+    errors ride along into the outer error estimate.  f receives same-shape
+    arrays of rho and r.  Each range is split and mapped as in
     :func:`integrate_radial`, and either bound may be inf.  For k = n the
     second direction is absent: f is evaluated as f(rho, 0.0), only the
     sigma_k prefactor applies, and a finite r_max is a GridError.
@@ -416,10 +417,10 @@ def integrate_cylindrical(f, n: int, k: int, s: float, tol: float = DEFAULT_TOL,
     def inner(r, _):
         """The rho integrals at every outer node r, as one batch."""
         return _integrate_pieces(_exact(lambda rho, j: f(rho, r[j])), rho_pieces,
-                                 r.size, 0.25 * tol, counter)
+                                 r.size, _INNER_SHARE * tol, counter)
 
     # the inner value plays the role of g(r) and the r measure is the weight
-    return _integrate(inner, _radial_segments(n - k - 1.0, r_max), 0.25 * tol, counter,
+    return _integrate(inner, _radial_segments(n - k - 1.0, r_max), tol, counter,
                       sphere_measure(k) * sphere_measure(n - k))
 
 
@@ -436,17 +437,16 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     over the directions of w_x, and u^(k-2) times the integral of the
     kernel over v (1 when k = n).  Both inner integrands peak at 0, with
     widths c/sqrt(u|x|) (c = |u - |x||) and u.  Each outer pass makes one
-    ``_peaked`` batch of those it has: the mean unless it is flat (s = 0,
-    or the axis x = 0), and the v integral unless k = n.  The outer
-    weight is u, or u^(1-s) on the axis, where the mean is a constant
-    times u^(-s).  When the slice u = |x| lies inside the ball
+    ``_peaked`` batch, to _INNER_SHARE times tol, of those it has: the mean
+    unless it is flat (s = 0, or the axis x = 0), and the v integral unless
+    k = n.  The outer weight is u, or u^(1-s) on the axis, where the mean
+    is a constant times u^(-s).  When the slice u = |x| lies inside the ball
     the mean has a cusp, log or pole there, so the outer range is split at
     the slice and each side runs in its distance c from it.  At the ball's
     edge u -> R the v range sqrt(R^2 - u^2) leaves the outer integrand
     behaving like (R - u)^((n-k)/2); for odd n - k the piece that ends
-    there is mapped by t = b - (b - a)(1 - tau)^2, which turns that
-    half-integer power into a polynomial in tau.  Even n - k and k = n
-    need no map.  I scales like |z|^(2-s).
+    there is mapped by ``_edge_map``, and even n - k and k = n need no
+    map.  I scales like |z|^(2-s).
     """
     n, k = require_split(n, k)
     s = require_real(s, "s", 0.0, min(k, 2), "[)")
@@ -467,7 +467,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     def theta_peak(u, c):
         """The integrals over (0, pi) of sin^(k-2)(theta) |x - w_x|^(-s)
         / c^(-s) at each |w_x| = u, a distance c = |u - |x|| from the
-        slice, as a (integrand, width, upper, tol) kind of _peaked."""
+        slice, as a (integrand, width, upper) kind of _peaked."""
         width = c / np.sqrt(u * xnorm)
 
         def kernel(th, j):
@@ -475,11 +475,11 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             # |x - w_x|^2 = c^2 (1 + (2 sin(theta/2) / width)^2)
             kern = np.hypot(1.0, 2.0 * np.sin(0.5 * th) / width[j]) ** -s
             return kern * np.sin(th) ** (k - 2) if k > 2 else kern
-        return kernel, width, np.full_like(u, math.pi), 0.1 * tol
+        return kernel, width, np.full_like(u, math.pi)
 
     def v_peak(u):
         """u^(k-2) times the integrals of |w|^(2-n) v^(n-k-1) over v at
-        each u, as a (integrand, width, upper, tol) kind of _peaked."""
+        each u, as a (integrand, width, upper) kind of _peaked."""
         vmax = np.sqrt(np.maximum(radius * radius - u * u, 0.0))
 
         def f(v, j):
@@ -488,7 +488,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
             t = v / u[j]
             hyp = np.hypot(1.0, t)
             return (t / hyp) ** (n - k - 1.0) * hyp ** (1.0 - k) / u[j]
-        return f, u, vmax, tol / 6.0
+        return f, u, vmax
 
     # iterate over the two radial factors of w directly, so the angular
     # mean (the expensive piece) is evaluated once per u node
@@ -496,7 +496,7 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
         # one batch of the inner integrals there are: a flat mean is
         # theta_mean, and the v factor is 1 when k = n
         kinds = ([] if flat_theta else [theta_peak(u, c)]) + ([v_peak(u)] if k < n else [])
-        inner = _peaked(kinds, counter)
+        inner = _peaked(kinds, _INNER_SHARE * tol, counter)
         mean, err_t = ((np.full_like(u, theta_mean), np.zeros_like(u)) if flat_theta
                        else inner.pop(0))
         vol, err_v = inner.pop() if k < n else (np.ones_like(u), np.zeros_like(u))
@@ -531,5 +531,5 @@ def singular_newtonian_integral(z, n: int, k: int, s: float,
     if (n - k) % 2:
         # the last piece ends at u = R in (R - u)^((n-k)/2)
         pieces[-1] = _edge_map(pieces[-1])
-    return _integrate(outer, pieces, tol / 3.0, counter,
+    return _integrate(outer, pieces, tol, counter,
                       sphere_measure(k - 1) * (sphere_measure(n - k) if k < n else 1.0))

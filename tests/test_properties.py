@@ -49,6 +49,7 @@ def test_beta_identity_matches_quadrature(case):
     quad = integrate_cylindrical(lambda rho, r: (1.0 + rho**2 + r**2) ** -m,
                                  n, k, s, tol=1e-9)
     assert quad.value == pytest.approx(beta_integral_full(n, k, m, s), rel=1e-8)
+    assert quad.error_estimate <= 1e-9 * quad.value
 
 
 @pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4),

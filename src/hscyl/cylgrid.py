@@ -31,6 +31,17 @@ Running the trailing axis through ``_lead_rows`` instead needs a
 transposed copy of each block.  On 32 x 1024 blocks (2-core Xeon) that
 route agreed to rounding, bit for bit away from the outer edge row, but
 took 1.7-1.9 times as long per block (184 against 95 us).
+
+A grid owns its values, read-only.  Values from outside the library are
+checked to be finite numbers: those given to the ``CylGrid`` constructor
+or ``with_values`` and the array a ``sampled`` profile returns are also
+copied, while the column ``load_grid`` parsed from a file is not.  An
+array the library allocated and filled itself is taken as it is, without
+the copy or the scan: the zeros of ``build_grid`` and ``window_grid`` are
+one stored number broadcast to the grid's shape, and the residual
+operators and the flow hand over their output arrays.  Their results are the arithmetic's: a result
+that overflows holds inf or nan (numpy warns), where a copy and scan
+would raise GridError.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +73,21 @@ __all__ = [
 ]
 
 
+class _Owned(NamedTuple):
+    """Grid values that the library allocated and filled itself, and that
+    nothing else references: a CylGrid takes ``array`` as it is."""
+
+    array: np.ndarray
+
+
+def _finite(values):
+    """``values``, a float array or None, if it holds finite numbers only;
+    otherwise GridError."""
+    if values is None or not np.all(np.isfinite(values)):
+        raise GridError("grid values must be finite numbers")
+    return values
+
+
 def _values_shape(n: int, k: int, n_rho: int, n_r: int) -> tuple:
     """The shape of grid values: (n_rho, n_r), or (n_rho,) when k = n."""
     return (n_rho, n_r) if k < n else (n_rho,)
@@ -77,6 +104,12 @@ class CylGrid:
     whether the innermost nodes sit next to the axes (even-reflection
     ghosts apply there); window grids cut out of the open quadrant set it
     False and get one-sided stencils at both edges instead.
+
+    The grid owns ``values`` and makes them read-only.  Given values are
+    copied and must be finite, so changing the array passed in leaves the
+    grid as it was.  Grids that the library's functions build take the
+    arrays those functions filled, without a copy or a scan (module
+    docstring), and the zeros of a fresh grid store one number.
     """
 
     n: int
@@ -93,9 +126,8 @@ class CylGrid:
         r = require_nodes(self.r_nodes, "r_nodes", GridError)
         if (k == n) != (r.size == 0):
             raise GridError("k = n grids carry no r nodes, and k < n grids some")
-        vals = _float_array(self.values)
-        if vals is None or not np.all(np.isfinite(vals)):
-            raise GridError("grid values must be finite numbers")
+        vals = (self.values.array if isinstance(self.values, _Owned)
+                else _finite(_float_array(self.values)))
         shape = _values_shape(n, k, rho.size, r.size)
         if vals.shape != shape:
             raise GridError(f"values shape {vals.shape} does not match "
@@ -174,6 +206,11 @@ def _node_counts(n: int, k: int, n_rho: int, n_r: int) -> tuple[int, int]:
     return n_rho, n_r
 
 
+def _zeros(n: int, k: int, n_rho: int, n_r: int) -> _Owned:
+    """Zero values of a fresh grid: one stored 0.0, broadcast read-only."""
+    return _Owned(np.broadcast_to(0.0, _values_shape(n, k, n_rho, n_r)))
+
+
 def build_grid(n: int, k: int, rho_max: float, r_max: float,
                n_rho: int, n_r: int, grading: float) -> CylGrid:
     """Graded tensor grid with nodes rho_i = rho_max (i/n_rho)^grading,
@@ -186,7 +223,7 @@ def build_grid(n: int, k: int, rho_max: float, r_max: float,
         r_max = require_real(r_max, "r_max", 0.0)
     rho = rho_max * (np.arange(1, n_rho + 1) / n_rho) ** grading
     r = np.empty(0) if k == n else r_max * (np.arange(1, n_r + 1) / n_r) ** grading
-    return CylGrid(n, k, rho, r, np.zeros(_values_shape(n, k, n_rho, n_r)), grading)
+    return CylGrid(n, k, rho, r, _zeros(n, k, n_rho, n_r), grading)
 
 
 def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
@@ -204,8 +241,7 @@ def window_grid(n: int, k: int, rho_lo: float, rho_hi: float,
         r_hi = require_real(r_hi, "r_hi", require_real(r_lo, "r_lo", 0.0))
     rho = np.linspace(rho_lo, rho_hi, n_rho)
     r = np.empty(0) if k == n else np.linspace(r_lo, r_hi, n_r)
-    return CylGrid(n, k, rho, r, np.zeros(_values_shape(n, k, n_rho, n_r)), 1.0,
-                   axis_ghost=False)
+    return CylGrid(n, k, rho, r, _zeros(n, k, n_rho, n_r), 1.0, axis_ghost=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +369,7 @@ def cyl_laplacian(grid: CylGrid) -> CylGrid:
     out = np.empty_like(grid.values)
     for rows, (lap,) in _row_blocks(grid, (_LAP,)):
         out[rows] = lap
-    return grid.with_values(out)
+    return grid.with_values(_Owned(out))
 
 
 def gradient_energy(grid: CylGrid) -> float:
@@ -348,6 +384,12 @@ def gradient_energy(grid: CylGrid) -> float:
                for rows, (grad_sq,) in _row_blocks(grid, (_GRAD_SQ,)))
 
 
+def _nonpositive(u: np.ndarray) -> bool:
+    """Whether some entry of u is <= 0, as ``np.any(u <= 0.0)`` decides
+    (nan is not), by a reduction in place of a full-size mask."""
+    return bool(np.fmin.reduce(u, axis=None) <= 0.0)
+
+
 def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
     """Residual of the constrained-minimiser equation at the grid values:
 
@@ -357,14 +399,14 @@ def el_residual(grid: CylGrid, Lambda: float, s: float) -> CylGrid:
     Delta U = -Lambda |x|^(-s) U^(q-1).
     """
     u = grid.values
-    if np.any(u <= 0.0):
+    if _nonpositive(u):
         raise ParameterDomainError("el_residual requires strictly positive values")
     q = hs_conjugate(2.0, s, grid.n)
     coef = _per_node(require_real(Lambda, "Lambda") * grid.rho_nodes ** (-s), 0, u.ndim)
     out = np.empty_like(u)
     for rows, (lap,) in _row_blocks(grid, (_LAP,)):
         out[rows] = lap + coef[rows] * u[rows] ** (q - 1.0)
-    return grid.with_values(out)
+    return grid.with_values(_Owned(out))
 
 
 def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
@@ -377,7 +419,7 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
     split must agree with them) and n = a + b + 2.
     """
     u = phi_grid.values
-    if np.any(u <= 0.0):
+    if _nonpositive(u):
         raise ParameterDomainError("shifted_quadratic_residual requires strictly positive values")
     if (phi_grid.a, phi_grid.b) != (params.a, params.b):
         raise ParameterDomainError(
@@ -394,7 +436,7 @@ def shifted_quadratic_residual(phi_grid: CylGrid, params) -> CylGrid:
         np.subtract(lap, np.divide(grad_sq, u[rows], out=grad_sq), out=res)
         for axis, shift in enumerate(shifts):
             res -= shift[rows] if axis == 0 else shift
-    return phi_grid.with_values(out)
+    return phi_grid.with_values(_Owned(out))
 
 
 # ---------------------------------------------------------------------------
@@ -470,4 +512,6 @@ def load_grid(path) -> CylGrid:
     order = np.unique(i * r.size + j, return_index=True)[1]
     if not len(table) == rho.size * r.size == math.prod(shape) == order.size:
         raise GridError("grid dump is not a full tensor table")
-    return CylGrid(n, k, rho, r[r != 0.0], table[order, 2].reshape(shape), grading, ghost)
+    # a fresh column, but outside input: checked, not copied
+    return CylGrid(n, k, rho, r[r != 0.0], _Owned(_finite(table[order, 2].reshape(shape))),
+                   grading, ghost)

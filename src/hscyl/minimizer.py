@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import estimate_core_scale
-from .cylgrid import CylGrid, GridSpec, build_grid
+from .cylgrid import CylGrid, GridSpec, _Owned, build_grid
 from .errors import (
     ConvergenceError,
     ParameterDomainError,
@@ -469,7 +469,8 @@ def minimize_rayleigh(n: int, k: int, s: float, grid_spec: GridSpec,
 
 def _package(problem, u, energy, history, iterations, stationarity,
              rejected_steps, extrapolated_steps) -> MinimizeResult:
-    grid = problem.grid.with_values(u)
+    # u is the flow's own state, which the flow no longer changes
+    grid = problem.grid.with_values(_Owned(u))
     profile = u.reshape(grid.rho_nodes.size, -1)[:, 0]
     # from the peak, as u vanishes at the t axis's inner edge; a partial
     # result may carry a vanished profile: no core scale then

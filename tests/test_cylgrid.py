@@ -1,5 +1,6 @@
 import math
 import traceback
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,58 @@ def test_grid_values_immutable():
     g = build_grid(3, 2, 10.0, 10.0, 16, 16, grading=2.0)
     with pytest.raises(ValueError):
         g.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_grid_copies_outside_values(k):
+    # the constructor, with_values and a sampled profile's result are
+    # outside input: changing the array afterwards leaves the grid as it was
+    grid = build_grid(3, k, 10.0, 10.0, 8, 8, grading=2.0)
+    given = np.ones(grid.values.shape)
+    returned = np.full(grid.values.shape, 2.0)
+    grids = [CylGrid(3, k, grid.rho_nodes, grid.r_nodes, given), grid.with_values(given),
+             grid.sampled(lambda rho, r: returned)]
+    given[:] = returned[:] = -1.0
+    for g, value in zip(grids, (1.0, 1.0, 2.0)):
+        assert np.array_equal(g.values, np.full(grid.values.shape, value))
+
+
+def _traced_peak(call) -> int:
+    """Bytes of the traced allocation peak of one call (after a warm-up)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_library_grids_allocate_no_copies():
+    # at 1024^2 one values array is 8 MB.  Fresh zero grids store one
+    # number: 0.05 MB traced (the nodes), against 17 MB when the zeros
+    # were an array and its copy.  A residual holds its output and the
+    # block scratch of _row_blocks: 6.1-10.8 blocks of _BLOCK_NODES
+    # floats over shapes 256^2 to 1024^2, 2048 x 256, 256 x 2048 and
+    # 100 x 3000, and an extra copy of the output added 32 more at 1024^2.
+    # The bound of 16 blocks is 1.5 times the largest and half of that copy.
+    from hscyl.cylgrid import _BLOCK_NODES
+
+    for make in (lambda: build_grid(4, 2, 4.0, 4.0, 1024, 1024, grading=1.0),
+                 lambda: window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 1024, 1024)):
+        assert _traced_peak(make) < 2**20
+    params = ShiftedQuadraticParams(a=1, b=1, lam=1.0, alpha=1.0, beta=1.0)
+    phi = window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 1024, 1024).sampled(
+        lambda rho, r: (rho + 1.0) ** 2 + (r + 1.0) ** 2)
+    bound = phi.values.nbytes + 16 * _BLOCK_NODES * 8
+    for call in (lambda: cyl_laplacian(phi), lambda: el_residual(phi, 1.0, 1.0),
+                 lambda: shifted_quadratic_residual(phi, params)):
+        assert _traced_peak(call) <= bound
+    # a rejected grid is found by a reduction, without a 1 MB mask
+    negative = phi.with_values(-phi.values)
+    for call in (lambda: el_residual(negative, 1.0, 1.0),
+                 lambda: shifted_quadratic_residual(negative, params)):
+        assert _traced_peak(lambda: pytest.raises(ParameterDomainError, call)) < 2**16
 
 
 def _meshgrid_sampled(grid, profile):
@@ -376,6 +429,37 @@ def test_el_residual_rejects_nonpositive():
         el_residual(g, 1.0, 1.0)  # zero values
 
 
+def test_operator_overflow_is_returned_not_scanned():
+    # the library's own results skip the finiteness scan of outside input
+    g = window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 16, 16)
+    values = np.full(g.values.shape, 1.7e308)
+    values[::2] *= -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        lap = cyl_laplacian(g.with_values(values))
+    assert np.isinf(lap.values).any() and not lap.values.flags.writeable
+
+
+@pytest.mark.parametrize("planted", [(np.nan,), (np.nan, -1.0), (np.nan, 0.0), (np.inf, -np.inf),
+                                     (-0.0,), (-5e-324,)])
+def test_positivity_guard_matches_elementwise_test(planted):
+    # grids the library computes are taken unscanned, so a guard can meet
+    # nan; it rejects exactly the grids with an entry u <= 0
+    from hscyl.cylgrid import _Owned
+
+    g = window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 16, 16)
+    values = np.ones(g.values.shape)
+    values.flat[3:3 + len(planted)] = planted
+    grid = CylGrid(4, 2, g.rho_nodes, g.r_nodes, _Owned(values), axis_ghost=False)
+    params = ShiftedQuadraticParams(a=1, b=1)
+    for residual in (lambda: el_residual(grid, 1.0, 1.0),
+                     lambda: shifted_quadratic_residual(grid, params)):
+        if np.any(values <= 0.0):
+            with pytest.raises(ParameterDomainError, match="strictly positive"):
+                residual()
+        else:
+            residual()
+
+
 def test_shifted_quadratic_residual_quadratic_is_rounding_level():
     params = ShiftedQuadraticParams(a=1, b=1, lam=1.0, alpha=0.0, beta=0.0)
     g = window_grid(4, 2, 1.0, 2.0, 1.0, 2.0, 256, 256)
@@ -426,25 +510,29 @@ def test_shifted_power_profile_matches_power_of_quadratic():
 
 
 def test_grid_dump_roundtrip_bitexact(tmp_path, rng):
-    g = build_grid(4, 2, 7.3, 5.1, 12, 9, grading=1.7)
-    g = g.with_values(rng.standard_normal(g.values.shape))
-    path = tmp_path / "grid.csv"
-    dump_grid(g, path)
-    back = load_grid(path)
-    assert back.n == g.n and back.k == g.k and back.grading == g.grading
-    assert np.array_equal(back.rho_nodes, g.rho_nodes)
-    assert np.array_equal(back.r_nodes, g.r_nodes)
-    assert np.array_equal(back.values, g.values)
+    # the zeros of a fresh grid are one broadcast number
+    grid = build_grid(4, 2, 7.3, 5.1, 12, 9, grading=1.7)
+    for g in (grid.with_values(rng.standard_normal(grid.values.shape)), grid,
+              window_grid(4, 2, 1.0, 2.0, 1.5, 3.0, 10, 11)):
+        path = tmp_path / "grid.csv"
+        dump_grid(g, path)
+        back = load_grid(path)
+        assert back.n == g.n and back.k == g.k and back.grading == g.grading
+        assert back.axis_ghost == g.axis_ghost
+        assert np.array_equal(back.rho_nodes, g.rho_nodes)
+        assert np.array_equal(back.r_nodes, g.r_nodes)
+        assert np.array_equal(back.values, g.values)
+        assert not back.values.flags.writeable
 
 
 def test_grid_dump_roundtrip_one_dimensional(tmp_path, rng):
-    g = build_grid(4, 4, 3.0, 3.0, 10, 10, grading=2.0)
-    g = g.with_values(np.exp(rng.standard_normal(10)))
-    path = tmp_path / "grid1d.csv"
-    dump_grid(g, path)
-    back = load_grid(path)
-    assert back.r_nodes.size == 0
-    assert np.array_equal(back.values, g.values)
+    grid = build_grid(4, 4, 3.0, 3.0, 10, 10, grading=2.0)
+    for g in (grid.with_values(np.exp(rng.standard_normal(10))), grid):
+        path = tmp_path / "grid1d.csv"
+        dump_grid(g, path)
+        back = load_grid(path)
+        assert back.r_nodes.size == 0
+        assert np.array_equal(back.values, g.values)
 
 
 _EXTREMES = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
@@ -511,6 +599,7 @@ BAD_DUMPS = {
     "missing row": lambda lines: lines[:-1],
     "no rows": lambda lines: lines[:2],
     "duplicate row in place of another": lambda lines: lines[:-1] + [lines[2]],
+    "inf value": lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0] + ",inf"] + lines[4:],
     # every row of the outermost rho node reads nan there, so the table
     # stays full and the node set gains a nan
     "nan node": lambda lines: lines[:2] + [

@@ -322,8 +322,11 @@ def _run_verify_prop4(p: dict, out: Path) -> list:
 
 
 def _run_minimize(p: dict, out: Path) -> list:
-    spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
-                            n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
+    if p["k"] < p["n"]:
+        spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=p["r-max"],
+                                n_rho=p["n-rho"], n_r=p["n-r"], grading=p["grading"])
+    else:  # the k = n flow's t axis takes the box and its cells alone
+        spec = cylgrid.GridSpec(rho_max=p["rho-max"], r_max=None, n_rho=p["n-rho"], n_r=None)
     opts = minimizer.MinimizeOptions(step=p["step"], tol=p["tol"], init=p["init"],
                                      init_scale=p["init-scale"])
     result = minimizer.minimize_rayleigh(p["n"], p["k"], p["s"], spec, opts)

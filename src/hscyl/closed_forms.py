@@ -84,12 +84,7 @@ def beta_integral_full(n: int, k: int, m: float, s: float) -> float:
         raise ConvergenceDomainError(
             f"second Beta factor diverges: need m > (n-s)/2 = {0.5 * (n - s)}, got m={m}"
         )
-    return (
-        0.5 * sphere_measure(n - k)
-        * 0.5 * sphere_measure(k)
-        * beta(0.5 * (n - k), m - 0.5 * (n - k))
-        * beta(0.5 * (k - s), m - 0.5 * (n - s))
-    )
+    return _radial_factor(n - k, 0.0, m - 0.5 * (n - k)) * _radial_factor(k, s, m - 0.5 * (n - s))
 
 
 def beta_integral_radial(k: int, a: float, s: float) -> float:
@@ -107,7 +102,13 @@ def beta_integral_radial(k: int, a: float, s: float) -> float:
         raise ConvergenceDomainError(
             f"Beta factor diverges: need a > (k-s)/2 = {0.5 * (k - s)}, got a={a}"
         )
-    return 0.5 * sphere_measure(k) * beta(0.5 * (k - s), a - 0.5 * (k - s))
+    return _radial_factor(k, s, a - 0.5 * (k - s))
+
+
+def _radial_factor(k: int, s: float, b: float) -> float:
+    """(sigma_k/2) B((k-s)/2, b), beta_integral_radial at a = b + (k-s)/2;
+    taking b as formed spares a rounding of a, which B magnifies near its pole."""
+    return 0.5 * sphere_measure(k) * beta(0.5 * (k - s), b)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +172,7 @@ def _extremal_shift(n: int, k: int, lam: float = 1.0) -> float:
 def _y_factor(n: int, k: int) -> float:
     """The |y| integral behind J, (sigma_(n-k)/2) B((n-k)/2, (n+k)/2 - 1);
     it degenerates to 1 for k = n."""
-    if k == n:
-        return 1.0
-    return 0.5 * sphere_measure(n - k) * beta(0.5 * (n - k), 0.5 * (n + k) - 1.0)
+    return 1.0 if k == n else _radial_factor(n - k, 0.0, 0.5 * (n + k) - 1.0)
 
 
 def _normalization_integral_closed(n: int, k: int, shift: float) -> float:

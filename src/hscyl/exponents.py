@@ -121,25 +121,25 @@ def admissible(ctx: ExponentContext) -> bool:
 def aux_exponents(ctx: ExponentContext) -> ExponentReport:
     """Fill an :class:`ExponentReport` for an admissible context.
 
-    sigma is s(n-p)/(2p(n-s)) and p_sigma is the critical exponent that
-    appears when the inequality is rewritten with the weight split off as
+    sigma is s(n-p)/(2p(n-s)) and p_sigma, equal to p_star_s, is the critical
+    exponent of the inequality rewritten with the weight split off as
     |x|^(-sigma * p_sigma); decay_bound is :func:`decay_bound`.
     """
     if not admissible(ctx):
         raise ParameterDomainError(f"context {ctx} is not admissible")
     n, k, p, s = ctx.n, ctx.k, ctx.p, ctx.s
-    r, r_prime = critical_pair(p, s, n)
+    (r, r_prime), p_star_s = critical_pair(p, s, n), hs_conjugate(p, s, n)
 
     def kappa(t: float) -> float:
         return hs_conjugate(p, require_real(t, "t", 0.0, min(p, s), "[)"), n) / p
 
     return ExponentReport(
-        p_star_s=hs_conjugate(p, s, n),
+        p_star_s=p_star_s,
         p_prime=p / (p - 1.0),
         r=r,
         r_prime=r_prime,
         sigma=s * (n - p) / (2.0 * p * (n - s)),
-        p_sigma=hs_conjugate(p, s, n),
+        p_sigma=p_star_s,
         decay_bound=decay_bound(n, p),
         kappa=kappa,
     )

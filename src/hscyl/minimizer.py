@@ -98,7 +98,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import estimate_core_scale
-from .cylgrid import CylGrid, GridSpec, _Owned, build_grid
+from .cylgrid import CylGrid, GridSpec, _Owned, _zeros, build_grid
 from .errors import (
     ConvergenceError,
     ParameterDomainError,
@@ -177,6 +177,13 @@ class MinimizeResult:
         return self.E_min ** -0.5 if self.E_min > 0 else float("nan")
 
 
+def _unit_scale(nval: float, q: float) -> float:
+    """nval^(-1/q), which takes a state of constraint norm nval onto N = 1."""
+    if not nval > 0.0:
+        raise ConvergenceError("flow state has vanished (zero constraint norm)")
+    return nval ** (-1.0 / q)
+
+
 class DiscreteRayleigh:
     """The k < n flow problem: the discrete energy/constraint pair, the
     flow direction and the step's solve.
@@ -198,7 +205,6 @@ class DiscreteRayleigh:
         self.n, self.k, self.s = n, k, float(s)
         self.q = hs_conjugate(2.0, s, n)
         self.shape = grid.values.shape
-        self.axis_vols = grid.cell_volumes()
         self.mass = grid.measure()
         # row i of an axis is p[i] (u[i+1] - u[i]) - q[i] (u[i] - u[i-1]),
         # from the face conductances x_f^c / h over the cell volumes: no flux
@@ -209,7 +215,7 @@ class DiscreteRayleigh:
         # so Z = V^(-1/2) Y has Z^T V Z = I and A_int Z = -Z diag(mu);
         # each axis keeps Z^T V = Y^T V^(1/2) (forward) and Z (back)
         self.axis_coeffs, mus, self._forward, self._back = [], [], [], []
-        for (nodes, c), vol in zip(grid.axes, self.axis_vols):
+        for (nodes, c), vol in zip(grid.axes, grid.cell_volumes()):
             conductance = (0.5 * (nodes[1:] + nodes[:-1])) ** c / np.diff(nodes)
             p, q = conductance / vol[:-1], np.append(0.0, conductance[:-1]) / vol[:-1]
             mu, basis = eigh_tridiagonal(p + q, -np.sqrt(p[:-1] * q[1:]))
@@ -244,10 +250,7 @@ class DiscreteRayleigh:
         return float(np.sum(self.mass * self.weight_s * np.abs(u) ** self.q))
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        nval = self.constraint(u)
-        if not nval > 0.0:
-            raise ConvergenceError("flow state has vanished (zero constraint norm)")
-        return u / nval ** (1.0 / self.q)
+        return u * _unit_scale(self.constraint(u), self.q)
 
     def direction(self, u: np.ndarray) -> np.ndarray:
         """Flow direction L u + E(u) rho^(-s) u^(q-1), zero on the pinned
@@ -260,10 +263,7 @@ class DiscreteRayleigh:
         (u, E(u), L u, rho^(-s) u^(q-1)) for u = project(candidate), from
         one power of the candidate and one operator product."""
         weighted = self.weight_s * candidate ** (self.q - 1.0)
-        nval = float(np.vdot(self.mass * weighted, candidate))
-        if not nval > 0.0:
-            raise ConvergenceError("flow state has vanished (zero constraint norm)")
-        scale = nval ** (-1.0 / self.q)
+        scale = _unit_scale(float(np.vdot(self.mass * weighted, candidate)), self.q)
         u = candidate * scale
         lu = self.apply_op(u)
         weighted *= scale ** (self.q - 1.0)
@@ -296,7 +296,7 @@ class _RadialRayleigh:
         self.s, self.q, self.c = float(s), hs_conjugate(2.0, s, n), 0.5 * (n - 2)
         self.h = 2.0 * log_max / cells
         t = self.h * np.arange(1, cells + 1) - log_max
-        self.grid = CylGrid(n, n, np.exp(t), np.empty(0), np.zeros(cells))
+        self.grid = CylGrid(n, n, np.exp(t), np.empty(0), _zeros(n, n, cells, 0))
         self.interior = np.arange(cells) < cells - 1
         self.dilation, self.sigma = np.exp(self.c * t), sphere_measure(n)
         cos = np.cos(np.pi * np.arange(1, cells) / cells)
@@ -321,10 +321,7 @@ class _RadialRayleigh:
         w = np.concatenate(([0.0], candidate * self.dilation))
         at_points = np.stack((w[:-1], w[1:]), axis=1) @ self._hats
         powered = self._weights * at_points ** (self.q - 1.0)
-        nval = self.sigma * float(np.vdot(powered, at_points))
-        if not nval > 0.0:
-            raise ConvergenceError("flow state has vanished (zero constraint norm)")
-        scale = nval ** (-1.0 / self.q)
+        scale = _unit_scale(self.sigma * float(np.vdot(powered, at_points)), self.q)
         ends = scale ** (self.q - 1.0) * (powered @ self._hats.T)
         load = dst(ends[1:, 0] + ends[:-1, 1], 1, norm="ortho") / self.modal_mass
         coef = scale * dst(w[1:-1], 1, norm="ortho")

@@ -199,7 +199,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     interval of abscissa x[j]; carried errors (e.g. from an inner
     integral) are folded into each panel's error estimate.  Each pass
-    evaluates the new panels of all open integrals in one call.  New
+    evaluates the new panels of all unmet integrals in one call.  New
     panels are appended, so an integral whose intervals stand in its lone
     run's order has its panels in that order, the one np.bincount sums
     them in, and follows its lone run bit for bit, at its own tolerance.
@@ -256,7 +256,7 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
         new_l = np.concatenate((lefts[worst], mids))
         new_r = np.concatenate((mids, rights[worst]))
         new_o = np.concatenate((owner[worst], owner[worst]))
-        keep = np.bincount(group[new_o], minlength=m)[grp] > 0    # still open
+        keep = ~met[grp]  # open: an unmet integral splits its worst panel at least
         keep[worst] = False
         panels, owner = panels[:, keep], owner[keep]
     return values, errors

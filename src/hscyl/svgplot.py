@@ -60,6 +60,13 @@ def _axis_range(values, log: bool) -> tuple[float, float]:
     return lo, hi
 
 
+def _fraction(v, lo: float, hi: float, log: bool):
+    """Where v lies on the axis from lo to hi, as a fraction of its length."""
+    if log:
+        return (np.log10(v) - math.log10(lo)) / (math.log10(hi) - math.log10(lo))
+    return (v - lo) / (hi - lo)
+
+
 def render_line_plot(x, y, path, *, label: str = "", log_x: bool = False,
                      log_y: bool = False, title: str = "", xlabel: str = "",
                      ylabel: str = "") -> None:
@@ -79,14 +86,7 @@ def render_line_plot(x, y, path, *, label: str = "", log_x: bool = False,
     y_lo, y_hi = _axis_range(y, log_y)
 
     def to_px(x, y):
-        if log_x:
-            fx = (np.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            fx = (x - x_lo) / (x_hi - x_lo)
-        if log_y:
-            fy = (np.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            fy = (y - y_lo) / (y_hi - y_lo)
+        fx, fy = _fraction(x, x_lo, x_hi, log_x), _fraction(y, y_lo, y_hi, log_y)
         px = _MARGIN_L + fx * (_WIDTH - _MARGIN_L - _MARGIN_R)
         py = _HEIGHT - _MARGIN_B - fy * (_HEIGHT - _MARGIN_T - _MARGIN_B)
         return px, py

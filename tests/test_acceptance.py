@@ -16,8 +16,9 @@ import warnings
 
 import numpy as np
 import pytest
+from test_exponents import _exponent_identity_failures, _random_admissible_contexts
+from test_minimizer import _fd_gradient_cosine
 
-import hscyl
 from hscyl import (
     DiscreteRayleigh,
     GridSpec,
@@ -199,24 +200,8 @@ def test_criterion_6_property_suite(rng, const32, flow_result):
     checks = {}
 
     # exponent identities on random admissible contexts
-    ok = True
-    count = 0
-    while count < 200:
-        n = int(rng.integers(3, 9))
-        k = int(rng.integers(2, n + 1))
-        p = float(rng.uniform(1.0 + 1e-6, n - 1e-6))
-        s = float(rng.uniform(0.0, p))
-        ctx = hscyl.ExponentContext(n, k, p, s)
-        if not hscyl.admissible(ctx):
-            continue
-        count += 1
-        rep = hscyl.aux_exponents(ctx)
-        ok &= abs(rep.r * p - hscyl.hs_conjugate(p, rep.r * s, n)) <= 1e-12 * rep.r * p
-        if math.isfinite(rep.r_prime):
-            ok &= abs(1.0 / rep.r + 1.0 / rep.r_prime - 1.0) <= 1e-12
-        ok &= rep.r * s < k
-        ok &= p - 1e-12 <= rep.p_star_s <= hscyl.hs_conjugate(p, 0.0, n) + 1e-12
-    checks["exponent identities"] = ok
+    checks["exponent identities"] = not any(
+        _exponent_identity_failures(ctx) for ctx in _random_admissible_contexts(rng, 200))
 
     # Kelvin involution and annulus energy isometry
     def u_pt(z):
@@ -262,21 +247,8 @@ def test_criterion_6_property_suite(rng, const32, flow_result):
     checks["quadrature factorization"] = abs(joint.value - product) <= 1e-8 * product
 
     # flow direction vs finite-difference Rayleigh gradient (mass metric)
-    problem = DiscreteRayleigh(3, 2, 1.0, GridSpec(20.0, 20.0, 12, 12, grading=1.5))
-    u = rng.uniform(0.2, 1.0, size=problem.shape)
-    u = problem.project(np.where(problem.interior, u, 0.0))
-    direction = problem.direction(u)
-    eps = 1e-7
-    grad = np.zeros_like(u)
-    for idx in np.ndindex(problem.shape):
-        if not problem.interior[idx]:
-            continue
-        up = u.copy(); up[idx] += eps
-        dn = u.copy(); dn[idx] -= eps
-        grad[idx] = (problem.rayleigh(up) - problem.rayleigh(dn)) / (2 * eps)
-    descent = -grad / problem.mass
-    cosine = float(np.sum(direction * descent)
-                   / (np.linalg.norm(direction) * np.linalg.norm(descent)))
+    cosine = _fd_gradient_cosine(
+        DiscreteRayleigh(3, 2, 1.0, GridSpec(20.0, 20.0, 12, 12, grading=1.5)), rng)
     checks["gradient direction cosine"] = cosine >= 0.999
 
     # converged minimiser is monotone along both radial directions

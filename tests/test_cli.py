@@ -170,9 +170,13 @@ def test_unreadable_input_table_is_usage_error(tmp_path, monkeypatch, capsys, ar
     # a grid dump is drawn along its first r row, whatever columns are named
     (["plot", "--input", "g.csv", "--output", "g.svg", "--x-col", "foo", "--y-col", "bar"],
      "--x-col, --y-col"),
+    # the k = n flow runs on the t axis, which takes the box and its cells
+    (["minimize", "--n", "3", "--k", "3", "--n-rho", "64", "--grading", "2.5",
+      "--r-max", "7", "--n-r", "9"], "--r-max, --n-r, --grading"),
 ], ids=["decay-fit-without-input", "quadrature-unknown-identity",
         "newtonian-ball-y-norm-at-k-equal-n", "exponents-q-without-gamma",
-        "beta-full-a-and-x-norm", "samples-radius-window-and-p", "grid-dump-columns"])
+        "beta-full-a-and-x-norm", "samples-radius-window-and-p", "grid-dump-columns",
+        "minimize-grid-keys-at-k-equal-n"])
 def test_rejected_parameters_leave_no_manifest(tmp_path, monkeypatch, capsys, args, named):
     monkeypatch.chdir(tmp_path)
     Path("s.csv").write_text("radius,value\n1,1\n2,0.5\n4,0.25\n8,0.125\n16,0.0625\n")

